@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Literal, Optional, Sequence
 
-from .minic import Token, _Lexer
+from .minic import Token, c_int_value, tokenize
 from .model import BindingSource, ParamRole, ThadSet
 
 __all__ = [
@@ -284,9 +284,7 @@ class _RoutineShape:
 
 
 def _lex(source: str) -> list[Token]:
-    lexer = _Lexer(source)
-    lexer.run()
-    return [t for t in lexer.tokens if t.kind != "EOF"]
+    return tokenize(source)[0][:-1]  # without the EOF token
 
 
 def _line_indent(lines: list[str], lineno: int) -> str:
@@ -422,7 +420,7 @@ def _match_guard(
         return None
     value = None
     if const.kind == "NUM":
-        value = int(const.text, 0)
+        value = c_int_value(const.text)
     return _GuardSite(
         param=t[i + 2].text,
         const_text=const.text,

@@ -31,7 +31,7 @@ from .annotate import (
 )
 from .cfg import PathExplosion, build_model
 from .checker import Status, ThadVerdict, brute_force_paths, check
-from .diagnostics import DiagnosticError
+from .diagnostics import Diagnostic, DiagnosticError
 from .minic import parse_source, unroll_loops
 from .model import BindingSource, Thad, ThadSet
 from .passes import DepthLimitExceeded, RecursionDetected, preprocess
@@ -64,6 +64,22 @@ def _want_color(stream) -> bool:
     return hasattr(stream, "isatty") and stream.isatty()
 
 
+def _read_text(path, name: str) -> str:
+    """A UTF-8 text file with universal newlines, as ``read_text`` reads
+    it.  Bytes that are not UTF-8 are a diagnostic at their position."""
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start].decode("utf-8")
+        head = head.replace("\r\n", "\n").replace("\r", "\n")
+        raise DiagnosticError([Diagnostic(
+            head.count("\n") + 1, len(head) - head.rfind("\n"),
+            f"byte 0x{data[exc.start]:02x} is not valid UTF-8", "encoding",
+        )], name) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _load_set(args) -> tuple[ThadSet, str]:
     """The dependency set to check against, plus a display path for it."""
     if args.spec is None:
@@ -75,8 +91,8 @@ def _load_set(args) -> tuple[ThadSet, str]:
         consts_src = Path(args.consts) if args.consts else None
         spec_name = str(spec_src)
         consts_name = str(consts_src) if consts_src is not None else "<consts>"
-    spec_text = spec_src.read_text(encoding="utf-8")
-    consts_text = (consts_src.read_text(encoding="utf-8")
+    spec_text = _read_text(spec_src, spec_name)
+    consts_text = (_read_text(consts_src, consts_name)
                    if consts_src is not None else None)
     thad_set = load_spec(spec_text, consts_text, spec_name, consts_name)
     return thad_set, spec_name
@@ -143,7 +159,7 @@ def _cmd_check(args) -> int:
     thad_set, spec_path = _load_set(args)
     if args.corpus:
         return _run_corpus(thad_set, spec_path, args)
-    source = Path(args.program).read_text(encoding="utf-8")
+    source = _read_text(Path(args.program), args.program)
     report = _check_program(source, args.program, thad_set, spec_path, args)
     if args.format == "json":
         text = render_json(report)
@@ -228,7 +244,7 @@ def _cmd_annotate(args) -> int:
         text = emit_wrapper(thad_set, mode=args.mode)
         _write_output(text, args.output)
         return 0
-    source = Path(args.skeleton).read_text(encoding="utf-8")
+    source = _read_text(Path(args.skeleton), args.skeleton)
     plan = plan_annotations(thad_set)
     text = emit_annotated_source(plan, source, mode=args.mode)
     output = args.output

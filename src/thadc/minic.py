@@ -20,12 +20,19 @@ parseable, and comments of every kind are skipped, including ``/*@ ...
 Calls may appear anywhere in an expression; the control-flow lowering
 hoists them out.  ``switch`` cases must end in ``break`` or ``return``
 (fallthrough is rejected); several case labels may stack on one body.
+
+Integer literals are decimal, ``0x`` hex or leading-``0`` octal (``0644``
+is 420) with any ``u``/``U``/``l``/``L`` suffixes; a ``#define`` value is
+one, optionally negated.  A character literal is one character or one C
+escape (``'\\n'``, ``'\\x41'``, ``'\\101'``).  Nesting is capped at
+:data:`MAX_NESTING` levels (see there).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Callable, NamedTuple, Optional, TypeVar, Union
 
 from .diagnostics import Diagnostic, DiagnosticError
 
@@ -34,13 +41,22 @@ __all__ = [
     "Program",
     "FunctionDef",
     "GlobalDecl",
+    "MAX_NESTING",
     "parse_source",
+    "tokenize",
     "unroll_loops",
 ]
 
 
 class MiniCError(DiagnosticError):
     """Raised when a source file falls outside the accepted subset."""
+
+
+MAX_NESTING = 100
+"""Deepest nesting the parser accepts.  Each enclosing statement (an
+``else if`` too), parenthesis, operator and call argument list on the
+way to the deepest operand is one level; deeper programs get an
+``unsupported-construct`` diagnostic."""
 
 
 # ---------------------------------------------------------------------------
@@ -207,19 +223,12 @@ class Program:
 # Lexer
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # IDENT, NUM, STR, PUNCT, EOF
     text: str
     line: int
     col: int
 
-
-_PUNCT2 = {
-    "==", "!=", "<=", ">=", "&&", "||", "<<", ">>",
-    "+=", "-=", "*=", "/=", "%=", "|=", "&=", "^=", "++", "--", "->",
-}
-_PUNCT1 = set("+-*/%<>=!&|^~(){}[];,.?:")
 
 _TYPE_WORDS = {
     "void", "char", "short", "int", "long", "unsigned", "signed",
@@ -228,180 +237,146 @@ _TYPE_WORDS = {
     "uint8_t", "uint16_t", "uint32_t", "uint64_t",
 }
 
+# One alternative per token kind, tried in order at each position.  A
+# directive is a ``#`` preceded only by blanks on its line; OPEN is the
+# start of a comment or literal the alternatives above could not close;
+# NUM leaves the integer suffix out of its group.
+_TOKEN_RE = re.compile(r"""
+    (?P<DIRECTIVE>^[ \t]*\#[^\n]*)
+  | (?P<NEWLINE>\n)
+  | (?P<SPACE>[ \t\r]+|//[^\n]*)
+  | (?P<COMMENT>/\*[\s\S]*?\*/)
+  | (?P<STR>"(?:\\[\s\S]|[^"\\])*")
+  | (?P<CHAR>'(?:\\[^\n]|[^'\\\n])*')
+  | (?P<OPEN>/\*|["'])
+  | (?P<NUM>0[xX][0-9a-fA-F]*|[0-9]+)[uUlL]*
+  | (?P<IDENT>[^\W\d]\w*)
+  | (?P<PUNCT>\.\.\.|[-+*/%|&^=!<>]=|&&|\|\||<<|>>|\+\+|--|->
+             |[-+*/%<>=!&|^~(){}\[\];,.?:])
+  | (?P<BAD>.)
+""", re.MULTILINE | re.VERBOSE)
 
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-        self.tokens: list[Token] = []
-        self.defines: dict[str, int] = {}
-        self.diags: list[Diagnostic] = []
+_INT_RE = re.compile(r"(0[xX][0-9a-fA-F]+|0[0-7]*|[1-9][0-9]*)[uUlL]*")
 
-    def error(self, message: str, code: str = "syntax", line: int | None = None,
-              col: int | None = None) -> None:
-        self.diags.append(
-            Diagnostic(line or self.line, col or self.col, message, code)
-        )
+_UNTERMINATED = {"/*": "comment", '"': "string literal",
+                 "'": "character literal"}
 
-    def _advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self.pos < len(self.text) and self.text[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.pos += 1
 
-    def _peek(self, offset: int = 0) -> str:
-        i = self.pos + offset
-        return self.text[i] if i < len(self.text) else ""
+def c_int_value(text: str) -> Optional[int]:
+    """The value of a C integer literal (decimal, ``0x`` hex or leading-``0``
+    octal, with optional ``u``/``l`` suffixes), or None if it is not one."""
+    m = _INT_RE.fullmatch(text)
+    if m is None:
+        return None
+    digits = m.group(1)
+    if digits[:2] in ("0x", "0X"):
+        return int(digits, 16)
+    return int(digits, 8 if digits[0] == "0" else 10)
 
-    def _at_line_start(self) -> bool:
-        i = self.pos - 1
-        while i >= 0 and self.text[i] in " \t":
-            i -= 1
-        return i < 0 or self.text[i] == "\n"
 
-    def _directive(self) -> None:
-        line, col = self.line, self.col
-        start = self.pos
-        while self.pos < len(self.text) and self._peek() != "\n":
-            self._advance()
-        body = self.text[start:self.pos].strip()
-        parts = body.split()
-        if parts[0] == "#include" or (parts[0] == "#" and parts[1:2] == ["include"]):
+_ESCAPE_RE = re.compile(r"\\(?:([0-7]{1,3})|x([0-9a-fA-F]+)|([ntvbrfa\\?'\"]))")
+_ESCAPED = dict(zip("ntvbrfa", "\n\t\v\b\r\f\a"))
+
+
+def _char_value(body: str) -> Optional[int]:
+    """The code of a character literal's body, or None unless the body is
+    one character or one C escape sequence."""
+    if len(body) == 1:
+        return ord(body)
+    m = _ESCAPE_RE.fullmatch(body)
+    if m is None:
+        return None
+    octal, hexa, simple = m.groups()
+    if simple:
+        return ord(_ESCAPED.get(simple, simple))
+    return int(octal, 8) if octal else int(hexa, 16)
+
+
+def _directive(body: str, line: int, col: int, defines: dict[str, int],
+               diags: list[Diagnostic]) -> None:
+    parts = body.split()
+    if parts[0] == "#include" or parts[:2] == ["#", "include"]:
+        return
+    if parts[0] == "#define" and len(parts) == 3:
+        name, value = parts[1], parts[2]
+        number = c_int_value(value.removeprefix("-"))
+        if number is not None:
+            defines[name] = -number if value.startswith("-") else number
             return
-        if parts[0] == "#define" and len(parts) == 3:
-            name, value = parts[1], parts[2]
-            try:
-                self.defines[name] = int(value, 0)
-                return
-            except ValueError:
-                self.error(
-                    f"#define {name} must expand to an integer literal",
-                    "unsupported-construct", line, col,
-                )
-                return
-        self.error(
-            f"unsupported preprocessor directive {body.split()[0]!r}",
-            "unsupported-construct", line, col,
-        )
+        message = f"#define {name} must expand to an integer literal"
+    else:
+        message = f"unsupported preprocessor directive {parts[0]!r}"
+    diags.append(Diagnostic(line, col, message, "unsupported-construct"))
 
-    def run(self) -> None:
-        while self.pos < len(self.text):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-                continue
-            if ch == "#" and self._at_line_start():
-                self._directive()
-                continue
-            if ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.text) and self._peek() != "\n":
-                    self._advance()
-                continue
-            if ch == "/" and self._peek(1) == "*":
-                line, col = self.line, self.col
-                self._advance(2)
-                while self.pos < len(self.text) and not (
-                    self._peek() == "*" and self._peek(1) == "/"
-                ):
-                    self._advance()
-                if self.pos >= len(self.text):
-                    self.error("unterminated comment", line=line, col=col)
-                    return
-                self._advance(2)
-                continue
-            if ch == '"':
-                self._string()
-                continue
-            if ch == "'":
-                self._char()
-                continue
-            if ch.isdigit():
-                self._number()
-                continue
-            if ch.isalpha() or ch == "_":
-                self._ident()
-                continue
-            two = ch + self._peek(1)
-            if self.text.startswith("...", self.pos):
-                self.tokens.append(Token("PUNCT", "...", self.line, self.col))
-                self._advance(3)
-                continue
-            if two in _PUNCT2:
-                self.tokens.append(Token("PUNCT", two, self.line, self.col))
-                self._advance(2)
-                continue
-            if ch in _PUNCT1:
-                self.tokens.append(Token("PUNCT", ch, self.line, self.col))
-                self._advance()
-                continue
-            self.error(f"unexpected character {ch!r}")
-            self._advance()
-        self.tokens.append(Token("EOF", "", self.line, self.col))
 
-    def _string(self) -> None:
-        line, col = self.line, self.col
-        self._advance()
-        start = self.pos
-        while self.pos < len(self.text) and self._peek() != '"':
-            if self._peek() == "\\":
-                self._advance()
-            self._advance()
-        if self.pos >= len(self.text):
-            self.error("unterminated string literal", line=line, col=col)
-            return
-        value = self.text[start:self.pos]
-        self._advance()
-        self.tokens.append(Token("STR", value, line, col))
+def tokenize(text: str) -> tuple[list[Token], dict[str, int], list[Diagnostic]]:
+    """Split MiniC source into tokens, ``#define`` values and diagnostics.
 
-    def _char(self) -> None:
-        line, col = self.line, self.col
-        self._advance()
-        start = self.pos
-        while self.pos < len(self.text) and self._peek() != "'":
-            if self._peek() == "\\":
-                self._advance()
-            self._advance()
-        raw = self.text[start:self.pos]
-        self._advance()
-        # a char literal is just a small integer
-        try:
-            value = ord(raw.encode().decode("unicode_escape"))
-        except (ValueError, UnicodeDecodeError):
-            value = 0
-        self.tokens.append(Token("NUM", str(value), line, col))
-
-    def _number(self) -> None:
-        line, col = self.line, self.col
-        start = self.pos
-        if self._peek() == "0" and self._peek(1) in "xX":
-            self._advance(2)
-            while self._peek() and self._peek() in "0123456789abcdefABCDEF":
-                self._advance()
+    The token list ends with an EOF token.  A malformed literal still
+    yields its token, so one mistake gives one diagnostic; an unterminated
+    comment, string or character literal ends the scan.
+    """
+    tokens: list[Token] = []
+    defines: dict[str, int] = {}
+    diags: list[Diagnostic] = []
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        value = m.group(kind)
+        col = m.start() - line_start + 1
+        if kind == "SPACE":
+            continue
+        if kind == "NEWLINE":
+            line, line_start = line + 1, m.end()
+        elif kind == "IDENT" or kind == "PUNCT":
+            tokens.append(Token(kind, value, line, col))
+        elif kind == "NUM":
+            if c_int_value(value) is None:
+                diags.append(Diagnostic(line, col,
+                                        f"invalid integer literal {value!r}"))
+            tokens.append(Token(kind, value, line, col))
+        elif kind == "STR" or kind == "COMMENT":
+            if kind == "STR":
+                tokens.append(Token(kind, value[1:-1], line, col))
+            newlines = value.count("\n")
+            if newlines:
+                line += newlines
+                line_start = m.start() + value.rindex("\n") + 1
+        elif kind == "CHAR":
+            code = _char_value(value[1:-1])
+            if code is None:
+                diags.append(Diagnostic(
+                    line, col,
+                    f"character literal {value} must hold exactly one character"))
+            tokens.append(Token("NUM", value if code is None else str(code),
+                                line, col))
+        elif kind == "DIRECTIVE":
+            hash_col = col + len(value) - len(value.lstrip(" \t"))
+            _directive(value, line, hash_col, defines, diags)
+        elif kind == "OPEN":
+            diags.append(Diagnostic(line, col,
+                                    f"unterminated {_UNTERMINATED[value]}"))
+            break
         else:
-            while self._peek().isdigit():
-                self._advance()
-        # integer suffixes are irrelevant to the analysis
-        while self._peek() and self._peek() in "uUlL":
-            self._advance()
-        text = self.text[start:self.pos].rstrip("uUlL")
-        self.tokens.append(Token("NUM", text, line, col))
-
-    def _ident(self) -> None:
-        line, col = self.line, self.col
-        start = self.pos
-        while self._peek() and (self._peek().isalnum() or self._peek() == "_"):
-            self._advance()
-        self.tokens.append(Token("IDENT", self.text[start:self.pos], line, col))
+            diags.append(Diagnostic(line, col, f"unexpected character {value!r}"))
+    tokens.append(Token("EOF", "", text.count("\n") + 1,
+                        len(text) - text.rfind("\n")))
+    return tokens, defines, diags
 
 
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
+
+# Binary operator -> precedence; every binary operator is left-associative.
+_PRECEDENCE = {
+    "||": 1, "&&": 2, "|": 3, "^": 4, "&": 5, "==": 6, "!=": 6,
+    "<": 7, "<=": 7, ">": 7, ">=": 7, "<<": 8, ">>": 8,
+    "+": 9, "-": 9, "*": 10, "/": 10, "%": 10,
+}
+
+_T = TypeVar("_T")
+
 
 class _Parser:
     def __init__(self, tokens: list[Token], defines: dict[str, int]):
@@ -409,6 +384,8 @@ class _Parser:
         self.pos = 0
         self.defines = defines
         self.diags: list[Diagnostic] = []
+        self.depth = 0   # nesting levels open around the current position
+        self.height = 0  # height of the expression parsed last
 
     # -- token helpers ------------------------------------------------------
 
@@ -440,6 +417,21 @@ class _Parser:
 
     def error(self, tok: Token, message: str, code: str = "syntax") -> None:
         self.diags.append(Diagnostic(tok.line, tok.col, message, code))
+
+    def _check_depth(self, tok: Token, levels: int) -> None:
+        if levels > MAX_NESTING:
+            raise _Reject(tok, f"nesting deeper than {MAX_NESTING} levels is "
+                               "outside the accepted subset",
+                          "unsupported-construct")
+
+    def _deeper(self, tok: Token, parse: Callable[[], _T]) -> _T:
+        """Run ``parse`` one nesting level further down."""
+        self._check_depth(tok, self.depth + 1)
+        self.depth += 1
+        try:
+            return parse()
+        finally:
+            self.depth -= 1
 
     # -- types --------------------------------------------------------------
 
@@ -564,12 +556,17 @@ class _Parser:
 
     def parse_stmt(self) -> Optional[Stmt]:
         tok = self.peek()
+        depth = self.depth
         try:
+            self._check_depth(tok, depth + 1)
+            self.depth = depth + 1
             return self._stmt_inner(tok)
         except _Reject as r:
             self.error(r.token, r.message, r.code)
             self._skip_past(";", "}")
             return None
+        finally:
+            self.depth = depth
 
     def _stmt_inner(self, tok: Token) -> Optional[Stmt]:
         if tok.text == "{":
@@ -632,37 +629,25 @@ class _Parser:
     def _parse_simple_stmt(self, terminated: bool = True) -> Stmt:
         """Assignment, compound assignment, ++/--, or a bare call."""
         tok = self.next()
-        name = tok.text
-        if self.at("="):
+        name, line = tok.text, tok.line
+        op = self.peek().text if self.peek().kind == "PUNCT" else ""
+        if op == "(":
+            stmt: Stmt = ExprStmt(self._parse_call(tok), line)
+        elif op in ("++", "--"):
+            self.next()
+            delta = Num(1 if op == "++" else -1, line)
+            stmt = Assign(name, Binary("+", Var(name, line), delta, line), line)
+        elif op in ("=", "+=", "-=", "*=", "/=", "%=", "|=", "&=", "^="):
             self.next()
             value = self.parse_expr()
-            if terminated:
-                self.expect(";")
-            return Assign(name, value, tok.line)
-        for op in ("+=", "-=", "*=", "/=", "%=", "|=", "&=", "^="):
-            if self.at(op):
-                self.next()
-                value = self.parse_expr()
-                if terminated:
-                    self.expect(";")
-                return Assign(name, Binary(op[0], Var(name, tok.line), value, tok.line),
-                              tok.line)
-        for op, delta in (("++", 1), ("--", -1)):
-            if self.at(op):
-                self.next()
-                if terminated:
-                    self.expect(";")
-                return Assign(
-                    name,
-                    Binary("+", Var(name, tok.line), Num(delta, tok.line), tok.line),
-                    tok.line,
-                )
-        if self.at("("):
-            call = self._parse_call(tok)
-            if terminated:
-                self.expect(";")
-            return ExprStmt(call, tok.line)
-        raise _Reject(tok, f"cannot parse statement at {name!r}")
+            if op != "=":
+                value = Binary(op[0], Var(name, line), value, line)
+            stmt = Assign(name, value, line)
+        else:
+            raise _Reject(tok, f"cannot parse statement at {name!r}")
+        if terminated:
+            self.expect(";")
+        return stmt
 
     def _parse_if(self) -> If:
         tok = self.next()
@@ -673,7 +658,7 @@ class _Parser:
         orelse = None
         if self.accept("else"):
             if self.at("if"):
-                nested = self._parse_if()
+                nested = self._deeper(self.peek(), self._parse_if)
                 orelse = Block((nested,), nested.line)
             else:
                 orelse = self._branch_body()
@@ -760,38 +745,33 @@ class _Parser:
 
     # -- expressions ---------------------------------------------------------
 
-    _BINARY_LEVELS = [
-        ["||"],
-        ["&&"],
-        ["|"],
-        ["^"],
-        ["&"],
-        ["==", "!="],
-        ["<", "<=", ">", ">="],
-        ["<<", ">>"],
-        ["+", "-"],
-        ["*", "/", "%"],
-    ]
-
-    def parse_expr(self, level: int = 0) -> Expr:
-        if level >= len(self._BINARY_LEVELS):
-            return self._parse_unary()
-        lhs = self.parse_expr(level + 1)
-        ops = self._BINARY_LEVELS[level]
-        while self.peek().kind == "PUNCT" and self.peek().text in ops:
-            op_tok = self.next()
-            rhs = self.parse_expr(level + 1)
-            lhs = Binary(op_tok.text, lhs, rhs, op_tok.line)
-        return lhs
+    def parse_expr(self, min_prec: int = 1) -> Expr:
+        """Precedence climbing: operands joined by binary operators of
+        precedence ``min_prec`` or higher.  Leaves the height of the
+        returned tree in ``self.height``."""
+        lhs = self._parse_unary()
+        height = self.height
+        while True:
+            op = self.peek()
+            prec = _PRECEDENCE.get(op.text, 0) if op.kind == "PUNCT" else 0
+            if prec < min_prec:
+                self.height = height
+                return lhs
+            self.next()
+            rhs = self.parse_expr(prec + 1)
+            height = max(height, self.height) + 1
+            self._check_depth(op, self.depth + height)
+            lhs = Binary(op.text, lhs, rhs, op.line)
 
     def _parse_unary(self) -> Expr:
         tok = self.peek()
         if tok.text in ("-", "!", "~", "&") and tok.kind == "PUNCT":
             self.next()
-            operand = self._parse_unary()
+            operand = self._deeper(tok, self._parse_unary)
             if tok.text == "&" and not isinstance(operand, Var):
                 raise _Reject(tok, "address-of applies to plain variables only",
                               "unsupported-construct")
+            self.height += 1
             return Unary(tok.text, operand, tok.line)
         if tok.text == "*" and tok.kind == "PUNCT":
             raise _Reject(tok, "pointer dereference is outside the accepted subset",
@@ -800,8 +780,10 @@ class _Parser:
 
     def _parse_primary(self) -> Expr:
         tok = self.next()
+        self.height = 0
         if tok.kind == "NUM":
-            return Num(int(tok.text, 0), tok.line)
+            # None only for a literal the lexer has already reported
+            return Num(c_int_value(tok.text), tok.line)
         if tok.kind == "STR":
             return Str(tok.text, tok.line)
         if tok.kind == "IDENT":
@@ -815,21 +797,26 @@ class _Parser:
             if self.at_type():
                 self.parse_type()  # a cast changes nothing the analyses see
                 self.expect(")")
-                return self._parse_unary()
-            inner = self.parse_expr()
-            self.expect(")")
+                inner = self._deeper(tok, self._parse_unary)
+            else:
+                inner = self._deeper(tok, self.parse_expr)
+                self.expect(")")
+            self.height += 1
             return inner
         raise _Reject(tok, f"cannot parse expression at {tok.text!r}")
 
     def _parse_call(self, name_tok: Token) -> CallExpr:
         self.expect("(")
         args: list[Expr] = []
+        height = 0
         if not self.at(")"):
             while True:
-                args.append(self.parse_expr())
+                args.append(self._deeper(name_tok, self.parse_expr))
+                height = max(height, self.height)
                 if not self.accept(","):
                     break
         self.expect(")")
+        self.height = height + 1
         return CallExpr(name_tok.text, tuple(args), name_tok.line)
 
 
@@ -843,11 +830,10 @@ class _Reject(Exception):
 
 def parse_source(text: str, path: str = "<input>") -> Program:
     """Parse MiniC source into a syntax tree, or raise :class:`MiniCError`."""
-    lexer = _Lexer(text)
-    lexer.run()
-    parser = _Parser(lexer.tokens, lexer.defines)
+    tokens, defines, lex_diags = tokenize(text)
+    parser = _Parser(tokens, defines)
     program = parser.parse_program(path)
-    diags = sorted(lexer.diags + parser.diags, key=lambda d: (d.line, d.column))
+    diags = sorted(lex_diags + parser.diags, key=lambda d: (d.line, d.column))
     if diags:
         raise MiniCError(diags, path)
     return program

@@ -195,3 +195,29 @@ def bound_spidev_set() -> ThadSet:
         constants=dict(base.constants),
         aliases=dict(base.aliases),
     )
+
+
+# ---------------------------------------------------------------------------
+# Deeply nested programs (see ``thadc.minic.MAX_NESTING``)
+# ---------------------------------------------------------------------------
+
+def nested_ifs(n: int) -> str:
+    """A read under ``n`` nested ifs: n + 2 nesting levels, counting the
+    read statement and its argument list.  The k-th if is on line k + 2."""
+    return ('int main(void) {\n    int fd = open("/dev/spidev0.0", 2);\n'
+            + "    if (c) {\n" * n + "    read(fd, 0, 1);\n" + "    }\n" * n
+            + "    return 0;\n}\n")
+
+
+def nested_parens(n: int) -> str:
+    """An initializer in ``n`` parentheses on line 2: n + 1 levels.  The
+    k-th parenthesis is in column k + 12."""
+    return ("int main(void) {\n    int x = " + "(" * n + "1" + ")" * n
+            + ";\n    return x;\n}\n")
+
+
+def plus_chain(n: int) -> str:
+    """An initializer adding ``n`` ones on line 2: n levels.  The k-th
+    ``+`` is in column 2k + 12."""
+    return ("int main(void) {\n    int x = " + "+".join(["1"] * n)
+            + ";\n    return x;\n}\n")

@@ -83,3 +83,26 @@ def thad_sets(draw) -> ThadSet:
         constants=constants,
         aliases=aliases,
     )
+
+
+# Pieces of MiniC, of malformed C, and of everything around it.
+_C_FRAGMENTS = [
+    "int main(void) {", "int f(int a) {", "}", "{", ";", "(", ")", ",",
+    "if (c) ", "else ", "while (c) ", "for (i = 0; i < 2; i++) ",
+    "switch (c) {", "case 1:", "default:", "break;", "return 0;", "goto l;",
+    'int fd = open("/dev/spidev0.0", 2);', "read(fd, 0, 1);", "close(fd);",
+    "ioctl(fd, WR_MAX_SPEED_HZ, 0);", "ioctl(fd, MSG, 0);", "f(1);", "x = ",
+    "fd", "1", "0x", "0x1fUL", "0644", "08", "'a'", "'ab'", "''", "'\\n'",
+    "'", '"', "/*", "*/", "//", "#define N 3\n", "#define M 0x\n",
+    "#include <x.h>\n", "#pragma once\n", "\n", "\r\n", " ", "\t", "+", "-",
+    "*", "/", "&", "!", "~", "<<", "&&", "||", "==", "+=", "++", "...",
+    "@", "\\", "sizeof", "int", "const char *",
+]
+
+c_ish_text = st.lists(
+    st.one_of(st.sampled_from(_C_FRAGMENTS),
+              st.characters(exclude_categories=("Cs",))),
+    max_size=40,
+).map("".join)
+"""Source text mixing MiniC fragments with arbitrary code points (all
+but surrogates, which no UTF-8 file can hold)."""

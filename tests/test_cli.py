@@ -9,7 +9,10 @@ import jsonschema
 import pytest
 
 from thadc import cli
+from thadc.minic import MAX_NESTING
 from thadc.specio import bundled_data_path
+
+from helpers import nested_ifs, nested_parens, plus_chain
 
 REPO = Path(__file__).resolve().parent.parent
 CORPUS = REPO / "corpus"
@@ -188,6 +191,76 @@ class TestCheck:
     def test_color_env_never(self, capsys):
         _, out, _ = run(["check", str(CORPUS / "io-expander.c")], capsys)
         assert "\x1b[" not in out
+
+
+def in_main(line: str) -> str:
+    """A main whose second line is ``line``."""
+    return f"int main(void) {{\n{line}\n    return 0;\n}}\n"
+
+
+class TestBadInput:
+    """Inputs outside the subset exit 2 with one positioned line each."""
+
+    @pytest.mark.parametrize("source, position", [
+        (in_main("    int x = 0x;"), "2:13"),
+        (in_main("    int x = 08;"), "2:13"),
+        (in_main("    int x = 'ab';"), "2:13"),
+        (in_main("    /* never closed"), "2:5"),
+        (nested_ifs(400), f"{MAX_NESTING + 3}:5"),
+        (nested_parens(300), f"2:{MAX_NESTING + 12}"),
+        (plus_chain(1500), f"2:{2 * MAX_NESTING + 12}"),
+    ], ids=["hex-without-digits", "octal-8", "two-char-literal",
+            "unclosed-comment", "400-ifs", "300-parentheses",
+            "1500-term-sum"])
+    def test_positioned_diagnostic(self, tmp_path, capsys, source, position):
+        program = tmp_path / "bad.c"
+        program.write_text(source)
+        code, out, err = run(["check", str(program)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"{program}:{position}: error: ")
+
+    def test_octal_open_mode_is_checked(self, tmp_path, capsys):
+        program = tmp_path / "octal.c"
+        program.write_text(in_main(
+            '    int fd = open("/dev/spidev0.0", 2, 0644);\n'
+            "    close(fd);"))
+        code, out, _ = run(["check", str(program), "--format", "json",
+                            "--no-timing"], capsys)
+        assert code == 0
+        assert json.loads(out)["summary"]["violated"] == 0
+
+    @pytest.mark.parametrize("target", ["program", "spec", "consts",
+                                        "skeleton"])
+    def test_non_utf8_file(self, tmp_path, capsys, target):
+        files = {"program": "p.c", "spec": "s.thad", "consts": "s.consts",
+                 "skeleton": "hal.c"}
+        texts = {"program": "int main(void) { return 0; }\n",
+                 "spec": TINY_SPEC, "consts": TINY_CONSTS,
+                 "skeleton": HAL_SKELETON}
+        for name, path in files.items():
+            (tmp_path / path).write_text(texts[name])
+        bad = tmp_path / files[target]
+        bad.write_bytes(b"\r\n/* caf\xe9 */\n" + bad.read_bytes())
+        spec = ["--spec", str(tmp_path / "s.thad"),
+                "--consts", str(tmp_path / "s.consts")]
+        argv = (["annotate", str(tmp_path / "hal.c")] if target == "skeleton"
+                else ["check", str(tmp_path / "p.c")])
+        code, _, err = run(argv + spec, capsys)
+        assert code == 2
+        assert err == f"{bad}:2:7: error: byte 0xe9 is not valid UTF-8\n"
+
+    def test_program_at_the_nesting_limit_runs(self, tmp_path, capsys):
+        program = tmp_path / "deep.c"
+        program.write_text(nested_ifs(MAX_NESTING - 2))
+        assert run(["check", str(program)], capsys)[0] == 1
+        code, out, _ = run(["check", str(program), "--unroll", "1",
+                            "--format", "json"], capsys)
+        assert code == 1
+        assert json.loads(out)["unroll_oracle"]["agrees"] is True
+        skeleton = tmp_path / "hal.c"
+        skeleton.write_text(HAL_SKELETON + nested_ifs(MAX_NESTING - 2))
+        assert run(["annotate", str(skeleton)], capsys)[0] == 0
 
 
 class TestCorpus:

@@ -5,8 +5,14 @@ small programs; the spidev routine vocabulary comes from the shared
 test helpers.
 """
 
-import pytest
+import contextlib
+import io
+import json
 
+import pytest
+from hypothesis import given, settings
+
+from thadc import cli
 from thadc.cfg import (
     NodeKind,
     build_model,
@@ -15,7 +21,13 @@ from thadc.cfg import (
     has_loops,
     parse_program,
 )
-from thadc.minic import MiniCError, parse_source, unroll_loops
+from thadc.minic import (
+    MAX_NESTING,
+    MiniCError,
+    c_int_value,
+    parse_source,
+    unroll_loops,
+)
 from thadc.model import Param, ParamRole, RoutineSpec, Thad, ThadSet
 from thadc.passes import (
     DepthLimitExceeded,
@@ -26,7 +38,14 @@ from thadc.passes import (
     resolve_discriminators,
 )
 
-from helpers import SPIDEV_CONSTANTS, spidev_set
+from helpers import (
+    SPIDEV_CONSTANTS,
+    nested_ifs,
+    nested_parens,
+    plus_chain,
+    spidev_set,
+)
+from strategies import c_ish_text
 
 pytestmark = []
 
@@ -147,6 +166,160 @@ class TestParsing:
             "int main(void) { return 0; write(1, 0, 0); }"
         )
         assert model.entry_body.cfg.call_nodes() == []
+
+
+def first_diagnostic(source: str):
+    with pytest.raises(MiniCError) as exc:
+        parse_source(source, "t.c")
+    d = exc.value.diagnostics[0]
+    return d.line, d.column, d.message, d.code
+
+
+class TestLexerDiagnostics:
+    """Exact positions and wording of the lexical diagnostics."""
+
+    @pytest.mark.parametrize("source, expected", [
+        ("int main(void) {\n    int x = 1 @ 2;\n    return 0;\n}\n",
+         (2, 15, "unexpected character '@'", "syntax")),
+        ("int main(void) {\n    int x = 1; # 2\n    return 0;\n}\n",
+         (2, 16, "unexpected character '#'", "syntax")),
+        ('int main(void) {\n    write(1, "abc, 3);\n    return 0;\n}\n',
+         (2, 14, "unterminated string literal", "syntax")),
+        ("#pragma once\nint main(void) { return 0; }\n",
+         (1, 1, "unsupported preprocessor directive '#pragma'",
+          "unsupported-construct")),
+        ("#define N (1 + 2)\nint main(void) { return 0; }\n",
+         (1, 1, "unsupported preprocessor directive '#define'",
+          "unsupported-construct")),
+        ("#define N abc\nint main(void) { return 0; }\n",
+         (1, 1, "#define N must expand to an integer literal",
+          "unsupported-construct")),
+        ("int main(void) {\n\t\t#pragma x\n    return 0;\n}\n",
+         (2, 3, "unsupported preprocessor directive '#pragma'",
+          "unsupported-construct")),
+    ], ids=["at-sign", "hash-mid-line", "unterminated-string", "pragma",
+            "define-expression", "define-name", "tab-indented-directive"])
+    def test_position_message_and_code(self, source, expected):
+        assert first_diagnostic(source) == expected
+
+    def test_tab_indented_define_is_read(self):
+        program = parse_source("\t#define N 3\nint main(void) { return N; }\n")
+        assert program.defines == {"N": 3}
+
+
+class TestLiterals:
+    @pytest.mark.parametrize("text, value", [
+        ("0", 0), ("42", 42), ("0644", 420), ("0x1F", 31), ("0XffUL", 255),
+        ("10u", 10), ("7LL", 7), ("017ul", 15),
+    ])
+    def test_integer_literal_value(self, text, value):
+        assert c_int_value(text) == value
+
+    @pytest.mark.parametrize("text", ["0x", "08", "09", "0x1G", "1.5", "", "u"])
+    def test_not_an_integer_literal(self, text):
+        assert c_int_value(text) is None
+
+    def test_defines_and_expressions_read_the_same_forms(self):
+        program = parse_source(
+            "#define MODE 0644\n#define BIG 0x10UL\n#define ERR -1\n"
+            "int main(void) { return 0644 + 10u; }\n")
+        assert program.defines == {"MODE": 420, "BIG": 16, "ERR": -1}
+        ret = program.function("main").body.stmts[0]
+        assert (ret.value.lhs.value, ret.value.rhs.value) == (420, 10)
+
+    def test_open_with_an_octal_mode(self):
+        model = prepared(
+            "int main(void) {\n"
+            '    int fd = open("/dev/spidev0.0", 2, 0644);\n'
+            "    read(fd, 0, 1);\n"
+            "    return 0;\n"
+            "}\n")
+        events = hal_events(model)
+        assert [e.routine for e in events] == ["open", "read"]
+        assert events[1].descriptor_token == events[0].produced_token
+
+    @pytest.mark.parametrize("literal, value", [
+        ("'A'", 65), (r"'\n'", 10), (r"'\0'", 0), (r"'\x41'", 65),
+        (r"'\101'", 65), (r"'\''", 39), (r"'\\'", 92), ("'\u00e9'", 233),
+    ])
+    def test_character_literal_value(self, literal, value):
+        program = parse_source(f"int main(void) {{ return {literal}; }}\n")
+        assert program.function("main").body.stmts[0].value.value == value
+
+    @pytest.mark.parametrize("literal, message", [
+        ("0x", "invalid integer literal '0x'"),
+        ("08", "invalid integer literal '08'"),
+        ("09", "invalid integer literal '09'"),
+        ("'ab'", "character literal 'ab' must hold exactly one character"),
+        ("''", "character literal '' must hold exactly one character"),
+        (r"'\q'", r"character literal '\q' must hold exactly one character"),
+        ("'a", "unterminated character literal"),
+    ])
+    def test_malformed_literal_is_positioned(self, literal, message):
+        source = f"int main(void) {{\n    int x = {literal};\n    return 0;\n}}\n"
+        assert first_diagnostic(source) == (2, 13, message, "syntax")
+
+    def test_unterminated_comment_is_positioned(self):
+        source = "int main(void) {\n    return 0; /* left open\n}\n"
+        assert first_diagnostic(source) == (
+            2, 15, "unterminated comment", "syntax")
+
+    def test_unterminated_comment_as_the_whole_file(self):
+        assert first_diagnostic("/* only") == (
+            1, 1, "unterminated comment", "syntax")
+
+
+TOO_DEEP = (f"nesting deeper than {MAX_NESTING} levels is outside the "
+            "accepted subset")
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize("source, line, col", [
+        (nested_ifs(400), MAX_NESTING + 3, 5),
+        (nested_parens(300), 2, MAX_NESTING + 12),
+        (plus_chain(1500), 2, 2 * MAX_NESTING + 12),
+    ], ids=["400-ifs", "300-parentheses", "1500-term-sum"])
+    def test_too_deep_gives_one_positioned_diagnostic(self, source, line, col):
+        with pytest.raises(MiniCError) as exc:
+            parse_source(source)
+        assert [(d.line, d.column, d.message, d.code)
+                for d in exc.value.diagnostics] == [
+            (line, col, TOO_DEEP, "unsupported-construct")]
+
+    @pytest.mark.parametrize("at_limit, over_limit", [
+        (nested_ifs(MAX_NESTING - 2), nested_ifs(MAX_NESTING - 1)),
+        (nested_parens(MAX_NESTING - 1), nested_parens(MAX_NESTING)),
+        (plus_chain(MAX_NESTING), plus_chain(MAX_NESTING + 1)),
+    ], ids=["ifs", "parentheses", "sum"])
+    def test_limit_is_exact(self, at_limit, over_limit):
+        prepared(at_limit)
+        assert first_diagnostic(over_limit)[2:] == (
+            TOO_DEEP, "unsupported-construct")
+
+
+class TestArbitraryInput:
+    @settings(max_examples=300, deadline=None)
+    @given(c_ish_text)
+    def test_parse_returns_or_raises_minic_error(self, text):
+        try:
+            parse_source(text)
+        except MiniCError as exc:
+            assert exc.diagnostics
+
+    @settings(max_examples=150, deadline=None)
+    @given(c_ish_text)
+    def test_check_exits_one_only_for_a_violation(self, tmp_path_factory,
+                                                  text):
+        program = tmp_path_factory.getbasetemp() / "arbitrary.c"
+        program.write_text(text, encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["check", str(program), "--format", "json"])
+        assert code in (0, 1, 2, 3)
+        if code == 1:
+            entries = json.loads(out.getvalue())["entries"]
+            assert any(e["status"] == "violated" for e in entries)
 
 
 class TestCfgShape:
