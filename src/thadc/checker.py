@@ -1,14 +1,25 @@
 """Static verification of call-order dependencies over a program model.
 
-The engine is a forward must-completed dataflow per dependency and
-descriptor token: a monitor fact "a call matching the dependency pattern
-(with this token) has completed" is generated at matching call nodes and
-survives a control-flow merge only when it holds on every incoming
-path.  A dependency is then judged at each call node matching its
-dependent pattern: fact present means the node is fine, fact absent
-means some entry-to-node path lacks the required prior call, which on a
-graph where every node lies on an entry-to-exit walk is exactly a
-violating execution, reported with a shortest witness path.
+A monitor key is a dependency id plus, for a bound dependency, the
+descriptor token its calls must share.  The fact "a call matching the
+dependency pattern (with this token) has completed" is generated at
+matching call nodes and survives a control-flow merge only when it
+holds on every incoming path.  Deciding is graph reachability (the
+IFDS view of Reps, Horwitz and Sagiv, POPL 1995), in three steps:
+
+1. A site table matches every HAL call site of the entry function
+   against both patterns of every dependency exactly once.  It numbers
+   the monitor keys and records each site's gen bitmask, which also
+   names the completer sites of each key.
+2. A bitset must-analysis decides every key at once: a node's entry
+   state is one ``int`` with a bit per key, merged with ``&``.  A
+   dependent site is violated iff its key's bit is clear there, which
+   on a graph where every node lies on an entry-to-exit walk is exactly
+   a violating execution.
+3. For each violated key, one forward BFS from the entry that does not
+   pass through the key's completers gives every offender's distance.
+   The nearest offender (then lowest line, then node id) is reported
+   with a shortest witness path.
 
 Precision notes, fixed here:
 
@@ -38,15 +49,18 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Sequence
+from operator import attrgetter
+from typing import Mapping, NamedTuple, Optional, Sequence
 
-from .cfg import Cfg, CfgNode, NodeKind, ProgramModel, enumerate_paths, has_loops
+from .cfg import Cfg, CfgNode, ProgramModel, enumerate_paths, has_loops
 from .model import (
-    BindingSource,
     CallEvent,
+    RoutineSpec,
     Thad,
     ThadSet,
+    dependency_token,
     match_event,
+    natural_key,
     trace_satisfies,
 )
 
@@ -72,18 +86,28 @@ class Completion(Enum):
     NOT_COMPLETED = "not-completed"
 
 
-@dataclass(frozen=True)
 class MonitorState:
     """Must-completed facts entering one CFG node.
 
-    ``completed`` holds the (dependency id, token) pairs whose required
-    prior call has happened on every path to the node; everything else
-    is NotCompleted.  Unreachable appears only on nodes the fixpoint
-    never visited, which a well-formed CFG does not have.
+    Bit ``i`` of ``mask`` is set when the required prior call of monitor
+    key ``keys[i]`` (dependency id, token) has happened on every path to
+    the node; every other key is NotCompleted.  All states of one
+    fixpoint share the ``keys`` list.  Unreachable appears only on nodes
+    the fixpoint never visited, which a well-formed CFG does not have.
     """
 
-    reachable: bool
-    completed: frozenset[MonitorKey]
+    __slots__ = ("reachable", "mask", "keys")
+
+    def __init__(self, reachable: bool, mask: int,
+                 keys: Sequence[MonitorKey]):
+        self.reachable = reachable
+        self.mask = mask
+        self.keys = keys
+
+    @property
+    def completed(self) -> frozenset[MonitorKey]:
+        return frozenset(key for i, key in enumerate(self.keys)
+                         if self.mask >> i & 1)
 
     def completion(self, thad_id: str, token: Optional[str] = None) -> Completion:
         if not self.reachable:
@@ -133,7 +157,7 @@ class ThadVerdict:
 
 
 # ---------------------------------------------------------------------------
-# Event classification
+# Site table
 # ---------------------------------------------------------------------------
 
 def _hal_nodes(model: ProgramModel, thad_set: ThadSet) -> list[CfgNode]:
@@ -161,82 +185,141 @@ def _possibly_matches(pattern, ev: CallEvent) -> bool:
     )
 
 
-def _dependency_token_of(thad: Thad, ev: CallEvent) -> Optional[str]:
-    assert thad.binding is not None
-    if thad.binding.source is BindingSource.RETURN_VALUE:
-        return ev.produced_token
-    return ev.descriptor_token
+class _Row(NamedTuple):
+    """What the HAL sites hold for one dependency."""
+
+    has_dependency: bool  # some site matches the dependency pattern
+    via_alias: bool  # some site matches a pattern only through an alias
+    dependent: list[CfgNode]  # sites matching the dependent pattern
+    possible: list[CfgNode]  # other sites that may match it at run time
 
 
-def _gen_keys(thad_set: ThadSet, ev: CallEvent) -> Iterable[MonitorKey]:
+class _SiteTable(NamedTuple):
+    """Every HAL site matched against both patterns of every dependency,
+    once per distinct event; everything the decision needs is read from
+    here."""
+
+    sites: dict[CallEvent, list[CfgNode]]  # HAL sites by their event
+    bits: dict[MonitorKey, int]  # monitor key -> bit, in bit order
+    gen: dict[int, int]  # site node id -> mask of the keys it completes
+    rows: dict[str, _Row]  # dependency id -> its sites
+
+
+def _site_table(model: ProgramModel, thad_set: ThadSet) -> _SiteTable:
+    sites: dict[CallEvent, list[CfgNode]] = {}
+    for node in _hal_nodes(model, thad_set):
+        sites.setdefault(node.event, []).append(node)
+    aliases = thad_set.aliases
+    bits: dict[MonitorKey, int] = {}
+    event_gen = dict.fromkeys(sites, 0)
+    rows: dict[str, _Row] = {}
     for thad in thad_set.thads:
-        if not match_event(thad.dependency, ev, thad_set.aliases):
-            continue
-        if thad.binding is None:
-            yield (thad.id, None)
-        else:
-            token = _dependency_token_of(thad, ev)
-            if token is not None:
-                yield (thad.id, token)
+        has_dependency = via_alias = False
+        dependent: list[CfgNode] = []
+        possible: list[CfgNode] = []
+        for ev, nodes in sites.items():
+            if match_event(thad.dependency, ev, aliases):
+                has_dependency = True
+                via_alias = via_alias or _uses_alias(thad.dependency, ev,
+                                                     aliases)
+                token = None
+                if thad.binding is not None:
+                    token = dependency_token(thad, ev)
+                if thad.binding is None or token is not None:
+                    bit = bits.setdefault((thad.id, token), len(bits))
+                    event_gen[ev] |= 1 << bit
+            if match_event(thad.dependent, ev, aliases):
+                via_alias = via_alias or _uses_alias(thad.dependent, ev,
+                                                     aliases)
+                dependent.extend(nodes)
+            elif _possibly_matches(thad.dependent, ev):
+                possible.extend(nodes)
+        dependent.sort(key=attrgetter("id"))
+        possible.sort(key=attrgetter("id"))
+        rows[thad.id] = _Row(has_dependency, via_alias, dependent, possible)
+    gen = {node.id: mask for ev, mask in event_gen.items() if mask
+           for node in sites[ev]}
+    return _SiteTable(sites, bits, gen, rows)
+
+
+def _uses_alias(pattern: RoutineSpec, ev: CallEvent,
+                aliases: Mapping[str, str]) -> bool:
+    """Given that ``ev`` matches ``pattern`` under ``aliases``, does it
+    match only through an alias rewrite?"""
+    return bool(aliases) and not match_event(pattern, ev)
 
 
 # ---------------------------------------------------------------------------
 # Fixpoint
 # ---------------------------------------------------------------------------
 
+class _States(dict):
+    """Node id -> :class:`MonitorState`, plus the site table the states
+    were computed from, so that :func:`check` matches each site once."""
+
+    __slots__ = ("sites",)
+
+
 def dataflow_fixpoint(
     model: ProgramModel, thad_set: ThadSet
 ) -> dict[int, MonitorState]:
     """Per-node entry states of the must-completed monitor analysis.
 
-    The state at a node describes the moment before the node acts, so a
-    call's own completion is not visible to the assertion evaluated at
-    that same call.  Merge is set intersection; the loop converges
-    because states only shrink once reached.
+    All monitor keys are decided at once: a state is one ``int`` with a
+    bit per key, gen is ``|`` and the merge is ``&``.  The state at a
+    node describes the moment before the node acts, so a call's own
+    completion is not visible to the assertion evaluated at that same
+    call.  The loop converges because states only shrink once reached.
     """
     cfg = model.entry_body.cfg
-    _hal_nodes(model, thad_set)  # validates events are present
-    gen: dict[int, frozenset[MonitorKey]] = {}
-    for node in cfg.nodes.values():
-        if node.kind is NodeKind.CALL and node.event is not None:
-            gen[node.id] = frozenset(_gen_keys(thad_set, node.event))
-
-    ins: dict[int, Optional[frozenset[MonitorKey]]] = {n: None for n in cfg.nodes}
-    ins[cfg.entry] = frozenset()
+    sites = _site_table(model, thad_set)
+    gen, succ = sites.gen, cfg.succ
+    ins: dict[int, int] = {cfg.entry: 0}
     work = deque([cfg.entry])
     while work:
         nid = work.popleft()
-        state = ins[nid]
-        assert state is not None
-        out = state | gen.get(nid, frozenset())
-        for edge in cfg.edges(nid):
-            cur = ins[edge.dst]
-            new = out if cur is None else (cur & out)
+        out = ins[nid] | gen.get(nid, 0)
+        for edge in succ.get(nid, ()):
+            cur = ins.get(edge.dst)
+            new = out if cur is None else cur & out
             if new != cur:
                 ins[edge.dst] = new
                 work.append(edge.dst)
 
-    return {
-        nid: MonitorState(state is not None, state or frozenset())
-        for nid, state in ins.items()
-    }
+    keys = list(sites.bits)
+    states = _States(
+        (nid, MonitorState(nid in ins, ins.get(nid, 0), keys))
+        for nid in cfg.nodes
+    )
+    states.sites = sites
+    return states
 
 
 # ---------------------------------------------------------------------------
 # Witness search
 # ---------------------------------------------------------------------------
 
-def _completer_nodes(
-    model: ProgramModel, thad_set: ThadSet, thad: Thad, token: Optional[str]
-) -> set[int]:
-    out = set()
-    for node in _hal_nodes(model, thad_set):
-        ev = node.event
-        if not match_event(thad.dependency, ev, thad_set.aliases):
+def _free_distances(cfg: Cfg, blocked: set[int],
+                    targets: list[CfgNode]) -> dict[int, int]:
+    """Distance (in edges) from the entry along paths that pass no
+    blocked node before their last one, for every target at least.
+
+    One forward BFS that stops once the last target is reached."""
+    succ = cfg.succ
+    dist = {cfg.entry: 0}
+    queue = deque([cfg.entry])
+    left = {n.id for n in targets}
+    while queue and left:
+        nid = queue.popleft()
+        if nid in blocked:
             continue
-        if thad.binding is None or _dependency_token_of(thad, ev) == token:
-            out.add(node.id)
-    return out
+        step = dist[nid] + 1
+        for edge in succ.get(nid, ()):
+            if edge.dst not in dist:
+                dist[edge.dst] = step
+                left.discard(edge.dst)
+                queue.append(edge.dst)
+    return dist
 
 
 def find_witness(
@@ -254,10 +337,24 @@ def find_witness(
     token = offender.event.descriptor_token if (
         thad.binding is not None and offender.event is not None
     ) else None
-    blocked = _completer_nodes(model, thad_set, thad, token)
+    blocked = {
+        node.id for node in _hal_nodes(model, thad_set)
+        if match_event(thad.dependency, node.event, thad_set.aliases)
+        and (thad.binding is None or dependency_token(thad, node.event) == token)
+    }
     blocked.discard(offending_node)
 
-    dist = _distances_to(cfg, offending_node, blocked)
+    # Backward BFS to the entry: every node closer to the offender than
+    # the entry is settled by the time the entry is reached.
+    preds = cfg.preds()
+    dist = {offending_node: 0}
+    queue = deque([offending_node])
+    while queue and cfg.entry not in dist:
+        nid = queue.popleft()
+        for p in preds[nid]:
+            if p not in blocked and p not in dist:
+                dist[p] = dist[nid] + 1
+                queue.append(p)
     if cfg.entry not in dist:
         raise ValueError(
             f"no completion-free path from entry to node {offending_node}"
@@ -281,43 +378,9 @@ def find_witness(
     return WitnessTrace(steps)
 
 
-def _distances_to(cfg: Cfg, target: int, blocked: set[int]) -> dict[int, int]:
-    """Distance (in nodes) to the target through non-blocked nodes."""
-    preds: dict[int, list[int]] = {n: [] for n in cfg.nodes}
-    for src, edges in cfg.succ.items():
-        for e in edges:
-            preds[e.dst].append(src)
-    dist = {target: 0}
-    queue = deque([target])
-    while queue:
-        nid = queue.popleft()
-        for p in preds[nid]:
-            if p in blocked or p in dist:
-                continue
-            dist[p] = dist[nid] + 1
-            queue.append(p)
-    return dist
-
-
 # ---------------------------------------------------------------------------
 # Verdicts
 # ---------------------------------------------------------------------------
-
-def _natural_key(thad_id: str):
-    digits = "".join(c for c in thad_id if c.isdigit())
-    return (int(digits) if digits else 0, thad_id)
-
-
-def _uses_alias(thad: Thad, events: Sequence[CallEvent],
-                aliases: Mapping[str, str]) -> bool:
-    if not aliases:
-        return False
-    for ev in events:
-        for pattern in (thad.dependent, thad.dependency):
-            if match_event(pattern, ev, aliases) and not match_event(pattern, ev):
-                return True
-    return False
-
 
 def check(model: ProgramModel, thad_set: ThadSet) -> list[ThadVerdict]:
     """Verdict for every dependency in the set, sorted by id.
@@ -327,16 +390,9 @@ def check(model: ProgramModel, thad_set: ThadSet) -> list[ThadVerdict]:
     three verdicts and the relevance rules.
     """
     states = dataflow_fixpoint(model, thad_set)
-    nodes = _hal_nodes(model, thad_set)
-    events = [n.event for n in nodes]
-    aliases = thad_set.aliases
-
-    verdicts = []
-    for thad in thad_set.thads:
-        verdicts.append(
-            _check_one(model, thad_set, thad, nodes, events, states, aliases)
-        )
-    verdicts.sort(key=lambda v: _natural_key(v.thad_id))
+    verdicts = [_check_one(model, thad_set, thad, states)
+                for thad in thad_set.thads]
+    verdicts.sort(key=lambda v: natural_key(v.thad_id))
     return verdicts
 
 
@@ -344,44 +400,30 @@ def _check_one(
     model: ProgramModel,
     thad_set: ThadSet,
     thad: Thad,
-    nodes: list[CfgNode],
-    events: list[CallEvent],
-    states: dict[int, MonitorState],
-    aliases: Mapping[str, str],
+    states: _States,
 ) -> ThadVerdict:
-    via_alias = _uses_alias(thad, events, aliases)
+    sites = states.sites
+    row = sites.rows[thad.id]
 
-    dependent_nodes = [
-        n for n in nodes if match_event(thad.dependent, n.event, aliases)
-    ]
-    possible_dependent = [
-        n for n in nodes if not match_event(thad.dependent, n.event, aliases)
-        and _possibly_matches(thad.dependent, n.event)
-    ]
-    if not dependent_nodes and not possible_dependent:
+    if not row.dependent and not row.possible:
         # A trivial verdict rests on the dependent never occurring, not
         # on any alias rewrite, so the flag stays off.
         return ThadVerdict(thad.id, Status.SATISFIED, trivial=True)
 
-    if thad.dependency.name == thad.dependent.name:
-        has_dependency = any(
-            match_event(thad.dependency, ev, aliases) for ev in events
-        )
-        if not has_dependency:
-            if any(_possibly_matches(thad.dependency, ev) for ev in events):
-                return ThadVerdict(
-                    thad.id, Status.INCONCLUSIVE,
-                    reason=f"unresolved discriminator: a call of "
-                           f"{thad.dependency.name} may or may not be "
-                           f"{thad.dependency.describe()}",
-                    via_alias=via_alias,
-                )
-            return ThadVerdict(thad.id, Status.SATISFIED, trivial=True)
+    if thad.dependency.name == thad.dependent.name and not row.has_dependency:
+        if any(_possibly_matches(thad.dependency, ev) for ev in sites.sites):
+            return ThadVerdict(
+                thad.id, Status.INCONCLUSIVE,
+                reason=f"unresolved discriminator: a call of "
+                       f"{thad.dependency.name} may or may not be "
+                       f"{thad.dependency.describe()}",
+                via_alias=row.via_alias,
+            )
+        return ThadVerdict(thad.id, Status.SATISFIED, trivial=True)
 
-    violations: list[tuple[int, CfgNode]] = []  # (witness length, node)
+    offenders: dict[MonitorKey, list[CfgNode]] = {}
     inconclusive: list[str] = []
-
-    for node in dependent_nodes:
+    for i, node in enumerate(row.dependent + row.possible):
         ev = node.event
         if thad.binding is not None and ev.descriptor_token is None:
             inconclusive.append(
@@ -389,42 +431,39 @@ def _check_one(
                 f"{node.line} has no single statically-known descriptor"
             )
             continue
-        token = ev.descriptor_token if thad.binding is not None else None
-        if states[node.id].completion(thad.id, token) is not Completion.COMPLETED:
-            blocked = _completer_nodes(model, thad_set, thad, token)
-            blocked.discard(node.id)
-            dist = _distances_to(model.entry_body.cfg, node.id, blocked)
-            length = dist.get(model.entry_body.cfg.entry)
-            assert length is not None, "must-analysis promised a free path"
-            violations.append((length, node))
-
-    for node in possible_dependent:
-        ev = node.event
-        if thad.binding is not None and ev.descriptor_token is None:
-            inconclusive.append(
-                f"unresolved descriptor: the {ev.routine} call at line "
-                f"{node.line} has no single statically-known descriptor"
-            )
+        key = (thad.id,
+               None if thad.binding is None else ev.descriptor_token)
+        bit = sites.bits.get(key)
+        if bit is not None and states[node.id].mask >> bit & 1:
             continue
-        token = ev.descriptor_token if thad.binding is not None else None
-        if states[node.id].completion(thad.id, token) is not Completion.COMPLETED:
+        if i < len(row.dependent):
+            offenders.setdefault(key, []).append(node)
+        else:
             inconclusive.append(
                 f"unresolved discriminator: the {ev.routine} call at line "
                 f"{node.line} may match {thad.dependent.describe()} before "
                 f"{thad.dependency.describe()} completed"
             )
 
-    if violations:
-        _, best = min(
-            violations, key=lambda item: (item[0], item[1].line, item[1].id)
-        )
-        witness = find_witness(model, thad_set, thad, best.id)
+    if offenders:
+        cfg = model.entry_body.cfg
+        ranked = []  # (witness length, line, node id) of each offender
+        for key, nodes in offenders.items():
+            bit = sites.bits.get(key)
+            completers = set() if bit is None else {
+                nid for nid, mask in sites.gen.items() if mask >> bit & 1
+            }
+            dist = _free_distances(cfg, completers, nodes)
+            for node in nodes:
+                assert node.id in dist, "must-analysis promised a free path"
+                ranked.append((dist[node.id], node.line, node.id))
+        witness = find_witness(model, thad_set, thad, min(ranked)[2])
         return ThadVerdict(thad.id, Status.VIOLATED, witness=witness,
-                           via_alias=via_alias)
+                           via_alias=row.via_alias)
     if inconclusive:
         return ThadVerdict(thad.id, Status.INCONCLUSIVE,
-                           reason=inconclusive[0], via_alias=via_alias)
-    return ThadVerdict(thad.id, Status.SATISFIED, via_alias=via_alias)
+                           reason=inconclusive[0], via_alias=row.via_alias)
+    return ThadVerdict(thad.id, Status.SATISFIED, via_alias=row.via_alias)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ text output; ``auto`` colors only when writing to a terminal.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -321,7 +322,10 @@ def _add_spec_options(sub) -> None:
                      help="platform constants table for the spec")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves
+    no state on it, since every call fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="thadc",
         description="Check C programs against temporal HAL-API dependencies.")

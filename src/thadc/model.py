@@ -49,6 +49,8 @@ __all__ = [
     "ThadSet",
     "resolve_constant",
     "match_event",
+    "natural_key",
+    "dependency_token",
     "trace_satisfies",
     "trace_satisfies_all",
 ]
@@ -339,7 +341,16 @@ def match_event(
     return resolve_constant(ev.discriminator_value, aliases) == constraint[1]
 
 
-def _dependency_token(thad: Thad, ev: CallEvent) -> Optional[str]:
+def natural_key(thad_id: str) -> tuple:
+    """Sort key for dependency ids: digit runs compare as numbers, so
+    ``d2`` sorts before ``d10`` and ``a10`` before ``b2``."""
+    parts = re.split(r"(\d+)", thad_id)
+    return tuple(int(p) if p.isdigit() else p for p in parts)
+
+
+def dependency_token(thad: Thad, ev: CallEvent) -> Optional[str]:
+    """The descriptor token a dependency call ``ev`` completes for the
+    bound dependency ``thad``: its return value or its descriptor."""
     assert thad.binding is not None
     if thad.binding.source is BindingSource.RETURN_VALUE:
         return ev.produced_token
@@ -367,7 +378,7 @@ def trace_satisfies(
             if not match_event(thad.dependency, dep, aliases):
                 continue
             if thad.binding is not None:
-                token = _dependency_token(thad, dep)
+                token = dependency_token(thad, dep)
                 if token is None or ev.descriptor_token is None:
                     continue
                 if token != ev.descriptor_token:

@@ -12,13 +12,12 @@ entries only, and the four buckets always sum to the number of entries.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from typing import Optional
 
 from . import __version__
 from .checker import Status, ThadVerdict
-from .model import ThadSet
+from .model import ThadSet, natural_key
 
 __all__ = [
     "OracleAgreement",
@@ -43,11 +42,6 @@ _STATUS_LABELS = {
 #: Witness traces come from the CFG without branch-feasibility checking,
 #: so every witness is reported with this qualifier.
 FEASIBILITY = "not-proven"
-
-
-def _natural_key(thad_id: str) -> tuple:
-    parts = re.split(r"(\d+)", thad_id)
-    return tuple(int(p) if p.isdigit() else p for p in parts)
 
 
 @dataclass(frozen=True)
@@ -138,7 +132,7 @@ def build_report(verdicts: list[ThadVerdict], thad_set: ThadSet, *,
     entries = []
     counts = {"satisfied": 0, "violated": 0, "inconclusive": 0,
               "trivially_satisfied": 0}
-    for verdict in sorted(verdicts, key=lambda v: _natural_key(v.thad_id)):
+    for verdict in sorted(verdicts, key=lambda v: natural_key(v.thad_id)):
         thad = by_id[verdict.thad_id]
         status = _STATUS_LABELS[verdict.status]
         witness = None

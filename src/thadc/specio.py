@@ -28,6 +28,7 @@ from importlib import resources
 from typing import Mapping, Optional
 
 from .diagnostics import Diagnostic, DiagnosticError
+from .minic import c_int_value
 from .model import (
     BindingSource,
     DescriptorBinding,
@@ -340,8 +341,15 @@ def parse_constants(text: str, path: str = "<consts>") -> dict[str, int]:
         if not m:
             diags.append(Diagnostic(lineno, 1, "cannot parse constant line"))
             continue
-        name = m.group("name")
-        value = int(m.group("value"), 0)
+        name, literal = m.group("name", "value")
+        value = c_int_value(literal.lstrip("-"))
+        if value is None:
+            column = len(raw) - len(raw.lstrip()) + m.start("value") + 1
+            diags.append(Diagnostic(
+                lineno, column, f"invalid integer literal {literal!r}"))
+            continue
+        if literal.startswith("-"):
+            value = -value
         if name in values and values[name] != value:
             diags.append(
                 Diagnostic(

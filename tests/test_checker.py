@@ -302,6 +302,17 @@ class TestVerdicts:
         out = check(prepared(STRAIGHT_OK), SPIDEV)
         assert [v.thad_id for v in out] == [f"d{i}" for i in range(1, 27)]
 
+    def test_verdict_order_matches_report_order(self):
+        read_r = RoutineSpec("read", (Param("fd", ParamRole.DESCRIPTOR),))
+        close_r = RoutineSpec("close", (Param("fd", ParamRole.DESCRIPTOR),))
+        thad_set = ThadSet(routines=(read_r, close_r), thads=(
+            Thad("b2", dependency=read_r, dependent=close_r),
+            Thad("a10", dependency=close_r, dependent=read_r),
+        ))
+        out = check(prepared("int main(void) { return 0; }", thad_set),
+                    thad_set)
+        assert [v.thad_id for v in out] == ["a10", "b2"]
+
     def test_witness_iff_violated(self):
         with pytest.raises(ValueError):
             ThadVerdict("d1", Status.SATISFIED, witness=WitnessTrace(()))

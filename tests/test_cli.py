@@ -220,6 +220,18 @@ class TestBadInput:
         assert out == ""
         assert err.startswith(f"{program}:{position}: error: ")
 
+    def test_bad_consts_literal(self, tmp_path, capsys):
+        consts = tmp_path / "c.consts"
+        consts.write_text("MSG = 0x40206B00\n  WR_MODE = 08  # not octal\n")
+        spec = bundled_data_path("spidev.thad")
+        code, out, err = run(["check", str(CORPUS / "io-expander.c"),
+                              "--spec", str(spec), "--consts", str(consts)],
+                             capsys)
+        assert code == 2
+        assert out == ""
+        assert err == (f"{consts}:2:13: error: invalid integer literal "
+                       "'08'\n")
+
     def test_octal_open_mode_is_checked(self, tmp_path, capsys):
         program = tmp_path / "octal.c"
         program.write_text(in_main(
@@ -433,6 +445,27 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             cli.main(["check", "p.c", "--unroll", "0"])
         assert exc.value.code == 2
+
+    def test_parser_is_reused_without_leaking_state(self, tmp_path, capsys):
+        assert cli._build_parser() is cli._build_parser()
+        program = str(CORPUS / "accelerometer.c")
+        report = tmp_path / "report.json"
+        code, out, _ = run(["check", program, "--format", "json",
+                            "--no-timing", "--unroll", "1",
+                            "-o", str(report)], capsys)
+        assert (code, out) == (0, "")
+        assert json.loads(report.read_text())["unroll_oracle"]["agrees"]
+        code, out, _ = run(["check", program], capsys)
+        assert code == 0
+        assert out.startswith("thadc 0.1.0\n")
+        assert "unroll oracle" not in out and "wall time" in out
+        with pytest.raises(SystemExit):
+            cli.main(["check", program, "--unroll", "0"])
+        capsys.readouterr()
+        code, out, _ = run(["check", program, "--format", "json",
+                            "--no-timing"], capsys)
+        assert code == 0
+        assert "unroll_oracle" not in json.loads(out)
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

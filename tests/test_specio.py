@@ -150,6 +150,23 @@ def test_parse_constants_hex_and_comments():
     assert got == {"MSG": 0x40206B00}
 
 
+def test_parse_constants_c_literals():
+    got = parse_constants("A = 0644\nB = -0x10\nC = 0\nD = -7\n")
+    assert got == {"A": 420, "B": -16, "C": 0, "D": -7}
+
+
+@pytest.mark.parametrize("text, column", [
+    ("A = 08\n", 5),
+    ("  B = -09  # no octal 9\n", 7),
+])
+def test_parse_constants_bad_literal_is_positioned(text, column):
+    with pytest.raises(SpecError) as e:
+        parse_constants(text)
+    [diag] = e.value.diagnostics
+    assert (diag.line, diag.column) == (1, column)
+    assert diag.message.startswith("invalid integer literal")
+
+
 # ---------------------------------------------------------------------------
 # serialization round trip
 # ---------------------------------------------------------------------------
