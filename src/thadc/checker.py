@@ -7,10 +7,10 @@ matching call nodes and survives a control-flow merge only when it
 holds on every incoming path.  Deciding is graph reachability (the
 IFDS view of Reps, Horwitz and Sagiv, POPL 1995), in three steps:
 
-1. A site table matches every HAL call site of the entry function
-   against both patterns of every dependency exactly once.  It numbers
-   the monitor keys and records each site's gen bitmask, which also
-   names the completer sites of each key.
+1. A site table matches the HAL call sites of the entry function
+   against both patterns of every dependency, once per distinct call
+   event.  It numbers the monitor keys and records each site's gen
+   bitmask, which also names the completer sites of each key.
 2. A bitset must-analysis decides every key at once: a node's entry
    state is one ``int`` with a bit per key, merged with ``&``.  A
    dependent site is violated iff its key's bit is clear there, which
@@ -199,25 +199,25 @@ class _SiteTable(NamedTuple):
     once per distinct event; everything the decision needs is read from
     here."""
 
-    sites: dict[CallEvent, list[CfgNode]]  # HAL sites by their event
+    by_event: dict[CallEvent, list[CfgNode]]  # HAL sites by their event
     bits: dict[MonitorKey, int]  # monitor key -> bit, in bit order
     gen: dict[int, int]  # site node id -> mask of the keys it completes
     rows: dict[str, _Row]  # dependency id -> its sites
 
 
 def _site_table(model: ProgramModel, thad_set: ThadSet) -> _SiteTable:
-    sites: dict[CallEvent, list[CfgNode]] = {}
+    by_event: dict[CallEvent, list[CfgNode]] = {}
     for node in _hal_nodes(model, thad_set):
-        sites.setdefault(node.event, []).append(node)
+        by_event.setdefault(node.event, []).append(node)
     aliases = thad_set.aliases
     bits: dict[MonitorKey, int] = {}
-    event_gen = dict.fromkeys(sites, 0)
+    event_gen = dict.fromkeys(by_event, 0)
     rows: dict[str, _Row] = {}
     for thad in thad_set.thads:
         has_dependency = via_alias = False
         dependent: list[CfgNode] = []
         possible: list[CfgNode] = []
-        for ev, nodes in sites.items():
+        for ev, nodes in by_event.items():
             if match_event(thad.dependency, ev, aliases):
                 has_dependency = True
                 via_alias = via_alias or _uses_alias(thad.dependency, ev,
@@ -238,8 +238,8 @@ def _site_table(model: ProgramModel, thad_set: ThadSet) -> _SiteTable:
         possible.sort(key=attrgetter("id"))
         rows[thad.id] = _Row(has_dependency, via_alias, dependent, possible)
     gen = {node.id: mask for ev, mask in event_gen.items() if mask
-           for node in sites[ev]}
-    return _SiteTable(sites, bits, gen, rows)
+           for node in by_event[ev]}
+    return _SiteTable(by_event, bits, gen, rows)
 
 
 def _uses_alias(pattern: RoutineSpec, ev: CallEvent,
@@ -411,7 +411,8 @@ def _check_one(
         return ThadVerdict(thad.id, Status.SATISFIED, trivial=True)
 
     if thad.dependency.name == thad.dependent.name and not row.has_dependency:
-        if any(_possibly_matches(thad.dependency, ev) for ev in sites.sites):
+        if any(_possibly_matches(thad.dependency, ev)
+               for ev in sites.by_event):
             return ThadVerdict(
                 thad.id, Status.INCONCLUSIVE,
                 reason=f"unresolved discriminator: a call of "
