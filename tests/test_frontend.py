@@ -397,7 +397,7 @@ class TestInlining:
         )
         with pytest.raises(RecursionDetected) as exc:
             inline_calls(model)
-        assert "f" in exc.value.cycle
+        assert exc.value.cycle == ["f", "f"]
 
     def test_mutual_recursion_detected(self):
         model = parse_program(
@@ -410,7 +410,36 @@ class TestInlining:
         )
         with pytest.raises(RecursionDetected) as exc:
             inline_calls(model)
-        assert set(exc.value.cycle) >= {"f", "g"}
+        assert exc.value.cycle == ["f", "g", "f"]
+
+    def test_cycle_under_a_long_chain(self):
+        # main -> f1 -> ... -> f40 -> z -> y -> z.  Roots are walked in
+        # sorted order, so the walk from f1 enters the cycle at z, not y.
+        parts = ["int y(void);", "int z(void) { return y(); }",
+                 "int y(void) { return z(); }",
+                 "int f40(void) { return z(); }"]
+        parts += [f"int f{i}(void) {{ return f{i + 1}(); }}"
+                  for i in range(39, 0, -1)]
+        parts.append("int main(void) { return f1(); }")
+        with pytest.raises(RecursionDetected) as exc:
+            inline_calls(parse_program("\n".join(parts)))
+        assert exc.value.cycle == ["z", "y", "z"]
+
+    def test_callees_are_walked_in_first_call_order(self):
+        model = parse_program(
+            """
+            int p(void); int q(void);
+            int p2(void) { return p(); }
+            int q2(void) { return q(); }
+            int p(void) { return p2(); }
+            int q(void) { return q2(); }
+            int f(void) { q(); p(); return 0; }
+            int main(void) { return f(); }
+            """
+        )
+        with pytest.raises(RecursionDetected) as exc:
+            inline_calls(model)
+        assert exc.value.cycle == ["q", "q2", "q"]
 
     def test_indirect_hal_use_becomes_visible(self):
         source = """
