@@ -20,7 +20,6 @@ from .model import (
     ThadSet,
     match_event,
     trace_satisfies,
-    trace_satisfies_all,
 )
 
 __version__ = "0.1.0"
@@ -36,6 +35,5 @@ __all__ = [
     "ThadSet",
     "match_event",
     "trace_satisfies",
-    "trace_satisfies_all",
     "__version__",
 ]

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .diagnostics import Diagnostic
 from .minic import (
@@ -47,7 +47,6 @@ from .minic import (
     Unary,
     Var,
     While,
-    parse_source,
 )
 from .model import CallEvent
 
@@ -60,7 +59,6 @@ __all__ = [
     "ProgramModel",
     "PathExplosion",
     "build_model",
-    "parse_program",
     "check_cfg",
     "has_loops",
     "enumerate_paths",
@@ -376,16 +374,6 @@ def build_model(program: Program, entry: str = "main") -> ProgramModel:
     return ProgramModel(functions, entry, program, program.path)
 
 
-def parse_program(source: str, path: str = "<input>",
-                  entry: str = "main") -> ProgramModel:
-    """Parse C-subset source text and lower it to a program model.
-
-    Raises :class:`~thadc.minic.MiniCError` carrying positioned
-    diagnostics when the source does not lex, parse, or define ``entry``.
-    """
-    return build_model(parse_source(source, path), entry)
-
-
 # ---------------------------------------------------------------------------
 # Structural checks and path enumeration
 # ---------------------------------------------------------------------------
@@ -465,29 +453,28 @@ def enumerate_paths(cfg: Cfg, bound: int = 1_000_000) -> list[list[int]]:
 
     Raises ValueError on a cyclic graph and :class:`PathExplosion` once
     more than ``bound`` paths exist.  Edge order is preserved, so the
-    enumeration is deterministic.
+    enumeration is deterministic.  The walk keeps its own stack, so no
+    path is too long for the interpreter's recursion limit.
     """
     if has_loops(cfg):
         raise ValueError("cannot enumerate paths of a cyclic graph")
     paths: list[list[int]] = []
-    prefix = [cfg.entry]
-
-    def walk(node: int) -> None:
+    prefix: list[int] = []  # the walk from the entry to the current node
+    pending: list[Iterator[Edge]] = []  # the unexplored edges along it
+    node: Optional[int] = cfg.entry
+    while node is not None:
+        prefix.append(node)
         if node == cfg.exit:
             if len(paths) >= bound:
                 raise PathExplosion(bound)
             paths.append(list(prefix))
-            return
-        for e in cfg.edges(node):
-            prefix.append(e.dst)
-            walk(e.dst)
-            prefix.pop()
-
-    import sys
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, len(cfg.nodes) * 2 + 100))
-    try:
-        walk(cfg.entry)
-    finally:
-        sys.setrecursionlimit(old_limit)
+        pending.append(iter(() if node == cfg.exit else cfg.edges(node)))
+        node = None
+        while pending and node is None:
+            edge = next(pending[-1], None)
+            if edge is None:
+                pending.pop()
+                prefix.pop()
+            else:
+                node = edge.dst
     return paths

@@ -33,7 +33,7 @@ from .annotate import (
 from .cfg import PathExplosion, build_model
 from .checker import Status, ThadVerdict, brute_force_paths, check
 from .diagnostics import Diagnostic, DiagnosticError
-from .minic import parse_source, unroll_loops
+from .minic import UnrollTooDeep, parse_source, unroll_loops
 from .model import BindingSource, Thad, ThadSet
 from .passes import DepthLimitExceeded, RecursionDetected, preprocess
 from .report import (
@@ -146,7 +146,7 @@ def _check_program(source: str, path: str, thad_set: ThadSet, spec_path: str,
         try:
             oracle = _unroll_oracle(program, thad_set, verdicts,
                                     args.unroll, args.inline_depth)
-        except PathExplosion as exc:
+        except (PathExplosion, UnrollTooDeep) as exc:
             print(f"thadc: unroll oracle skipped: {exc}", file=sys.stderr)
     wall_ms = None
     if not args.no_timing:

@@ -44,6 +44,7 @@ __all__ = [
     "MAX_NESTING",
     "parse_source",
     "tokenize",
+    "UnrollTooDeep",
     "unroll_loops",
 ]
 
@@ -843,16 +844,70 @@ def parse_source(text: str, path: str = "<input>") -> Program:
 # Loop unrolling (feeds the exhaustive path oracle)
 # ---------------------------------------------------------------------------
 
+class UnrollTooDeep(Exception):
+    """Unrolling would nest the program deeper than :data:`MAX_NESTING`."""
+
+    def __init__(self, k: int, levels: int):
+        self.k = k
+        self.levels = levels
+        super().__init__(f"unrolling loops {k} times nests {levels} levels, "
+                         f"limit is {MAX_NESTING}")
+
+
+def _unrolled_height(node, k: int) -> int:
+    """Nesting levels of a statement or expression once its loops are
+    unrolled ``k`` times, counted as the parser counts them except for
+    parentheses, which the tree does not keep."""
+    def most(*children) -> int:
+        return max((_unrolled_height(c, k) for c in children if c is not None),
+                   default=0)
+
+    if isinstance(node, (Num, Str, Var)):
+        return 0
+    if isinstance(node, While):
+        return k + most(node.cond, *node.body.stmts)
+    if isinstance(node, For):
+        loop = k + most(node.cond, node.step, *node.body.stmts)
+        return loop if node.init is None else 1 + max(loop, most(node.init))
+    if isinstance(node, If):
+        children = (node.cond, *node.then.stmts,
+                    *(node.orelse.stmts if node.orelse else ()))
+    elif isinstance(node, Switch):
+        children = (node.expr, *(x for c in node.cases
+                                 for x in c.labels + c.body.stmts))
+    elif isinstance(node, Block):
+        children = node.stmts
+    elif isinstance(node, CallExpr):
+        children = node.args
+    elif isinstance(node, Unary):
+        children = (node.operand,)
+    elif isinstance(node, Binary):
+        children = (node.lhs, node.rhs)
+    elif isinstance(node, Declare):
+        children = (node.init,)
+    elif isinstance(node, (Assign, Return)):
+        children = (node.value,)
+    else:  # ExprStmt
+        children = (node.expr,)
+    return 1 + most(*children)
+
+
 def unroll_loops(program: Program, k: int) -> Program:
     """Replace every loop with ``k`` nested guarded copies of its body.
 
     The result is loop-free and every one of its control-flow paths
     projects onto a path of the original program (iterations beyond the
     k-th are simply not represented), which is exactly what a must-style
-    checker needs from an under-approximating oracle.
+    checker needs from an under-approximating oracle.  Raises
+    :class:`UnrollTooDeep` when the result would nest deeper than
+    :data:`MAX_NESTING` levels, the limit every parsed program meets.
     """
     if k < 1:
         raise ValueError("unroll factor must be >= 1")
+    levels = max((_unrolled_height(stmt, k) for f in program.functions
+                  for stmt in f.body.stmts), default=0)
+    if levels > MAX_NESTING:
+        raise UnrollTooDeep(k, levels)
 
     def stmt(s: Stmt) -> Stmt:
         if isinstance(s, Block):

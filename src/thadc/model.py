@@ -52,7 +52,6 @@ __all__ = [
     "natural_key",
     "dependency_token",
     "trace_satisfies",
-    "trace_satisfies_all",
 ]
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -388,13 +387,3 @@ def trace_satisfies(
         if not satisfied:
             return False
     return True
-
-
-def trace_satisfies_all(
-    thad_set: ThadSet,
-    trace: Sequence[CallEvent],
-) -> dict[str, bool]:
-    """Pointwise :func:`trace_satisfies` for every dependency in the set."""
-    return {
-        t.id: trace_satisfies(t, trace, thad_set.aliases) for t in thad_set.thads
-    }

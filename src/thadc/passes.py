@@ -1,36 +1,39 @@
 """Model preparation passes: inlining, argument resolution, token flow.
 
-The checker wants a single flat CFG per analyzed entry point whose HAL
+The checker wants a single flat CFG for the entry function whose HAL
 call nodes carry ready-made :class:`~thadc.model.CallEvent` values.
 Three passes get it there:
 
 ``inline_calls``
     splices the bodies of defined functions into their call sites
-    (bottom-up, so the result has no calls to defined functions left).
-    Recursion and call chains deeper than the limit are rejected.
+    (callees first, so the result has no calls to defined functions
+    left).  Recursion and call chains deeper than the limit are rejected.
 
 ``resolve_discriminators``
-    computes, per function, which integer constant each discriminator
-    argument must hold, by forward propagation of must-known constants
-    over the CFG (meet = agreement on both branch arms).  Values come
+    computes which integer constant each discriminator argument of the
+    entry body must hold, by forward propagation of must-known constants
+    over its CFG (meet = agreement on both branch arms).  Values come
     from integer literals, ``#define``, the platform constants table,
     and copies through locals.  A spec constant used by name resolves
     even when no integer encoding was supplied for it.
 
 ``build_token_flow``
-    gives every descriptor-returning HAL call a fresh token and
-    propagates tokens through assignments the same must-style way, so a
-    call's descriptor argument maps to the ``open`` that produced it
-    exactly when that holds on every path.
+    gives every descriptor-returning HAL call of the entry body a fresh
+    token and propagates tokens through assignments the same must-style
+    way, so a call's descriptor argument maps to the ``open`` that
+    produced it exactly when that holds on every path.
 
-Passes mutate CFG node payloads in place (``inline_calls`` returns a
-new model) and may be re-run; event fields are refined, not stacked.
+Only the entry body is resolved: the checker, the path oracle and the
+report read nothing else, so the other flattened functions keep calls
+without events.  Passes mutate CFG node payloads in place
+(``inline_calls`` returns a new model) and may be re-run; event fields
+are refined, not stacked.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Callable, Optional
 
 from .cfg import (
@@ -48,7 +51,6 @@ from .model import CallEvent, RoutineSpec, ThadSet
 __all__ = [
     "RecursionDetected",
     "DepthLimitExceeded",
-    "TokenFlow",
     "inline_calls",
     "resolve_discriminators",
     "build_token_flow",
@@ -81,54 +83,42 @@ class DepthLimitExceeded(Exception):
 # Inlining
 # ---------------------------------------------------------------------------
 
-def _defined_callees(body: FunctionBody, defined: set[str]) -> list[str]:
-    seen: list[str] = []
-    for node in body.cfg.call_nodes():
-        if node.callee in defined and node.callee not in seen:
-            seen.append(node.callee)
-    return seen
+def _call_depths(model: ProgramModel, defined: set[str]) -> dict[str, int]:
+    """The longest call chain, counted in functions, that starts at each
+    function; keys are in post-order, so callees come before callers.
 
-
-def _find_cycle(model: ProgramModel, defined: set[str]) -> Optional[list[str]]:
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {name: WHITE for name in defined}
-
-    def visit(name: str, path: list[str]) -> Optional[list[str]]:
-        color[name] = GRAY
-        path.append(name)
-        for callee in _defined_callees(model.functions[name], defined):
-            if color[callee] == GRAY:
-                return path[path.index(callee):] + [callee]
-            if color[callee] == WHITE:
-                cycle = visit(callee, path)
-                if cycle is not None:
-                    return cycle
-        path.pop()
-        color[name] = BLACK
-        return None
-
-    for name in sorted(defined):
-        if color[name] == WHITE:
-            cycle = visit(name, [])
-            if cycle is not None:
-                return cycle
-    return None
-
-
-def _chain_depths(model: ProgramModel, defined: set[str]) -> dict[str, int]:
-    """Longest call chain (counted in functions) starting at each function."""
-    memo: dict[str, int] = {}
-
-    def depth(name: str) -> int:
-        if name in memo:
-            return memo[name]
-        callees = _defined_callees(model.functions[name], defined)
-        memo[name] = 1 + max((depth(c) for c in callees), default=0)
-        return memo[name]
-
+    One depth-first walk, without recursion: roots in sorted order,
+    callees in first-call order.  The first back edge it meets raises
+    :class:`RecursionDetected` with the cycle as seen from its entry.
+    """
+    callees: dict[str, list[str]] = {}  # each once, in first-call order
     for name in defined:
-        depth(name)
-    return memo
+        calls = model.functions[name].cfg.call_nodes()
+        callees[name] = list(dict.fromkeys(
+            node.callee for node in calls if node.callee in defined))
+    depths: dict[str, int] = {}
+    for root in sorted(defined):
+        if root in depths:
+            continue
+        stack = [(root, iter(callees[root]))]
+        on_stack = {root}
+        while stack:
+            name, pending = stack[-1]
+            for callee in pending:
+                if callee in on_stack:
+                    path = [n for n, _ in stack]
+                    raise RecursionDetected(
+                        path[path.index(callee):] + [callee])
+                if callee not in depths:
+                    stack.append((callee, iter(callees[callee])))
+                    on_stack.add(callee)
+                    break
+            else:
+                stack.pop()
+                on_stack.remove(name)
+                depths[name] = 1 + max((depths[c] for c in callees[name]),
+                                       default=0)
+    return depths
 
 
 def _rename_expr(expr: Optional[Expr], mapping: dict[str, str]) -> Optional[Expr]:
@@ -154,8 +144,9 @@ def _rename_expr(expr: Optional[Expr], mapping: dict[str, str]) -> Optional[Expr
 
 
 def _owned_names(body: FunctionBody) -> set[str]:
-    """Names an inlined copy must rename: everything the function writes
-    or declares, plus its synthetic return slot.  Free names (platform
+    """The function's own variables: everything it writes or declares,
+    plus its synthetic return slot.  An inlined copy renames them, and
+    resolution never reads them as constants.  Free names (platform
     constants, defines, globals) stay untouched."""
     names = set(body.params) | set(body.locals) | {return_var(body.name)}
     for node in body.cfg.nodes.values():
@@ -170,7 +161,7 @@ class _Splicer:
     """Rebuilds one caller CFG with every defined call expanded."""
 
     def __init__(self, caller: FunctionBody,
-                 flat: Callable[[str], FunctionBody], defined: set[str]):
+                 flat: dict[str, FunctionBody], defined: set[str]):
         self.caller = caller
         self.flat = flat
         self.defined = defined
@@ -199,7 +190,7 @@ class _Splicer:
 
     def _expand_call(self, call: CfgNode) -> tuple[int, int]:
         """Splice one callee instance; returns (head, tail) node ids."""
-        callee = self.flat(call.callee)
+        callee = self.flat[call.callee]
         self.instances += 1
         ren = {n: f"{n}__inl{self.instances}" for n in sorted(_owned_names(callee))}
         self.extra_locals.extend(ren.values())
@@ -286,22 +277,14 @@ def inline_calls(model: ProgramModel, depth_limit: int = 16) -> ProgramModel:
     ``depth_limit`` functions.
     """
     defined = set(model.functions)
-    cycle = _find_cycle(model, defined)
-    if cycle is not None:
-        raise RecursionDetected(cycle)
-    depths = _chain_depths(model, defined)
+    depths = _call_depths(model, defined)
     for name in sorted(defined):
         if depths[name] > depth_limit:
             raise DepthLimitExceeded(name, depths[name], depth_limit)
-
     flat: dict[str, FunctionBody] = {}
-
-    def flatten(name: str) -> FunctionBody:
-        if name not in flat:
-            flat[name] = _Splicer(model.functions[name], flatten, defined).run()
-        return flat[name]
-
-    functions = {name: flatten(name) for name in model.functions}
+    for name in depths:  # callees first
+        flat[name] = _Splicer(model.functions[name], flat, defined).run()
+    functions = {name: flat[name] for name in model.functions}
     return ProgramModel(functions, model.entry, model.program, model.path)
 
 
@@ -412,16 +395,6 @@ def _eval_expr(expr: Expr, env: dict[str, int],
     return None
 
 
-def _program_vars(body: FunctionBody) -> set[str]:
-    names = set(body.params) | set(body.locals)
-    for node in body.cfg.nodes.values():
-        if node.kind is NodeKind.ASSIGN and node.var:
-            names.add(node.var)
-        elif node.kind is NodeKind.CALL and node.lhs:
-            names.add(node.lhs)
-    return names
-
-
 def _routine_of(node: CfgNode, spec_set: ThadSet) -> Optional[RoutineSpec]:
     try:
         return spec_set.routine(node.callee) if node.callee else None
@@ -439,9 +412,10 @@ def _param_index(routine: RoutineSpec, param: Optional[str]) -> Optional[int]:
 
 
 def resolve_discriminators(model: ProgramModel, spec_set: ThadSet) -> ProgramModel:
-    """Attach discriminator constants to HAL call events, in place.
+    """Attach discriminator constants to the entry body's HAL call
+    events, in place.
 
-    Resolution precedence for a name: function-local variables first
+    Resolution precedence for a name: the entry body's variables first
     (through the propagated environment), then the platform constants
     table by name, then ``#define`` values, then arithmetic over those.
     An integer with no entry in the constants table becomes its decimal
@@ -454,56 +428,56 @@ def resolve_discriminators(model: ProgramModel, spec_set: ThadSet) -> ProgramMod
         if value not in rev or cname < rev[value]:
             rev[value] = cname
 
-    for body in model.functions.values():
-        program_vars = _program_vars(body)
+    body = model.entry_body
+    program_vars = _owned_names(body)
 
-        def lookup(name: str) -> Optional[int]:
-            if name in program_vars:
-                return None  # a real variable; only the env may know it
-            value = spec_set.constants.get(name)
-            if value is not None:
-                return value
-            return model.defines.get(name)
+    def lookup(name: str) -> Optional[int]:
+        if name in program_vars:
+            return None  # a real variable; only the env may know it
+        value = spec_set.constants.get(name)
+        if value is not None:
+            return value
+        return model.defines.get(name)
 
-        def transfer(node: CfgNode, env: dict) -> dict:
-            if node.kind is NodeKind.ASSIGN and node.var:
-                out = dict(env)
-                value = _eval_expr(node.expr, env, lookup)
-                if value is None:
-                    out.pop(node.var, None)
-                else:
-                    out[node.var] = value
-                return out
-            if node.kind is NodeKind.CALL and node.lhs:
-                out = dict(env)
-                out.pop(node.lhs, None)
-                return out
-            return env
+    def transfer(node: CfgNode, env: dict) -> dict:
+        if node.kind is NodeKind.ASSIGN and node.var:
+            out = dict(env)
+            value = _eval_expr(node.expr, env, lookup)
+            if value is None:
+                out.pop(node.var, None)
+            else:
+                out[node.var] = value
+            return out
+        if node.kind is NodeKind.CALL and node.lhs:
+            out = dict(env)
+            out.pop(node.lhs, None)
+            return out
+        return env
 
-        ins = _must_forward(body.cfg, transfer)
+    ins = _must_forward(body.cfg, transfer)
 
-        for node in body.cfg.call_nodes():
-            routine = _routine_of(node, spec_set)
-            if routine is None:
-                continue
-            idx = _param_index(routine, routine.discriminator_param)
-            value_name: Optional[str] = None
-            if idx is not None:
-                arg = node.args[idx] if idx < len(node.args) else None
-                if (isinstance(arg, Var) and arg.name not in program_vars
-                        and arg.name in spec_set.constants):
-                    value_name = arg.name
-                elif arg is not None:
-                    value = _eval_expr(arg, ins[node.id], lookup)
-                    if value is not None:
-                        value_name = rev.get(value, str(value))
-            base = node.event or CallEvent(routine=node.callee)
-            event = replace(
-                base,
-                discriminator_value=value_name,
-                discriminator_unknown=(idx is not None and value_name is None),
-            )
-            body.cfg.replace_node(replace(node, event=event))
+    for node in body.cfg.call_nodes():
+        routine = _routine_of(node, spec_set)
+        if routine is None:
+            continue
+        idx = _param_index(routine, routine.discriminator_param)
+        value_name: Optional[str] = None
+        if idx is not None:
+            arg = node.args[idx] if idx < len(node.args) else None
+            if (isinstance(arg, Var) and arg.name not in program_vars
+                    and arg.name in spec_set.constants):
+                value_name = arg.name
+            elif arg is not None:
+                value = _eval_expr(arg, ins[node.id], lookup)
+                if value is not None:
+                    value_name = rev.get(value, str(value))
+        base = node.event or CallEvent(routine=node.callee)
+        event = replace(
+            base,
+            discriminator_value=value_name,
+            discriminator_unknown=(idx is not None and value_name is None),
+        )
+        body.cfg.replace_node(replace(node, event=event))
     return model
 
 
@@ -511,76 +485,66 @@ def resolve_discriminators(model: ProgramModel, spec_set: ThadSet) -> ProgramMod
 # Descriptor token flow
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TokenFlow:
-    """Which node produced each descriptor token, per function."""
-
-    origins: dict[str, dict[str, int]]
-
-
-def build_token_flow(model: ProgramModel,
-                     spec_set: ThadSet) -> tuple[ProgramModel, TokenFlow]:
-    """Attach descriptor tokens to HAL call events, in place.
+def build_token_flow(model: ProgramModel, spec_set: ThadSet) -> ProgramModel:
+    """Attach descriptor tokens to the entry body's HAL call events, in
+    place.
 
     Every call of a descriptor-returning routine mints one token.  A
     later call's descriptor argument carries that token exactly when the
     argument variable must hold that call's result on every path to the
     argument's use; otherwise the argument stays unknown.
     """
-    origins: dict[str, dict[str, int]] = {}
-    for fname, body in model.functions.items():
-        produced: dict[int, str] = {}
-        counter = 0
-        for node in body.cfg.call_nodes():
-            routine = _routine_of(node, spec_set)
-            if routine is not None and routine.returns_descriptor:
-                counter += 1
-                produced[node.id] = f"t{counter}"
-        origins[fname] = {tok: nid for nid, tok in produced.items()}
+    body = model.entry_body
+    produced: dict[int, str] = {}
+    for node in body.cfg.call_nodes():
+        routine = _routine_of(node, spec_set)
+        if routine is not None and routine.returns_descriptor:
+            produced[node.id] = f"t{len(produced) + 1}"
 
-        def transfer(node: CfgNode, env: dict) -> dict:
-            if node.kind is NodeKind.CALL and node.lhs:
-                out = dict(env)
-                if node.id in produced:
-                    out[node.lhs] = produced[node.id]
-                else:
-                    out.pop(node.lhs, None)
-                return out
-            if node.kind is NodeKind.ASSIGN and node.var:
-                out = dict(env)
-                if isinstance(node.expr, Var) and node.expr.name in env:
-                    out[node.var] = env[node.expr.name]
-                else:
-                    out.pop(node.var, None)
-                return out
-            return env
+    def transfer(node: CfgNode, env: dict) -> dict:
+        if node.kind is NodeKind.CALL and node.lhs:
+            out = dict(env)
+            if node.id in produced:
+                out[node.lhs] = produced[node.id]
+            else:
+                out.pop(node.lhs, None)
+            return out
+        if node.kind is NodeKind.ASSIGN and node.var:
+            out = dict(env)
+            if isinstance(node.expr, Var) and node.expr.name in env:
+                out[node.var] = env[node.expr.name]
+            else:
+                out.pop(node.var, None)
+            return out
+        return env
 
-        ins = _must_forward(body.cfg, transfer)
+    ins = _must_forward(body.cfg, transfer)
 
-        for node in body.cfg.call_nodes():
-            routine = _routine_of(node, spec_set)
-            if routine is None:
-                continue
-            idx = _param_index(routine, routine.descriptor_param)
-            token: Optional[str] = None
-            if idx is not None and idx < len(node.args):
-                arg = node.args[idx]
-                if isinstance(arg, Var):
-                    token = ins[node.id].get(arg.name)
-            base = node.event or CallEvent(routine=node.callee)
-            event = replace(
-                base,
-                descriptor_token=token,
-                descriptor_unknown=(idx is not None and token is None),
-                produced_token=produced.get(node.id),
-            )
-            body.cfg.replace_node(replace(node, event=event))
-    return model, TokenFlow(origins)
+    for node in body.cfg.call_nodes():
+        routine = _routine_of(node, spec_set)
+        if routine is None:
+            continue
+        idx = _param_index(routine, routine.descriptor_param)
+        token: Optional[str] = None
+        if idx is not None and idx < len(node.args):
+            arg = node.args[idx]
+            if isinstance(arg, Var):
+                token = ins[node.id].get(arg.name)
+        base = node.event or CallEvent(routine=node.callee)
+        event = replace(
+            base,
+            descriptor_token=token,
+            descriptor_unknown=(idx is not None and token is None),
+            produced_token=produced.get(node.id),
+        )
+        body.cfg.replace_node(replace(node, event=event))
+    return model
 
 
 def preprocess(model: ProgramModel, spec_set: ThadSet,
                depth_limit: int = 16) -> ProgramModel:
-    """Inline, resolve arguments, and thread tokens; the checker's input."""
+    """Inline, then resolve arguments and thread tokens in the entry
+    body; the checker's input."""
     flat = inline_calls(model, depth_limit)
     resolve_discriminators(flat, spec_set)
     build_token_flow(flat, spec_set)

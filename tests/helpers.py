@@ -8,6 +8,8 @@ place shows up as a mismatch instead of silently shipping.
 
 from __future__ import annotations
 
+from thadc.cfg import ProgramModel, build_model
+from thadc.minic import parse_source
 from thadc.model import (
     BindingSource,
     CallEvent,
@@ -195,6 +197,11 @@ def bound_spidev_set() -> ThadSet:
         constants=dict(base.constants),
         aliases=dict(base.aliases),
     )
+
+
+def parse_program(source: str, path: str = "<input>") -> ProgramModel:
+    """Parse C-subset source text and lower it to a program model."""
+    return build_model(parse_source(source, path))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ pass/fail line per guarantee.
 
 import json
 import time
-from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +20,12 @@ from thadc.minic import parse_source, unroll_loops
 from thadc.model import trace_satisfies
 from thadc.passes import preprocess
 from thadc.report import build_report, exit_code
-from thadc.specio import bundled_spidev, parse_thad_spec, serialize_spec
+from thadc.specio import (
+    bundled_data_path,
+    bundled_spidev,
+    parse_thad_spec,
+    serialize_spec,
+)
 
 from helpers import spidev_set
 from randprog import generate_program
@@ -35,7 +39,7 @@ from test_annotate import (
     subset,
 )
 
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+CORPUS = bundled_data_path("corpus")
 SPIDEV = bundled_spidev()
 
 EXPECTED_NON_TRIVIAL = {

@@ -14,6 +14,7 @@ from helpers import (
     ev_ioctl,
     ev_open,
     ev_read,
+    parse_program,
     spidev_set,
 )
 from randprog import generate_program
@@ -25,7 +26,7 @@ from thadc.annotate import (
     emit_wrapper,
     plan_annotations,
 )
-from thadc.cfg import enumerate_paths, parse_program
+from thadc.cfg import enumerate_paths
 from thadc.ghostsim import WrapperShapeError, simulate_wrapper
 from thadc.minic import parse_source
 from thadc.model import ThadSet, trace_satisfies

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import bound_spidev_set, spidev_set
+from helpers import bound_spidev_set, parse_program, spidev_set
 from randprog import generate_program
-from thadc.cfg import build_model, parse_program
+from thadc.cfg import build_model
 from thadc.checker import (
     Completion,
     Status,

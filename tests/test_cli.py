@@ -3,7 +3,6 @@
 import json
 import subprocess
 import sys
-from pathlib import Path
 
 import jsonschema
 import pytest
@@ -14,8 +13,7 @@ from thadc.specio import bundled_data_path
 
 from helpers import nested_ifs, nested_parens, plus_chain
 
-REPO = Path(__file__).resolve().parent.parent
-CORPUS = REPO / "corpus"
+CORPUS = bundled_data_path("corpus")
 
 HAL_SKELETON = """\
 int open(const char *path, int oflag) {
@@ -183,6 +181,40 @@ class TestCheck:
         assert code == 2
         assert err
 
+    @pytest.mark.parametrize("last_call, message", [
+        ('open("/dev/x", 0)',
+         "call chain from 'f1' spans 1500 functions, limit is 16"),
+        ("f1499()", "recursive call chain: f1499 -> f1500 -> f1499"),
+    ])
+    def test_long_call_chain_exits_two(self, tmp_path, capsys, last_call,
+                                       message):
+        parts = [f"int f1500(void) {{ return {last_call}; }}"]
+        parts += [f"int f{i}(void) {{ return f{i + 1}(); }}"
+                  for i in range(1499, 0, -1)]
+        parts.append(
+            "int main(void) { int fd = f1(); read(fd, 0, 1); return 0; }")
+        program = tmp_path / "chain.c"
+        program.write_text("\n".join(parts) + "\n")
+        assert run(["check", str(program)], capsys) == (
+            2, "", f"thadc: {message}\n")
+
+    @pytest.mark.parametrize("loops, k, levels", [(1, 400, 402),
+                                                  (12, 40, 482)])
+    def test_too_deep_unroll_skips_the_oracle(self, tmp_path, capsys, loops,
+                                              k, levels):
+        program = tmp_path / "loops.c"
+        program.write_text(
+            'int main(void) {\n    int fd = open("/dev/spidev0.0", 2);\n'
+            + "    while (c) {\n" * loops + "    read(fd, 0, 1);\n"
+            + "    }\n" * loops + "    return 0;\n}\n")
+        plain = run(["check", str(program), "--format", "json",
+                     "--no-timing"], capsys)
+        code, out, err = run(["check", str(program), "--unroll", str(k),
+                              "--format", "json", "--no-timing"], capsys)
+        assert (code, out) == plain[:2] and code == 1
+        assert err == (f"thadc: unroll oracle skipped: unrolling loops {k} "
+                       f"times nests {levels} levels, limit is 100\n")
+
     def test_color_env_always(self, monkeypatch, capsys):
         monkeypatch.setenv("THADC_COLOR", "always")
         _, out, _ = run(["check", str(CORPUS / "io-expander.c")], capsys)
@@ -295,14 +327,6 @@ class TestCorpus:
         assert code == 1
         assert "MISMATCH" in out
         assert "exit_code: expected 1, got 0" in out
-
-    def test_repo_corpus_is_byte_identical_to_bundled(self):
-        bundled = bundled_data_path("corpus")
-        names = sorted(p.name for p in bundled.iterdir())
-        assert names == sorted(p.name for p in CORPUS.iterdir())
-        for name in names:
-            assert bundled.joinpath(name).read_text() == \
-                (CORPUS / name).read_text(), name
 
 
 class TestAnnotate:

@@ -8,22 +8,27 @@ test helpers.
 import contextlib
 import io
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
 
 from thadc import cli
 from thadc.cfg import (
+    Cfg,
+    CfgNode,
+    Edge,
     NodeKind,
+    PathExplosion,
     build_model,
     check_cfg,
     enumerate_paths,
     has_loops,
-    parse_program,
 )
 from thadc.minic import (
     MAX_NESTING,
     MiniCError,
+    UnrollTooDeep,
     c_int_value,
     parse_source,
     unroll_loops,
@@ -42,9 +47,11 @@ from helpers import (
     SPIDEV_CONSTANTS,
     nested_ifs,
     nested_parens,
+    parse_program,
     plus_chain,
     spidev_set,
 )
+from randprog import generate_program
 from strategies import c_ish_text
 
 pytestmark = []
@@ -362,6 +369,47 @@ class TestCfgShape:
         assert len(branches) == 1
         labels = {e.label for e in cfg.edges(branches[0].id)}
         assert labels == {"then", "else"}
+
+
+class TestPathEnumeration:
+    @staticmethod
+    def reference_paths(cfg):
+        """Depth-first in edge order, the order enumerate_paths keeps."""
+        def walk(prefix):
+            if prefix[-1] == cfg.exit:
+                yield prefix
+                return
+            for e in cfg.edges(prefix[-1]):
+                yield from walk(prefix + [e.dst])
+        return list(walk([cfg.entry]))
+
+    def test_paths_in_edge_order(self):
+        for seed in range(40):
+            ast = parse_source(generate_program(seed, allow_loops=True))
+            cfg = build_model(unroll_loops(ast, 2)).entry_body.cfg
+            assert enumerate_paths(cfg) == self.reference_paths(cfg), seed
+
+    def test_path_bound(self):
+        cfg = parse_program(
+            "int main(void) { if (a) { x = 1; } if (b) { x = 2; }"
+            " if (c) { x = 3; } return x; }").entry_body.cfg
+        assert len(enumerate_paths(cfg, 8)) == 8
+        with pytest.raises(PathExplosion) as exc:
+            enumerate_paths(cfg, 7)
+        assert exc.value.bound == 7
+
+    def test_long_straight_line_needs_no_recursion(self, monkeypatch):
+        n = 5000
+        nodes = {i: CfgNode(i, NodeKind.JOIN, 1) for i in range(1, n + 1)}
+        nodes[0] = CfgNode(0, NodeKind.ENTRY, 1)
+        nodes[n + 1] = CfgNode(n + 1, NodeKind.EXIT, 1)
+        succ = {i: (Edge(None, i + 1),) for i in range(n + 1)}
+
+        def refuse(limit):
+            raise AssertionError("the recursion limit was changed")
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        assert enumerate_paths(Cfg(nodes, succ, 0, n + 1)) == [
+            list(range(n + 2))]
 
 
 # ---------------------------------------------------------------------------
@@ -782,3 +830,33 @@ class TestLoops:
             ("open", "write", "write"),
             ("open", "write", "write", "write"),
         }
+
+    def test_unroll_stops_at_the_nesting_limit(self):
+        # The while, its k - 1 inner copies, the read and its argument
+        # list: k + 2 levels.
+        ast = parse_source(
+            "int main(void) { int fd = open(\"/dev/x\", 0);"
+            " while (c) { read(fd, 0, 1); } return 0; }")
+        k = MAX_NESTING - 2
+        model = preprocess(build_model(unroll_loops(ast, k)), spidev_set())
+        assert len(enumerate_paths(model.entry_body.cfg)) == k + 1
+        with pytest.raises(UnrollTooDeep) as exc:
+            unroll_loops(ast, k + 1)
+        assert (exc.value.k, exc.value.levels) == (k + 1, MAX_NESTING + 1)
+
+    def test_nested_loops_count_k_levels_each(self):
+        source = ("int main(void) {\n" + "while (c) {\n" * 12 + "x = 1;\n"
+                  + "}\n" * 12 + "return 0;\n}\n")
+        with pytest.raises(UnrollTooDeep) as exc:
+            unroll_loops(parse_source(source), 40)
+        assert exc.value.levels == 12 * 40 + 1
+
+    def test_for_init_adds_a_block_level(self):
+        # { i = 0; if (i < n) { ... i = i + 1; } }: the block, k copies,
+        # and the step's assignment and addition.
+        ast = parse_source(
+            "int main(void) { for (i = 0; i < n; i++) { x = i; } return 0; }")
+        assert unroll_loops(ast, MAX_NESTING - 3)
+        with pytest.raises(UnrollTooDeep) as exc:
+            unroll_loops(ast, MAX_NESTING - 2)
+        assert exc.value.levels == MAX_NESTING + 1

@@ -27,7 +27,6 @@ from thadc.model import (
     ThadSet,
     match_event,
     trace_satisfies,
-    trace_satisfies_all,
 )
 
 SPIDEV = spidev_set()
@@ -36,6 +35,11 @@ ALIASES = SPIDEV.aliases
 
 def thad(tid: str) -> Thad:
     return SPIDEV.thad(tid)
+
+
+def satisfied_by(trace) -> dict[str, bool]:
+    """:func:`trace_satisfies` for every bundled dependency."""
+    return {t.id: trace_satisfies(t, trace, ALIASES) for t in SPIDEV.thads}
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +117,7 @@ def test_violation_is_permanent_for_open_read():
 
 
 def test_trace_satisfies_all_open_read():
-    got = trace_satisfies_all(SPIDEV, [ev_open("t0"), ev_read("t0")])
+    got = satisfied_by([ev_open("t0"), ev_read("t0")])
     expect = {t.id: True for t in SPIDEV.thads}
     # read also depends on the four write-config requests
     for tid in ("d15", "d18", "d21", "d24"):
@@ -122,12 +126,12 @@ def test_trace_satisfies_all_open_read():
 
 
 def test_trace_satisfies_all_empty():
-    got = trace_satisfies_all(SPIDEV, [])
+    got = satisfied_by([])
     assert got == {t.id: True for t in SPIDEV.thads}
 
 
 def test_trace_satisfies_all_close_only():
-    got = trace_satisfies_all(SPIDEV, [ev_close("t0")])
+    got = satisfied_by([ev_close("t0")])
     expect = {t.id: True for t in SPIDEV.thads}
     expect["d4"] = False
     assert got == expect
@@ -145,12 +149,12 @@ def test_fully_configured_sequence_satisfies_everything():
         ev_write("t0"),
         ev_close("t0"),
     ]
-    assert all(trace_satisfies_all(SPIDEV, trace).values())
+    assert all(satisfied_by(trace).values())
 
 
 def test_legacy_mode_request_satisfies_d15_under_alias():
     trace = [ev_open("t0"), ev_ioctl("WR_MODE"), ev_read("t0")]
-    got = trace_satisfies_all(SPIDEV, trace)
+    got = satisfied_by(trace)
     assert got["d15"] is True
     assert got["d18"] is False and got["d21"] is False and got["d24"] is False
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import pytest
 from hypothesis import given, settings
 
@@ -21,7 +19,6 @@ from thadc.specio import (
     serialize_spec,
 )
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 MINIMAL = """\
 routine open(path) returns descriptor
@@ -218,16 +215,6 @@ def test_bundled_spec_structure():
         assert t.dependency.name == "ioctl"
         assert t.dependency.discriminator_constraint[1] in writers
     assert all(t.binding is None for t in s.thads)
-
-
-def test_repo_spec_copies_match_package_data():
-    specs = REPO_ROOT / "specs"
-    if not specs.is_dir():
-        pytest.skip("repo checkout layout only")
-    for name in ("spidev.thad", "spidev-linux.consts"):
-        repo_copy = (specs / name).read_bytes()
-        packaged = bundled_data_path(name).read_bytes()
-        assert repo_copy == packaged, f"{name} drifted from package data"
 
 
 def test_load_spec_combines_files():
