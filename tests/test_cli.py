@@ -213,7 +213,8 @@ class TestCheck:
                               "--format", "json", "--no-timing"], capsys)
         assert (code, out) == plain[:2] and code == 1
         assert err == (f"thadc: unroll oracle skipped: unrolling loops {k} "
-                       f"times nests {levels} levels, limit is 100\n")
+                       f"times nests {levels} levels, "
+                       f"limit is {MAX_NESTING}\n")
 
     def test_color_env_always(self, monkeypatch, capsys):
         monkeypatch.setenv("THADC_COLOR", "always")
