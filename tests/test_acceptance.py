@@ -27,7 +27,7 @@ from thadc.specio import (
     serialize_spec,
 )
 
-from helpers import spidev_set
+from helpers import bound_spidev_set, spidev_set
 from randprog import generate_program
 from strategies import thad_sets
 from test_annotate import (
@@ -114,6 +114,23 @@ def test_criterion_4_checker_agrees_with_path_oracle_on_500_programs():
                 oracle[verdict.thad_id]
             assert agrees, (seed, verdict.thad_id, source)
     assert time.perf_counter() - started < 60.0
+
+
+def test_criterion_4_oracle_agreement_on_programs_with_helpers():
+    # The same agreement once helper functions are inlined, against the
+    # bundled spec and the descriptor-bound one.
+    for seed in range(5000, 5150):
+        source = generate_program(seed, helpers=True)
+        for thad_set in (SPIDEV, bound_spidev_set()):
+            model = preprocess(build_model(parse_source(source, "h.c")),
+                               thad_set)
+            oracle = brute_force_paths(model, thad_set)
+            for verdict in check(model, thad_set):
+                assert verdict.status is not Status.INCONCLUSIVE, \
+                    (seed, verdict)
+                agrees = (verdict.status is Status.SATISFIED) is \
+                    oracle[verdict.thad_id]
+                assert agrees, (seed, verdict.thad_id, source)
 
 
 def test_criterion_5_wrapper_asserts_encode_trace_semantics():

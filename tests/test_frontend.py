@@ -556,6 +556,24 @@ class TestInlining:
         for body in flat.functions.values():
             check_cfg(body.cfg)
 
+    def test_free_name_follows_the_nearest_owner(self):
+        # h reads g without writing it.  Inlined through f, which writes
+        # g, it reads f's copy; called from main it reads main's g.
+        source = """
+        int h(int fd) { ioctl(fd, g, 0); return 0; }
+        int f(int fd) { g = WR_MODE32; h(fd); return 0; }
+        int main(void) {
+            int fd = open("/dev/x", 0);
+            g = RD_MODE;
+            f(fd);
+            h(fd);
+            return 0;
+        }
+        """
+        events = hal_events(prepared(source))
+        assert [(e.routine, e.discriminator_value) for e in events] == [
+            ("open", None), ("ioctl", "WR_MODE32"), ("ioctl", "RD_MODE")]
+
     def test_inline_is_identity_on_call_free_entry(self):
         model = parse_program("int main(void) { int x = 1; return x; }")
         flat = inline_calls(model)

@@ -1,19 +1,31 @@
-"""Golden report bytes: ``--no-timing`` JSON reports must not change.
+"""Golden report bytes and entry CFGs: neither may change.
 
 Every program below is checked against the bundled spec and against
-``helpers.bound_spidev_set()``, and the SHA-256 of each rendered report
-is compared with ``golden/reports.sha256``.  A few reports are stored in
-full under ``golden/`` so that a change shows up as a readable diff.
+``helpers.bound_spidev_set()``, and the SHA-256 of each rendered
+``--no-timing`` JSON report is compared with ``golden/reports.sha256``.
+A few reports are stored in full under ``golden/`` so that a change
+shows up as a readable diff.
 
-The file pins the checker's observable output (verdicts, reasons,
-witness paths and their tie-breaks) across rewrites of the analyses.
-Regenerate it only for an intended change of output, and say why:
+``golden/entry_cfg.sha256`` holds one SHA-256 per program of its entry
+CFG as prepared for the bundled spec: node ids, kinds, lines, callees,
+call events and out-edges in order, but not variable spellings.  Report
+bytes alone miss a changed node that no witness passes through, and
+most of these programs call helper functions, so the file pins what
+inlining builds.
+
+The programs are the corpus, seeded ``randprog`` draws (single ``main``
+or with helper functions), and one reduced ``wide`` and ``diamond``
+program from the benchmark's generator, stored under ``golden/``.  The
+files pin the checker's observable output (verdicts, reasons, witness
+paths and their tie-breaks) across rewrites of the analyses.
+Regenerate them only for an intended change of output, and say why:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from pathlib import Path
 
@@ -29,6 +41,7 @@ from randprog import generate_program
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SHA_FILE = GOLDEN / "reports.sha256"
+CFG_FILE = GOLDEN / "entry_cfg.sha256"
 SETS = {"bundled": bundled_spidev(), "bound": bound_spidev_set()}
 
 # (name prefix, first seed, count, generate_program keyword arguments)
@@ -40,7 +53,12 @@ DRAWS = [
                          "min_opens": 1}),
     ("large-loops", 4000, 15, {"max_calls": 60, "max_branches": 20,
                                "min_opens": 1, "allow_loops": True}),
+    ("helpers", 5000, 150, {"helpers": True}),
 ]
+# perfbench/gen.py output at reduced sizes, seed 101: wide_program with
+# 24 branches, WR_LSB_FIRST omitted and legacy mode; diamond_program at
+# depth 4 with 2 devices.
+REDUCED = ("wide-reduced.c", "diamond-reduced.c")
 # Reports stored in full, one per kind of program.
 FULL = ("accelerometer-faulty.c.bundled", "large-3004.c.bound",
         "loops-1001.c.bundled")
@@ -56,54 +74,81 @@ def programs() -> dict[str, str]:
     for prefix, first, count, kwargs in DRAWS:
         for seed in range(first, first + count):
             out[f"{prefix}-{seed}.c"] = generate_program(seed, **kwargs)
+    for name in REDUCED:
+        out[name] = (GOLDEN / name).read_text(encoding="utf-8")
     return out
 
 
-def report_text(source: str, path: str, set_name: str) -> str:
-    thad_set = SETS[set_name]
-    model = preprocess(build_model(parse_source(source, path)), thad_set)
-    report = build_report(check(model, thad_set), thad_set,
-                          spec_path=set_name, program_path=path)
-    return render_json(report)
+def entry_cfg_text(model) -> str:
+    """The entry CFG without variable spellings, one line per node."""
+    cfg = model.entry_body.cfg
+    lines = [f"entry {cfg.entry} exit {cfg.exit}"]
+    for nid, node in cfg.nodes.items():
+        edges = " ".join(f"{e.label}:{e.dst}" for e in cfg.edges(nid))
+        lines.append(f"{nid} {node.kind.value} {node.line} {node.callee} "
+                     f"{node.event!r} -> {edges}")
+    return "\n".join(lines) + "\n"
 
 
-def all_reports() -> dict[str, str]:
-    """``<program>.<set>`` -> rendered report, for every program and set."""
-    return {
-        f"{path}.{set_name}": report_text(source, path, set_name)
-        for path, source in programs().items()
-        for set_name in SETS
-    }
+@functools.cache
+def outputs() -> tuple[dict[str, str], dict[str, str]]:
+    """``<program>.<set>`` -> rendered report for every program and set,
+    and program -> entry CFG text for the bundled spec."""
+    reports, cfgs = {}, {}
+    for path, source in programs().items():
+        for set_name, thad_set in SETS.items():
+            model = preprocess(build_model(parse_source(source, path)),
+                               thad_set)
+            report = build_report(check(model, thad_set), thad_set,
+                                  spec_path=set_name, program_path=path)
+            reports[f"{path}.{set_name}"] = render_json(report)
+            if set_name == "bundled":
+                cfgs[path] = entry_cfg_text(model)
+    return reports, cfgs
 
 
 def digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def read_golden() -> dict[str, str]:
-    pairs = (line.split() for line in SHA_FILE.read_text().splitlines())
+def read_digests(path: Path) -> dict[str, str]:
+    pairs = (line.split() for line in path.read_text().splitlines())
     return {name: sha for sha, name in pairs}
 
 
+def write_digests(path: Path, texts: dict[str, str]) -> None:
+    path.write_text("".join(f"{digest(text)}  {name}\n"
+                            for name, text in texts.items()))
+
+
+def changed(texts: dict[str, str], golden: dict[str, str]) -> list[str]:
+    assert sorted(texts) == sorted(golden)
+    return [name for name, text in texts.items()
+            if digest(text) != golden[name]]
+
+
 def test_report_bytes_match_golden():
-    golden = read_golden()
-    reports = all_reports()
-    assert sorted(reports) == sorted(golden)
+    golden = read_digests(SHA_FILE)
+    reports, _ = outputs()
     for name in FULL:
         assert reports[name] == (GOLDEN / f"{name}.json").read_text(), name
-    changed = [name for name, text in reports.items()
-               if digest(text) != golden[name]]
-    assert not changed, f"{len(changed)} reports changed: {changed[:10]}"
+    different = changed(reports, golden)
+    assert not different, f"{len(different)} reports changed: {different[:10]}"
+
+
+def test_entry_cfgs_match_golden():
+    _, cfgs = outputs()
+    different = changed(cfgs, read_digests(CFG_FILE))
+    assert not different, f"{len(different)} entry CFGs changed: {different[:10]}"
 
 
 def main() -> None:
-    reports = all_reports()
-    GOLDEN.mkdir(exist_ok=True)
-    SHA_FILE.write_text("".join(f"{digest(text)}  {name}\n"
-                                for name, text in reports.items()))
+    reports, cfgs = outputs()
+    write_digests(SHA_FILE, reports)
+    write_digests(CFG_FILE, cfgs)
     for name in FULL:
         (GOLDEN / f"{name}.json").write_text(reports[name])
-    print(f"wrote {len(reports)} digests to {SHA_FILE}")
+    print(f"wrote {len(reports)} report and {len(cfgs)} entry CFG digests")
 
 
 if __name__ == "__main__":
