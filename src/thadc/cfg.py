@@ -12,7 +12,7 @@ iteration.
 Statements that follow a ``return`` are dropped during lowering, so by
 construction every node lies on some entry-to-exit walk.  That property
 is what lets the must-style fixpoint used by the checker coincide with
-the meet over all paths; :func:`check_cfg` re-verifies it.
+the meet over all paths.
 
 Branch conditions are kept only for display.  The analyses in this
 package are path-insensitive: both arms of every branch are explored,
@@ -59,7 +59,6 @@ __all__ = [
     "ProgramModel",
     "PathExplosion",
     "build_model",
-    "check_cfg",
     "has_loops",
     "enumerate_paths",
     "return_var",
@@ -375,55 +374,8 @@ def build_model(program: Program, entry: str = "main") -> ProgramModel:
 
 
 # ---------------------------------------------------------------------------
-# Structural checks and path enumeration
+# Loops and path enumeration
 # ---------------------------------------------------------------------------
-
-def check_cfg(cfg: Cfg) -> None:
-    """Assert the invariants the analyses rely on.  Raises ValueError.
-
-    Every node must be reachable from the entry and able to reach the
-    exit (so meeting over paths sees every node), the entry must have no
-    predecessors, the exit no successors, and non-branch nodes at most
-    one out-edge.
-    """
-    for src, edges in cfg.succ.items():
-        if src not in cfg.nodes:
-            raise ValueError(f"edge source {src} is not a node")
-        for e in edges:
-            if e.dst not in cfg.nodes:
-                raise ValueError(f"edge target {e.dst} is not a node")
-    preds = cfg.preds()
-    if preds[cfg.entry]:
-        raise ValueError("entry node has predecessors")
-    if cfg.edges(cfg.exit):
-        raise ValueError("exit node has successors")
-    for node_id, node in cfg.nodes.items():
-        out = cfg.edges(node_id)
-        if node.kind is NodeKind.BRANCH:
-            if len(out) < 2:
-                raise ValueError(f"branch node {node_id} has {len(out)} out-edges")
-        elif node.kind is not NodeKind.EXIT and len(out) != 1:
-            raise ValueError(f"node {node_id} has {len(out)} out-edges")
-    reachable = _closure(cfg.entry, lambda n: [e.dst for e in cfg.edges(n)])
-    if reachable != set(cfg.nodes):
-        missing = sorted(set(cfg.nodes) - reachable)
-        raise ValueError(f"nodes unreachable from entry: {missing}")
-    coreachable = _closure(cfg.exit, lambda n: list(preds[n]))
-    if coreachable != set(cfg.nodes):
-        missing = sorted(set(cfg.nodes) - coreachable)
-        raise ValueError(f"nodes that cannot reach exit: {missing}")
-
-
-def _closure(start: int, step) -> set[int]:
-    seen = {start}
-    work = [start]
-    while work:
-        for nxt in step(work.pop()):
-            if nxt not in seen:
-                seen.add(nxt)
-                work.append(nxt)
-    return seen
-
 
 def has_loops(cfg: Cfg) -> bool:
     """Is there a cycle reachable from the entry node?"""
@@ -448,26 +400,32 @@ def has_loops(cfg: Cfg) -> bool:
     return False
 
 
-def enumerate_paths(cfg: Cfg, bound: int = 1_000_000) -> list[list[int]]:
-    """All entry-to-exit node sequences of an acyclic CFG.
+def enumerate_paths(cfg: Cfg, bound: int = 1_000_000) -> Iterator[list[int]]:
+    """All entry-to-exit node sequences of an acyclic CFG, one at a time.
 
-    Raises ValueError on a cyclic graph and :class:`PathExplosion` once
-    more than ``bound`` paths exist.  Edge order is preserved, so the
-    enumeration is deterministic.  The walk keeps its own stack, so no
-    path is too long for the interpreter's recursion limit.
+    Raises ValueError on a cyclic graph, at the call.  The iterator
+    raises :class:`PathExplosion` when it would yield path ``bound + 1``.
+    Edge order is preserved, so the enumeration is deterministic.  The
+    walk keeps its own stack, so no path is too long for the
+    interpreter's recursion limit, and holds one path at a time.
     """
     if has_loops(cfg):
         raise ValueError("cannot enumerate paths of a cyclic graph")
-    paths: list[list[int]] = []
+    return _paths(cfg, bound)
+
+
+def _paths(cfg: Cfg, bound: int) -> Iterator[list[int]]:
+    count = 0
     prefix: list[int] = []  # the walk from the entry to the current node
     pending: list[Iterator[Edge]] = []  # the unexplored edges along it
     node: Optional[int] = cfg.entry
     while node is not None:
         prefix.append(node)
         if node == cfg.exit:
-            if len(paths) >= bound:
+            if count >= bound:
                 raise PathExplosion(bound)
-            paths.append(list(prefix))
+            count += 1
+            yield list(prefix)
         pending.append(iter(() if node == cfg.exit else cfg.edges(node)))
         node = None
         while pending and node is None:
@@ -477,4 +435,3 @@ def enumerate_paths(cfg: Cfg, bound: int = 1_000_000) -> list[list[int]]:
                 prefix.pop()
             else:
                 node = edge.dst
-    return paths

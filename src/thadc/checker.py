@@ -479,8 +479,10 @@ def brute_force_paths(
 
     Applies the same same-routine relevance rule as :func:`check` (a
     dependency pattern no call resolves to obligates nothing), then
-    evaluates the reference trace semantics per enumerated path.
-    Raises ValueError on cyclic graphs; unroll loops first.
+    evaluates the reference trace semantics on each distinct trace of
+    the enumerated paths, so memory grows with the traces, not the
+    paths.  Raises ValueError on cyclic graphs (unroll loops first) and
+    :class:`~thadc.cfg.PathExplosion` past ``path_bound`` paths.
     """
     cfg = model.entry_body.cfg
     if has_loops(cfg):
@@ -490,11 +492,10 @@ def brute_force_paths(
     all_events = [n.event for n in nodes]
     aliases = thad_set.aliases
 
-    traces = []
-    for path in enumerate_paths(cfg, path_bound):
-        traces.append(
-            [events_by_node[n] for n in path if n in events_by_node]
-        )
+    traces = {  # distinct ones only: paths can outnumber them by far
+        tuple(events_by_node[n] for n in path if n in events_by_node)
+        for path in enumerate_paths(cfg, path_bound)
+    }
 
     result: dict[str, bool] = {}
     for thad in thad_set.thads:

@@ -5,9 +5,11 @@ call nodes carry ready-made :class:`~thadc.model.CallEvent` values.
 Three passes get it there:
 
 ``inline_calls``
-    splices the bodies of defined functions into their call sites
-    (callees first, so the result has no calls to defined functions
-    left).  Recursion and call chains deeper than the limit are rejected.
+    builds a copy of the entry body with the bodies of defined functions
+    spliced into their call sites, nested calls included, so the copy
+    calls no defined function.  Every inlined copy comes straight from
+    the callee's lowered body; no other function is copied.  Recursion
+    and call chains deeper than the limit are rejected first.
 
 ``resolve_discriminators``
     computes which integer constant each discriminator argument of the
@@ -23,18 +25,20 @@ Three passes get it there:
     way, so a call's descriptor argument maps to the ``open`` that
     produced it exactly when that holds on every path.
 
-Only the entry body is resolved: the checker, the path oracle and the
-report read nothing else, so the other flattened functions keep calls
-without events.  Passes mutate CFG node payloads in place
-(``inline_calls`` returns a new model) and may be re-run; event fields
-are refined, not stacked.
+Only the entry body is inlined and resolved: the checker, the path
+oracle and the report read nothing else.  ``inline_calls`` returns a new
+model that shares the other functions' lowered bodies with its input;
+the two resolution passes then mutate the new entry body's node payloads
+in place and may be re-run, because event fields are refined, not
+stacked.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import itertools
+from collections import ChainMap, deque
 from dataclasses import replace
-from typing import Callable, Optional
+from typing import Callable, Mapping, Optional
 
 from .cfg import (
     Cfg,
@@ -45,7 +49,7 @@ from .cfg import (
     ProgramModel,
     return_var,
 )
-from .minic import Binary, CallExpr, Expr, Num, Str, Unary, Var
+from .minic import Binary, Expr, Num, Str, Unary, Var
 from .model import CallEvent, RoutineSpec, ThadSet
 
 __all__ = [
@@ -85,7 +89,7 @@ class DepthLimitExceeded(Exception):
 
 def _call_depths(model: ProgramModel, defined: set[str]) -> dict[str, int]:
     """The longest call chain, counted in functions, that starts at each
-    function; keys are in post-order, so callees come before callers.
+    function.
 
     One depth-first walk, without recursion: roots in sorted order,
     callees in first-call order.  The first back edge it meets raises
@@ -121,26 +125,22 @@ def _call_depths(model: ProgramModel, defined: set[str]) -> dict[str, int]:
     return depths
 
 
-def _rename_expr(expr: Optional[Expr], mapping: dict[str, str]) -> Optional[Expr]:
+def _rename_expr(expr: Optional[Expr], mapping: Mapping[str, str]) -> Optional[Expr]:
     if expr is None:
         return None
     if isinstance(expr, Var):
         new = mapping.get(expr.name)
         return Var(new, expr.line) if new else expr
     if isinstance(expr, Unary):
-        return Unary(expr.op, _rename_expr(expr.operand, mapping), expr.line)
-    if isinstance(expr, Binary):
-        return Binary(
-            expr.op,
-            _rename_expr(expr.lhs, mapping),
-            _rename_expr(expr.rhs, mapping),
-            expr.line,
-        )
-    if isinstance(expr, CallExpr):  # pragma: no cover - lowering hoists calls
-        return CallExpr(expr.callee,
-                        tuple(_rename_expr(a, mapping) for a in expr.args),
-                        expr.line)
-    return expr
+        operand = _rename_expr(expr.operand, mapping)
+        if operand is not expr.operand:
+            return Unary(expr.op, operand, expr.line)
+    elif isinstance(expr, Binary):
+        lhs = _rename_expr(expr.lhs, mapping)
+        rhs = _rename_expr(expr.rhs, mapping)
+        if lhs is not expr.lhs or rhs is not expr.rhs:
+            return Binary(expr.op, lhs, rhs, expr.line)
+    return expr  # unchanged; lowering hoists every call out of expressions
 
 
 def _owned_names(body: FunctionBody) -> set[str]:
@@ -157,134 +157,127 @@ def _owned_names(body: FunctionBody) -> set[str]:
     return names
 
 
-class _Splicer:
-    """Rebuilds one caller CFG with every defined call expanded."""
+class _Copy:
+    """One lowered body being copied into the entry: its renames, the
+    node ids still to copy, and the first and last new node of each
+    copied one (they differ where a call was expanded).  ``call`` is
+    None for the entry itself; an inlined copy holds the caller's copy,
+    the call node's id, the new bind nodes and the new tail node."""
 
-    def __init__(self, caller: FunctionBody,
-                 flat: dict[str, FunctionBody], defined: set[str]):
-        self.caller = caller
-        self.flat = flat
-        self.defined = defined
-        self.nodes: dict[int, CfgNode] = {}
-        self.succ: dict[int, tuple[Edge, ...]] = {}
-        self.next_id = 0
-        self.instances = 0
-        self.extra_locals: list[str] = []
+    __slots__ = ("body", "ren", "call", "pending", "head", "tail")
 
-    def _add(self, node_id: int, node: CfgNode) -> None:
-        self.nodes[node_id] = node
-        self.succ.setdefault(node_id, ())
+    def __init__(self, body: FunctionBody, ren: Mapping[str, str],
+                 call=None):
+        self.body, self.ren, self.call = body, ren, call
+        self.pending = iter(sorted(body.cfg.nodes))
+        self.head: dict[int, int] = {}
+        self.tail: dict[int, int] = {}
 
-    def _alloc(self) -> int:
-        node_id = self.next_id
-        self.next_id += 1
+
+def _splice_entry(model: ProgramModel) -> FunctionBody:
+    """A copy of the entry body with every call of a defined function
+    expanded in place, straight from the lowered bodies; see
+    :func:`inline_calls`.  Keeps its own stack of open copies."""
+    functions = model.functions
+    nodes: dict[int, CfgNode] = {}
+    succ: dict[int, tuple[Edge, ...]] = {}
+    owned: dict[str, list[str]] = {}  # function -> its names, sorted
+    extra_locals: list[str] = []
+    instances = itertools.count(1)
+
+    def add(kind: NodeKind, line: int, **fields) -> int:
+        node_id = len(nodes)
+        nodes[node_id] = CfgNode(node_id, kind, line, **fields)
+        succ[node_id] = ()
         return node_id
 
-    def _connect(self, src: int, label: Optional[str], dst: int) -> None:
-        self.succ[src] = self.succ.get(src, ()) + (Edge(label, dst),)
-
-    def _copy_plain(self, node: CfgNode) -> int:
-        node_id = self._alloc()
-        self._add(node_id, replace(node, id=node_id, event=None))
-        return node_id
-
-    def _expand_call(self, call: CfgNode) -> tuple[int, int]:
-        """Splice one callee instance; returns (head, tail) node ids."""
-        callee = self.flat[call.callee]
-        self.instances += 1
-        ren = {n: f"{n}__inl{self.instances}" for n in sorted(_owned_names(callee))}
-        self.extra_locals.extend(ren.values())
-
-        bind_ids: list[int] = []
-        for pname, arg in zip(callee.params, call.args):
-            bid = self._alloc()
-            self._add(bid, CfgNode(bid, NodeKind.ASSIGN, call.line,
-                                   var=ren[pname], expr=arg))
-            bind_ids.append(bid)
-
-        if call.lhs is not None:
-            tail_id = self._alloc()
-            self._add(tail_id, CfgNode(
-                tail_id, NodeKind.ASSIGN, call.line, var=call.lhs,
-                expr=Var(ren[return_var(callee.name)], call.line)))
+    def open_call(caller: _Copy, call: CfgNode) -> _Copy:
+        """Emit one call's parameter binds and tail; the callee's copy."""
+        callee = functions[call.callee]
+        if callee.name not in owned:
+            owned[callee.name] = sorted(_owned_names(callee))
+        instance = next(instances)
+        own = {n: f"{n}__inl{instance}" for n in owned[callee.name]}
+        extra_locals.extend(own.values())
+        binds = [add(NodeKind.ASSIGN, call.line, var=own[param],
+                     expr=_rename_expr(arg, caller.ren))
+                 for param, arg in zip(callee.params, call.args)]
+        if call.lhs is None:
+            tail = add(NodeKind.JOIN, call.line)
         else:
-            tail_id = self._alloc()
-            self._add(tail_id, CfgNode(tail_id, NodeKind.JOIN, call.line))
+            tail = add(NodeKind.ASSIGN, call.line,
+                       var=caller.ren.get(call.lhs, call.lhs),
+                       expr=Var(own[return_var(callee.name)], call.line))
+        ren = caller.ren.new_child(own) if caller.call else ChainMap(own)
+        return _Copy(callee, ren, (caller, call.id, binds, tail))
 
-        inner: dict[int, int] = {}
-        ccfg = callee.cfg
-        for cid in sorted(ccfg.nodes):
-            cn = ccfg.nodes[cid]
-            if cn.kind in (NodeKind.ENTRY, NodeKind.EXIT):
-                continue
-            nid = self._alloc()
-            inner[cid] = nid
-            self._add(nid, CfgNode(
-                nid, cn.kind, cn.line,
-                callee=cn.callee,
-                args=tuple(_rename_expr(a, ren) for a in cn.args),
-                lhs=ren.get(cn.lhs, cn.lhs) if cn.lhs else None,
-                var=ren.get(cn.var, cn.var) if cn.var else None,
-                expr=_rename_expr(cn.expr, ren),
-            ))
+    def close(copy: _Copy) -> None:
+        """Connect a finished copy's edges.  An inlined copy also chains
+        its call's binds into its first node and takes the call's place
+        in the caller."""
+        cfg, head = copy.body.cfg, copy.head
+        if copy.call:
+            caller, call_id, binds, tail = copy.call
+            head[cfg.exit] = tail
+            chain = (*binds, head[cfg.edges(cfg.entry)[0].dst])
+            for a, b in zip(chain, chain[1:]):
+                succ[a] += (Edge(None, b),)
+            caller.head[call_id], caller.tail[call_id] = chain[0], tail
+        for cid, src in copy.tail.items():
+            succ[src] += tuple(Edge(e.label, head[e.dst])
+                               for e in cfg.edges(cid))
 
-        def target(cid: int) -> int:
-            return tail_id if cid == ccfg.exit else inner[cid]
-
-        for cid, edges in ccfg.succ.items():
-            if cid == ccfg.entry or cid not in inner:
-                continue
-            for e in edges:
-                self._connect(inner[cid], e.label, target(e.dst))
-
-        first = target(ccfg.edges(ccfg.entry)[0].dst)
-        for a, b in zip(bind_ids, bind_ids[1:]):
-            self._connect(a, None, b)
-        if bind_ids:
-            self._connect(bind_ids[-1], None, first)
-            head_id = bind_ids[0]
+    entry = _Copy(model.entry_body, {})  # the entry keeps its names
+    stack = [entry]
+    while stack:
+        copy = stack[-1]
+        ren = copy.ren
+        for cid in copy.pending:
+            node = copy.body.cfg.nodes[cid]
+            if node.kind is NodeKind.CALL and node.callee in functions:
+                stack.append(open_call(copy, node))
+                break
+            if copy is entry or node.kind not in (NodeKind.ENTRY,
+                                                  NodeKind.EXIT):
+                copy.head[cid] = copy.tail[cid] = add(
+                    node.kind, node.line, callee=node.callee,
+                    args=tuple(_rename_expr(a, ren) for a in node.args),
+                    lhs=ren.get(node.lhs, node.lhs) if node.lhs else None,
+                    var=ren.get(node.var, node.var) if node.var else None,
+                    expr=_rename_expr(node.expr, ren))
         else:
-            head_id = first
-        return head_id, tail_id
-
-    def run(self) -> FunctionBody:
-        head: dict[int, int] = {}
-        tail: dict[int, int] = {}
-        old = self.caller.cfg
-        for nid in sorted(old.nodes):
-            node = old.nodes[nid]
-            if node.kind is NodeKind.CALL and node.callee in self.defined:
-                head[nid], tail[nid] = self._expand_call(node)
-            else:
-                head[nid] = tail[nid] = self._copy_plain(node)
-        for nid, edges in old.succ.items():
-            for e in edges:
-                self._connect(tail[nid], e.label, head[e.dst])
-        cfg = Cfg(self.nodes, self.succ, head[old.entry], head[old.exit])
-        return FunctionBody(
-            self.caller.name,
-            self.caller.params,
-            self.caller.locals + tuple(self.extra_locals),
-            cfg,
-        )
+            close(stack.pop())
+    body = model.entry_body
+    cfg = Cfg(nodes, succ, entry.head[body.cfg.entry],
+              entry.head[body.cfg.exit])
+    return FunctionBody(body.name, body.params,
+                        body.locals + tuple(extra_locals), cfg)
 
 
 def inline_calls(model: ProgramModel, depth_limit: int = 16) -> ProgramModel:
-    """A new model in which no function calls another defined function.
+    """A new model whose entry body has every call of a defined function
+    expanded in place; the other functions are the lowered bodies
+    themselves.
+
+    Each call becomes its parameter binds, then its tail (the assignment
+    of the return slot, or a join), then the callee's nodes in id order,
+    with nested calls expanded the same way, so node ids follow that
+    order.  Each inlined copy renames the names its callee owns (see
+    :func:`_owned_names`) with a fresh ``__inl<n>`` suffix; any other
+    name follows the nearest enclosing copy that owns it, so a helper
+    reads the variable its caller writes.
 
     Raises :class:`RecursionDetected` when the call graph is cyclic and
     :class:`DepthLimitExceeded` when some call chain involves more than
-    ``depth_limit`` functions.
+    ``depth_limit`` functions, before anything is copied.
     """
     defined = set(model.functions)
     depths = _call_depths(model, defined)
     for name in sorted(defined):
         if depths[name] > depth_limit:
             raise DepthLimitExceeded(name, depths[name], depth_limit)
-    flat: dict[str, FunctionBody] = {}
-    for name in depths:  # callees first
-        flat[name] = _Splicer(model.functions[name], flat, defined).run()
-    functions = {name: flat[name] for name in model.functions}
+    functions = dict(model.functions)
+    functions[model.entry] = _splice_entry(model)
     return ProgramModel(functions, model.entry, model.program, model.path)
 
 

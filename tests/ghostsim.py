@@ -34,7 +34,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .model import CallEvent, ParamRole, ThadSet
+from thadc.model import CallEvent, ParamRole, ThadSet
 
 __all__ = ["simulate_wrapper", "WrapperShapeError"]
 

@@ -8,7 +8,7 @@ place shows up as a mismatch instead of silently shipping.
 
 from __future__ import annotations
 
-from thadc.cfg import ProgramModel, build_model
+from thadc.cfg import Cfg, NodeKind, ProgramModel, build_model
 from thadc.minic import parse_source
 from thadc.model import (
     BindingSource,
@@ -202,6 +202,57 @@ def bound_spidev_set() -> ThadSet:
 def parse_program(source: str, path: str = "<input>") -> ProgramModel:
     """Parse C-subset source text and lower it to a program model."""
     return build_model(parse_source(source, path))
+
+
+# ---------------------------------------------------------------------------
+# CFG invariants
+# ---------------------------------------------------------------------------
+
+def check_cfg(cfg: Cfg) -> None:
+    """Assert the invariants the analyses rely on.  Raises ValueError.
+
+    Every node must be reachable from the entry and able to reach the
+    exit (so meeting over paths sees every node), the entry must have no
+    predecessors, the exit no successors, and non-branch nodes at most
+    one out-edge.
+    """
+    for src, edges in cfg.succ.items():
+        if src not in cfg.nodes:
+            raise ValueError(f"edge source {src} is not a node")
+        for e in edges:
+            if e.dst not in cfg.nodes:
+                raise ValueError(f"edge target {e.dst} is not a node")
+    preds = cfg.preds()
+    if preds[cfg.entry]:
+        raise ValueError("entry node has predecessors")
+    if cfg.edges(cfg.exit):
+        raise ValueError("exit node has successors")
+    for node_id, node in cfg.nodes.items():
+        out = cfg.edges(node_id)
+        if node.kind is NodeKind.BRANCH:
+            if len(out) < 2:
+                raise ValueError(f"branch node {node_id} has {len(out)} out-edges")
+        elif node.kind is not NodeKind.EXIT and len(out) != 1:
+            raise ValueError(f"node {node_id} has {len(out)} out-edges")
+    reachable = _closure(cfg.entry, lambda n: [e.dst for e in cfg.edges(n)])
+    if reachable != set(cfg.nodes):
+        missing = sorted(set(cfg.nodes) - reachable)
+        raise ValueError(f"nodes unreachable from entry: {missing}")
+    coreachable = _closure(cfg.exit, lambda n: list(preds[n]))
+    if coreachable != set(cfg.nodes):
+        missing = sorted(set(cfg.nodes) - coreachable)
+        raise ValueError(f"nodes that cannot reach exit: {missing}")
+
+
+def _closure(start: int, step) -> set[int]:
+    seen = {start}
+    work = [start]
+    while work:
+        for nxt in step(work.pop()):
+            if nxt not in seen:
+                seen.add(nxt)
+                work.append(nxt)
+    return seen
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from thadc import cli
 from thadc.annotate import emit_annotated_source, emit_wrapper, plan_annotations
 from thadc.cfg import build_model
 from thadc.checker import Status, brute_force_paths, check
-from thadc.ghostsim import simulate_wrapper
 from thadc.minic import parse_source, unroll_loops
 from thadc.model import trace_satisfies
 from thadc.passes import preprocess
@@ -27,6 +26,7 @@ from thadc.specio import (
     serialize_spec,
 )
 
+from ghostsim import simulate_wrapper
 from helpers import bound_spidev_set, spidev_set
 from randprog import generate_program
 from strategies import thad_sets

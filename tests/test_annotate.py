@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ghostsim import WrapperShapeError, simulate_wrapper
 from helpers import (
     bound_read_set,
     bound_spidev_set,
@@ -27,7 +28,6 @@ from thadc.annotate import (
     plan_annotations,
 )
 from thadc.cfg import enumerate_paths
-from thadc.ghostsim import WrapperShapeError, simulate_wrapper
 from thadc.minic import parse_source
 from thadc.model import ThadSet, trace_satisfies
 from thadc.passes import preprocess

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import bound_spidev_set, parse_program, spidev_set
 from randprog import generate_program
-from thadc.cfg import build_model
+from thadc.cfg import PathExplosion, build_model
 from thadc.checker import (
     Completion,
     Status,
@@ -525,6 +527,22 @@ class TestOracle:
         model = prepared("int main(void) { return 0; }")
         result = brute_force_paths(model, SPIDEV)
         assert all(result.values())
+
+    def test_memory_does_not_grow_with_the_paths(self):
+        # 2**14 paths, all with the trace (open, close).  The oracle holds
+        # one path and the distinct traces, not every path it walked.
+        model = prepared(
+            'int main(void) { int fd = open("/d", 0);'
+            + "".join(f" if (c{k}) {{ x = {k}; }}" for k in range(14))
+            + " close(fd); return 0; }")
+        tracemalloc.start()
+        try:
+            with pytest.raises(PathExplosion):
+                brute_force_paths(model, SPIDEV, path_bound=4000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 400_000  # keeping the 4,000 paths takes over 1 MB
 
     def test_loop_check_satisfied_holds_on_unrollings(self):
         src = """

@@ -21,7 +21,6 @@ from thadc.cfg import (
     NodeKind,
     PathExplosion,
     build_model,
-    check_cfg,
     enumerate_paths,
     has_loops,
 )
@@ -45,6 +44,7 @@ from thadc.passes import (
 
 from helpers import (
     SPIDEV_CONSTANTS,
+    check_cfg,
     nested_ifs,
     nested_parens,
     parse_program,
@@ -387,16 +387,22 @@ class TestPathEnumeration:
         for seed in range(40):
             ast = parse_source(generate_program(seed, allow_loops=True))
             cfg = build_model(unroll_loops(ast, 2)).entry_body.cfg
-            assert enumerate_paths(cfg) == self.reference_paths(cfg), seed
+            assert list(enumerate_paths(cfg)) == self.reference_paths(cfg), seed
 
     def test_path_bound(self):
         cfg = parse_program(
             "int main(void) { if (a) { x = 1; } if (b) { x = 2; }"
             " if (c) { x = 3; } return x; }").entry_body.cfg
-        assert len(enumerate_paths(cfg, 8)) == 8
+        assert len(list(enumerate_paths(cfg, 8))) == 8
         with pytest.raises(PathExplosion) as exc:
-            enumerate_paths(cfg, 7)
+            list(enumerate_paths(cfg, 7))
         assert exc.value.bound == 7
+
+    def test_cyclic_graph_is_rejected_at_the_call(self):
+        cfg = parse_program(
+            "int main(void) { while (c) { x = 1; } return 0; }").entry_body.cfg
+        with pytest.raises(ValueError, match="cyclic"):
+            enumerate_paths(cfg)
 
     def test_long_straight_line_needs_no_recursion(self, monkeypatch):
         n = 5000
@@ -408,7 +414,7 @@ class TestPathEnumeration:
         def refuse(limit):
             raise AssertionError("the recursion limit was changed")
         monkeypatch.setattr(sys, "setrecursionlimit", refuse)
-        assert enumerate_paths(Cfg(nodes, succ, 0, n + 1)) == [
+        assert list(enumerate_paths(Cfg(nodes, succ, 0, n + 1))) == [
             list(range(n + 2))]
 
 
@@ -573,6 +579,30 @@ class TestInlining:
         events = hal_events(prepared(source))
         assert [(e.routine, e.discriminator_value) for e in events] == [
             ("open", None), ("ioctl", "WR_MODE32"), ("ioctl", "RD_MODE")]
+
+    def test_only_the_entry_is_copied(self):
+        model = parse_program(
+            "int h(int x) { return x + 1; }"
+            " int f(int x) { return h(x); }"
+            " int main(void) { return f(1); }")
+        flat = inline_calls(model)
+        assert flat.entry_body is not model.entry_body
+        for name in ("f", "h"):
+            assert flat.functions[name] is model.functions[name]
+
+    def test_long_chain_needs_no_recursion(self):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)  # the interpreter's default
+        try:
+            flat = inline_calls(parse_program(chain_source(1500)),
+                                depth_limit=2000)
+        finally:
+            sys.setrecursionlimit(limit)
+        calls = flat.entry_body.cfg.call_nodes()
+        assert [n.callee for n in calls] == ["open", "read"]
+        # main's 5 nodes less the call of f1, one tail per inlined call,
+        # and the open.
+        assert len(flat.entry_body.cfg.nodes) == 4 + 1499 + 1
 
     def test_inline_is_identity_on_call_free_entry(self):
         model = parse_program("int main(void) { int x = 1; return x; }")
@@ -857,7 +887,7 @@ class TestLoops:
             " while (c) { read(fd, 0, 1); } return 0; }")
         k = MAX_NESTING - 2
         model = preprocess(build_model(unroll_loops(ast, k)), spidev_set())
-        assert len(enumerate_paths(model.entry_body.cfg)) == k + 1
+        assert len(list(enumerate_paths(model.entry_body.cfg))) == k + 1
         with pytest.raises(UnrollTooDeep) as exc:
             unroll_loops(ast, k + 1)
         assert (exc.value.k, exc.value.levels) == (k + 1, MAX_NESTING + 1)
