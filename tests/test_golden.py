@@ -55,9 +55,10 @@ DRAWS = [
                                "min_opens": 1, "allow_loops": True}),
     ("helpers", 5000, 150, {"helpers": True}),
 ]
-# perfbench/gen.py output at reduced sizes, seed 101: wide_program with
-# 24 branches, WR_LSB_FIRST omitted and legacy mode; diamond_program at
-# depth 4 with 2 devices.
+# perfbench/gen.py output at reduced sizes, kept as files so that a change
+# of the generator leaves this gate alone: wide_program(Random("wide:101"),
+# 24, frozenset({"WR_LSB_FIRST"}), legacy_mode=True) and
+# diamond_program(Random("diamond:101"), 4, 2).
 REDUCED = ("wide-reduced.c", "diamond-reduced.c")
 # Reports stored in full, one per kind of program.
 FULL = ("accelerometer-faulty.c.bundled", "large-3004.c.bound",
