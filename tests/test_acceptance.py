@@ -101,18 +101,21 @@ def test_criterion_3_annotation_reference_fidelity():
     assert tokens(multi) == tokens(MULTI_ANNOTATED)
 
 
+def assert_oracle_agrees(seed, source, thad_set):
+    """Every verdict is conclusive and matches the path oracle."""
+    model = preprocess(build_model(parse_source(source, "r.c")), thad_set)
+    oracle = brute_force_paths(model, thad_set)
+    for verdict in check(model, thad_set):
+        assert verdict.status is not Status.INCONCLUSIVE, (seed, verdict)
+        agrees = (verdict.status is Status.SATISFIED) is \
+            oracle[verdict.thad_id]
+        assert agrees, (seed, verdict.thad_id, source)
+
+
 def test_criterion_4_checker_agrees_with_path_oracle_on_500_programs():
     started = time.perf_counter()
     for seed in range(500):
-        source = generate_program(seed)
-        model = preprocess(build_model(parse_source(source, "r.c")), SPIDEV)
-        verdicts = check(model, SPIDEV)
-        oracle = brute_force_paths(model, SPIDEV)
-        for verdict in verdicts:
-            assert verdict.status is not Status.INCONCLUSIVE, (seed, verdict)
-            agrees = (verdict.status is Status.SATISFIED) is \
-                oracle[verdict.thad_id]
-            assert agrees, (seed, verdict.thad_id, source)
+        assert_oracle_agrees(seed, generate_program(seed), SPIDEV)
     assert time.perf_counter() - started < 60.0
 
 
@@ -122,15 +125,7 @@ def test_criterion_4_oracle_agreement_on_programs_with_helpers():
     for seed in range(5000, 5150):
         source = generate_program(seed, helpers=True)
         for thad_set in (SPIDEV, bound_spidev_set()):
-            model = preprocess(build_model(parse_source(source, "h.c")),
-                               thad_set)
-            oracle = brute_force_paths(model, thad_set)
-            for verdict in check(model, thad_set):
-                assert verdict.status is not Status.INCONCLUSIVE, \
-                    (seed, verdict)
-                agrees = (verdict.status is Status.SATISFIED) is \
-                    oracle[verdict.thad_id]
-                assert agrees, (seed, verdict.thad_id, source)
+            assert_oracle_agrees(seed, source, thad_set)
 
 
 def test_criterion_5_wrapper_asserts_encode_trace_semantics():
