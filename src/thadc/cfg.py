@@ -78,10 +78,13 @@ class NodeKind(Enum):
 class CfgNode:
     """One CFG node.  Field use by kind:
 
-    CALL    callee, args, lhs (None for a discarded result), event
+    CALL    callee, args, lhs (None for a discarded result)
     ASSIGN  var, expr
     BRANCH  expr (condition or switch subject, display only)
     others  no extra fields
+
+    A HAL call's resolved event is not a node field: it lives in the
+    prepared model's ``events`` table.
     """
 
     id: int
@@ -92,7 +95,6 @@ class CfgNode:
     lhs: Optional[str] = None
     var: Optional[str] = None
     expr: Optional[Expr] = None
-    event: Optional[CallEvent] = None
 
 
 @dataclass(frozen=True)
@@ -113,18 +115,6 @@ class Cfg:
 
     def edges(self, node_id: int) -> tuple[Edge, ...]:
         return self.succ.get(node_id, ())
-
-    def preds(self) -> dict[int, tuple[int, ...]]:
-        out: dict[int, list[int]] = {n: [] for n in self.nodes}
-        for src, edges in self.succ.items():
-            for e in edges:
-                out[e.dst].append(src)
-        return {n: tuple(ps) for n, ps in out.items()}
-
-    def replace_node(self, node: CfgNode) -> None:
-        if node.id not in self.nodes:
-            raise KeyError(node.id)
-        self.nodes[node.id] = node
 
     def call_nodes(self) -> list[CfgNode]:
         return [
@@ -153,12 +143,17 @@ class ProgramModel:
     Global variable initializers are recorded in the syntax tree but not
     executed; the analyses treat globals as unknown values.  ``defines``
     (from ``#define NAME <int>``) do participate in argument resolution.
+
+    ``events`` maps each HAL call node of the entry body to its resolved
+    :class:`~thadc.model.CallEvent`.  It is empty on a lowered model;
+    :func:`thadc.passes.preprocess` returns a new model that fills it.
     """
 
     functions: dict[str, FunctionBody]
     entry: str
     program: Program
     path: str = "<input>"
+    events: dict[int, CallEvent] = field(default_factory=dict)
 
     @property
     def defines(self) -> dict[str, int]:

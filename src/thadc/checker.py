@@ -17,9 +17,12 @@ IFDS view of Reps, Horwitz and Sagiv, POPL 1995), in three steps:
    on a graph where every node lies on an entry-to-exit walk is exactly
    a violating execution.
 3. For each violated key, one forward BFS from the entry that does not
-   pass through the key's completers gives every offender's distance.
-   The nearest offender (then lowest line, then node id) is reported
-   with a shortest witness path.
+   pass through the key's completers gives every offender's distance
+   and the node each node was first reached from.  It visits a node's
+   successors lowest (line, node id) first, so those previous-node
+   chains are the lexicographically lowest shortest completion-free
+   paths.  The nearest offender (then lowest line, then node id) is
+   reported with its chain, projected to HAL calls, as the witness.
 
 Precision notes, fixed here:
 
@@ -161,12 +164,13 @@ class ThadVerdict:
 # ---------------------------------------------------------------------------
 
 def _hal_nodes(model: ProgramModel, thad_set: ThadSet) -> list[CfgNode]:
-    """Entry-function call nodes of spec routines, with resolved events."""
+    """Entry-function call nodes of spec routines; each has a resolved
+    event in ``model.events``."""
     spec_names = {r.name for r in thad_set.routines}
     nodes = []
     for node in model.entry_body.cfg.call_nodes():
         if node.callee in spec_names:
-            if node.event is None:
+            if node.id not in model.events:
                 raise ValueError(
                     f"call node {node.id} ({node.callee}) has no resolved event; "
                     "run the preparation passes first"
@@ -208,7 +212,7 @@ class _SiteTable(NamedTuple):
 def _site_table(model: ProgramModel, thad_set: ThadSet) -> _SiteTable:
     by_event: dict[CallEvent, list[CfgNode]] = {}
     for node in _hal_nodes(model, thad_set):
-        by_event.setdefault(node.event, []).append(node)
+        by_event.setdefault(model.events[node.id], []).append(node)
     aliases = thad_set.aliases
     bits: dict[MonitorKey, int] = {}
     event_gen = dict.fromkeys(by_event, 0)
@@ -299,14 +303,21 @@ def dataflow_fixpoint(
 # Witness search
 # ---------------------------------------------------------------------------
 
-def _free_distances(cfg: Cfg, blocked: set[int],
-                    targets: list[CfgNode]) -> dict[int, int]:
+def _free_distances(
+    cfg: Cfg, blocked: set[int], targets: list[CfgNode]
+) -> tuple[dict[int, int], dict[int, Optional[int]]]:
     """Distance (in edges) from the entry along paths that pass no
-    blocked node before their last one, for every target at least.
+    blocked node before their last one, for every target at least, and
+    the node each node was first reached from (None for the entry).
 
-    One forward BFS that stops once the last target is reached."""
-    succ = cfg.succ
+    One forward BFS that stops once the last target is reached.  It
+    visits a node's successors lowest (line, node id) first, so every
+    layer is discovered in path order: the previous-node chain of a node
+    is its shortest such path that takes the lowest line, then node id,
+    at the first point of divergence."""
+    nodes, succ = cfg.nodes, cfg.succ
     dist = {cfg.entry: 0}
+    prev: dict[int, Optional[int]] = {cfg.entry: None}
     queue = deque([cfg.entry])
     left = {n.id for n in targets}
     while queue and left:
@@ -314,68 +325,40 @@ def _free_distances(cfg: Cfg, blocked: set[int],
         if nid in blocked:
             continue
         step = dist[nid] + 1
-        for edge in succ.get(nid, ()):
-            if edge.dst not in dist:
-                dist[edge.dst] = step
-                left.discard(edge.dst)
-                queue.append(edge.dst)
-    return dist
+        edges = succ.get(nid, ())
+        if len(edges) > 1:  # a branch: only here is there an order to keep
+            dsts = sorted({e.dst for e in edges},
+                          key=lambda n: (nodes[n].line, n))
+        else:
+            dsts = [e.dst for e in edges]
+        for dst in dsts:
+            if dst not in dist:
+                dist[dst] = step
+                prev[dst] = nid
+                left.discard(dst)
+                queue.append(dst)
+    return dist, prev
 
 
-def find_witness(
-    model: ProgramModel, thad_set: ThadSet, thad: Thad, offending_node: int
-) -> WitnessTrace:
-    """Shortest entry-to-offender path with no dependency completion.
-
-    Shortest by node count; among equally short paths the one taking
-    the lowest source line (then lowest node id) at the first point of
-    divergence.  The projection keeps HAL call events only, so the
-    witness ends with the offending call itself.
+def find_witness(model: ProgramModel, prev: Mapping[int, Optional[int]],
+                 offending_node: int) -> WitnessTrace:
+    """The witness for an offender: its previous-node chain from
+    :func:`_free_distances`, which is the shortest entry-to-offender
+    path with no dependency completion that takes the lowest source line
+    (then lowest node id) at the first point of divergence.  The
+    projection keeps HAL call events only, so the witness ends with the
+    offending call itself.
     """
-    cfg = model.entry_body.cfg
-    offender = cfg.node(offending_node)
-    token = offender.event.descriptor_token if (
-        thad.binding is not None and offender.event is not None
-    ) else None
-    blocked = {
-        node.id for node in _hal_nodes(model, thad_set)
-        if match_event(thad.dependency, node.event, thad_set.aliases)
-        and (thad.binding is None or dependency_token(thad, node.event) == token)
-    }
-    blocked.discard(offending_node)
-
-    # Backward BFS to the entry: every node closer to the offender than
-    # the entry is settled by the time the entry is reached.
-    preds = cfg.preds()
-    dist = {offending_node: 0}
-    queue = deque([offending_node])
-    while queue and cfg.entry not in dist:
-        nid = queue.popleft()
-        for p in preds[nid]:
-            if p not in blocked and p not in dist:
-                dist[p] = dist[nid] + 1
-                queue.append(p)
-    if cfg.entry not in dist:
-        raise ValueError(
-            f"no completion-free path from entry to node {offending_node}"
-        )
-    path = [cfg.entry]
-    node = cfg.entry
-    while node != offending_node:
-        candidates = [
-            e.dst
-            for e in cfg.edges(node)
-            if e.dst in dist and dist[e.dst] == dist[node] - 1
-        ]
-        node = min(candidates, key=lambda n: (cfg.node(n).line, n))
+    path = []
+    node: Optional[int] = offending_node
+    while node is not None:
         path.append(node)
-
-    steps = tuple(
-        WitnessStep(cfg.node(n).event, cfg.node(n).line, n)
-        for n in path
-        if cfg.node(n).event is not None
-    )
-    return WitnessTrace(steps)
+        node = prev[node]
+    nodes, events = model.entry_body.cfg.nodes, model.events
+    return WitnessTrace(tuple(
+        WitnessStep(events[n], nodes[n].line, n)
+        for n in reversed(path) if n in events
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +408,7 @@ def _check_one(
     offenders: dict[MonitorKey, list[CfgNode]] = {}
     inconclusive: list[str] = []
     for i, node in enumerate(row.dependent + row.possible):
-        ev = node.event
+        ev = model.events[node.id]
         if thad.binding is not None and ev.descriptor_token is None:
             inconclusive.append(
                 f"unresolved descriptor: the {ev.routine} call at line "
@@ -449,16 +432,19 @@ def _check_one(
     if offenders:
         cfg = model.entry_body.cfg
         ranked = []  # (witness length, line, node id) of each offender
+        chains = {}  # offender node id -> its key's previous-node map
         for key, nodes in offenders.items():
             bit = sites.bits.get(key)
             completers = set() if bit is None else {
                 nid for nid, mask in sites.gen.items() if mask >> bit & 1
             }
-            dist = _free_distances(cfg, completers, nodes)
+            dist, prev = _free_distances(cfg, completers, nodes)
             for node in nodes:
                 assert node.id in dist, "must-analysis promised a free path"
                 ranked.append((dist[node.id], node.line, node.id))
-        witness = find_witness(model, thad_set, thad, min(ranked)[2])
+                chains[node.id] = prev
+        offender = min(ranked)[2]
+        witness = find_witness(model, chains[offender], offender)
         return ThadVerdict(thad.id, Status.VIOLATED, witness=witness,
                            via_alias=row.via_alias)
     if inconclusive:
@@ -487,9 +473,9 @@ def brute_force_paths(
     cfg = model.entry_body.cfg
     if has_loops(cfg):
         raise ValueError("the model has loops; unroll before enumerating paths")
-    nodes = _hal_nodes(model, thad_set)
-    events_by_node = {n.id: n.event for n in nodes}
-    all_events = [n.event for n in nodes]
+    events_by_node = {n.id: model.events[n.id]
+                      for n in _hal_nodes(model, thad_set)}
+    all_events = list(events_by_node.values())
     aliases = thad_set.aliases
 
     traces = {  # distinct ones only: paths can outnumber them by far

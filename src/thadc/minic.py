@@ -265,14 +265,17 @@ _UNTERMINATED = {"/*": "comment", '"': "string literal",
 
 def c_int_value(text: str) -> Optional[int]:
     """The value of a C integer literal (decimal, ``0x`` hex or leading-``0``
-    octal, with optional ``u``/``l`` suffixes), or None if it is not one."""
+    octal, with optional ``u``/``l`` suffixes), or None if it is not one
+    or does not fit in 64 bits."""
     m = _INT_RE.fullmatch(text)
     if m is None:
         return None
     digits = m.group(1)
-    if digits[:2] in ("0x", "0X"):
-        return int(digits, 16)
-    return int(digits, 8 if digits[0] == "0" else 10)
+    base = 16 if digits[:2] in ("0x", "0X") else 8 if digits[0] == "0" else 10
+    if len(digits.lstrip("0xX")) > 22:  # 2**64 has 22 octal digits
+        return None
+    value = int(digits, base)
+    return value if value < 2**64 else None
 
 
 _ESCAPE_RE = re.compile(r"\\(?:([0-7]{1,3})|x([0-9a-fA-F]+)|([ntvbrfa\\?'\"]))")

@@ -1,15 +1,17 @@
 """Model preparation passes: inlining, argument resolution, token flow.
 
-The checker wants a single flat CFG for the entry function whose HAL
-call nodes carry ready-made :class:`~thadc.model.CallEvent` values.
-Three passes get it there:
+The checker wants a single flat CFG for the entry function and a table
+of ready-made :class:`~thadc.model.CallEvent` values, one per HAL call
+node of it.  :func:`preprocess` gets there in three passes and builds
+each event once from what the last two return:
 
 ``inline_calls``
     builds a copy of the entry body with the bodies of defined functions
     spliced into their call sites, nested calls included, so the copy
     calls no defined function.  Every inlined copy comes straight from
-    the callee's lowered body; no other function is copied.  Recursion
-    and call chains deeper than the limit are rejected first.
+    the callee's lowered body; no other function is copied, and an
+    entry that calls no defined function is not copied at all.
+    Recursion and call chains deeper than the limit are rejected first.
 
 ``resolve_discriminators``
     computes which integer constant each discriminator argument of the
@@ -26,18 +28,18 @@ Three passes get it there:
     produced it exactly when that holds on every path.
 
 Only the entry body is inlined and resolved: the checker, the path
-oracle and the report read nothing else.  ``inline_calls`` returns a new
-model that shares the other functions' lowered bodies with its input;
-the two resolution passes then mutate the new entry body's node payloads
-in place and may be re-run, because event fields are refined, not
-stacked.
+oracle and the report read nothing else.  No pass mutates the model it
+is given.  ``inline_calls`` returns its input or a new model that shares
+the other functions' lowered bodies with it, the two resolution passes
+return per-site fields, and ``preprocess`` returns a new model, so one
+lowered model can be prepared for several specs.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import ChainMap, deque
-from dataclasses import replace
 from typing import Callable, Mapping, Optional
 
 from .cfg import (
@@ -49,7 +51,7 @@ from .cfg import (
     ProgramModel,
     return_var,
 )
-from .minic import Binary, Expr, Num, Str, Unary, Var
+from .minic import Binary, Expr, Num, Unary, Var
 from .model import CallEvent, RoutineSpec, ThadSet
 
 __all__ = [
@@ -269,13 +271,16 @@ def inline_calls(model: ProgramModel, depth_limit: int = 16) -> ProgramModel:
 
     Raises :class:`RecursionDetected` when the call graph is cyclic and
     :class:`DepthLimitExceeded` when some call chain involves more than
-    ``depth_limit`` functions, before anything is copied.
+    ``depth_limit`` functions, before anything is copied.  An entry that
+    calls no defined function needs no copy: the input model is returned.
     """
     defined = set(model.functions)
     depths = _call_depths(model, defined)
     for name in sorted(defined):
         if depths[name] > depth_limit:
             raise DepthLimitExceeded(name, depths[name], depth_limit)
+    if depths[model.entry] == 1:
+        return model
     functions = dict(model.functions)
     functions[model.entry] = _splice_entry(model)
     return ProgramModel(functions, model.entry, model.program, model.path)
@@ -321,71 +326,44 @@ def _c_div(a: int, b: int) -> Optional[int]:
     return q if (a >= 0) == (b >= 0) else -q
 
 
+_UNARY: dict[str, Callable[[int], int]] = {
+    "-": operator.neg, "~": operator.invert, "!": lambda v: int(v == 0),
+}
+_BINARY: dict[str, Callable[[int, int], Optional[int]]] = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": _c_div,
+    "%": lambda a, b: None if b == 0 else a - _c_div(a, b) * b,
+    "<<": lambda a, b: a << b if 0 <= b < 64 else None,
+    ">>": lambda a, b: a >> b if 0 <= b < 64 else None,
+    "&": operator.and_, "|": operator.or_, "^": operator.xor,
+    "==": lambda a, b: int(a == b), "!=": lambda a, b: int(a != b),
+    "<": lambda a, b: int(a < b), "<=": lambda a, b: int(a <= b),
+    ">": lambda a, b: int(a > b), ">=": lambda a, b: int(a >= b),
+    "&&": lambda a, b: int(a != 0 and b != 0),
+    "||": lambda a, b: int(a != 0 or b != 0),
+}
+
+
 def _eval_expr(expr: Expr, env: dict[str, int],
                lookup: Callable[[str], Optional[int]]) -> Optional[int]:
+    """The value of ``expr``, or None when it is unknown.  A value no
+    64-bit C integer holds is unknown too, which also keeps every
+    intermediate result small."""
     if isinstance(expr, Num):
-        return expr.value
-    if isinstance(expr, Str):
-        return None
-    if isinstance(expr, Var):
-        if expr.name in env:
-            return env[expr.name]
-        return lookup(expr.name)
-    if isinstance(expr, Unary):
+        value = expr.value
+    elif isinstance(expr, Var):
+        value = env[expr.name] if expr.name in env else lookup(expr.name)
+    elif isinstance(expr, Unary):
         v = _eval_expr(expr.operand, env, lookup)
-        if v is None or expr.op == "&":
-            return None
-        if expr.op == "-":
-            return -v
-        if expr.op == "~":
-            return ~v
-        if expr.op == "!":
-            return int(v == 0)
-        return None
-    if isinstance(expr, Binary):
+        op = None if v is None else _UNARY.get(expr.op)
+        value = None if op is None else op(v)
+    elif isinstance(expr, Binary):
         a = _eval_expr(expr.lhs, env, lookup)
         b = _eval_expr(expr.rhs, env, lookup)
-        if a is None or b is None:
-            return None
-        op = expr.op
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            return _c_div(a, b)
-        if op == "%":
-            q = _c_div(a, b)
-            return None if q is None else a - q * b
-        if op == "<<":
-            return a << b if 0 <= b < 64 else None
-        if op == ">>":
-            return a >> b if 0 <= b < 64 else None
-        if op == "&":
-            return a & b
-        if op == "|":
-            return a | b
-        if op == "^":
-            return a ^ b
-        if op == "==":
-            return int(a == b)
-        if op == "!=":
-            return int(a != b)
-        if op == "<":
-            return int(a < b)
-        if op == "<=":
-            return int(a <= b)
-        if op == ">":
-            return int(a > b)
-        if op == ">=":
-            return int(a >= b)
-        if op == "&&":
-            return int(a != 0 and b != 0)
-        if op == "||":
-            return int(a != 0 or b != 0)
-    return None
+        op = None if a is None or b is None else _BINARY.get(expr.op)
+        value = None if op is None else op(a, b)
+    else:  # a string literal or a call
+        return None
+    return value if value is None or -2**63 <= value < 2**64 else None
 
 
 def _routine_of(node: CfgNode, spec_set: ThadSet) -> Optional[RoutineSpec]:
@@ -404,9 +382,11 @@ def _param_index(routine: RoutineSpec, param: Optional[str]) -> Optional[int]:
     return None
 
 
-def resolve_discriminators(model: ProgramModel, spec_set: ThadSet) -> ProgramModel:
-    """Attach discriminator constants to the entry body's HAL call
-    events, in place.
+def resolve_discriminators(model: ProgramModel,
+                           spec_set: ThadSet) -> dict[int, dict]:
+    """The discriminator fields of every HAL call event in the entry
+    body: call node id -> ``discriminator_value`` and
+    ``discriminator_unknown``.
 
     Resolution precedence for a name: the entry body's variables first
     (through the propagated environment), then the platform constants
@@ -448,7 +428,7 @@ def resolve_discriminators(model: ProgramModel, spec_set: ThadSet) -> ProgramMod
         return env
 
     ins = _must_forward(body.cfg, transfer)
-
+    fields: dict[int, dict] = {}
     for node in body.cfg.call_nodes():
         routine = _routine_of(node, spec_set)
         if routine is None:
@@ -464,23 +444,22 @@ def resolve_discriminators(model: ProgramModel, spec_set: ThadSet) -> ProgramMod
                 value = _eval_expr(arg, ins[node.id], lookup)
                 if value is not None:
                     value_name = rev.get(value, str(value))
-        base = node.event or CallEvent(routine=node.callee)
-        event = replace(
-            base,
-            discriminator_value=value_name,
-            discriminator_unknown=(idx is not None and value_name is None),
-        )
-        body.cfg.replace_node(replace(node, event=event))
-    return model
+        fields[node.id] = {
+            "discriminator_value": value_name,
+            "discriminator_unknown": idx is not None and value_name is None,
+        }
+    return fields
 
 
 # ---------------------------------------------------------------------------
 # Descriptor token flow
 # ---------------------------------------------------------------------------
 
-def build_token_flow(model: ProgramModel, spec_set: ThadSet) -> ProgramModel:
-    """Attach descriptor tokens to the entry body's HAL call events, in
-    place.
+def build_token_flow(model: ProgramModel,
+                     spec_set: ThadSet) -> dict[int, dict]:
+    """The descriptor fields of every HAL call event in the entry body:
+    call node id -> ``descriptor_token``, ``descriptor_unknown`` and
+    ``produced_token``.
 
     Every call of a descriptor-returning routine mints one token.  A
     later call's descriptor argument carries that token exactly when the
@@ -512,7 +491,7 @@ def build_token_flow(model: ProgramModel, spec_set: ThadSet) -> ProgramModel:
         return env
 
     ins = _must_forward(body.cfg, transfer)
-
+    fields: dict[int, dict] = {}
     for node in body.cfg.call_nodes():
         routine = _routine_of(node, spec_set)
         if routine is None:
@@ -523,22 +502,24 @@ def build_token_flow(model: ProgramModel, spec_set: ThadSet) -> ProgramModel:
             arg = node.args[idx]
             if isinstance(arg, Var):
                 token = ins[node.id].get(arg.name)
-        base = node.event or CallEvent(routine=node.callee)
-        event = replace(
-            base,
-            descriptor_token=token,
-            descriptor_unknown=(idx is not None and token is None),
-            produced_token=produced.get(node.id),
-        )
-        body.cfg.replace_node(replace(node, event=event))
-    return model
+        fields[node.id] = {
+            "descriptor_token": token,
+            "descriptor_unknown": idx is not None and token is None,
+            "produced_token": produced.get(node.id),
+        }
+    return fields
 
 
 def preprocess(model: ProgramModel, spec_set: ThadSet,
                depth_limit: int = 16) -> ProgramModel:
     """Inline, then resolve arguments and thread tokens in the entry
-    body; the checker's input."""
+    body; the checker's input.  A new model whose ``events`` table holds
+    the entry body's HAL call events; ``model`` is left as it was."""
     flat = inline_calls(model, depth_limit)
-    resolve_discriminators(flat, spec_set)
-    build_token_flow(flat, spec_set)
-    return flat
+    discriminators = resolve_discriminators(flat, spec_set)
+    descriptors = build_token_flow(flat, spec_set)
+    nodes = flat.entry_body.cfg.nodes
+    events = {nid: CallEvent(nodes[nid].callee, **fields, **descriptors[nid])
+              for nid, fields in discriminators.items()}
+    return ProgramModel(flat.functions, flat.entry, flat.program, flat.path,
+                        events)

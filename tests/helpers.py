@@ -222,7 +222,10 @@ def check_cfg(cfg: Cfg) -> None:
         for e in edges:
             if e.dst not in cfg.nodes:
                 raise ValueError(f"edge target {e.dst} is not a node")
-    preds = cfg.preds()
+    preds: dict[int, list[int]] = {n: [] for n in cfg.nodes}
+    for src, edges in cfg.succ.items():
+        for e in edges:
+            preds[e.dst].append(src)
     if preds[cfg.entry]:
         raise ValueError("entry node has predecessors")
     if cfg.edges(cfg.exit):

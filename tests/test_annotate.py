@@ -467,11 +467,8 @@ class TestSimulator:
 
 
 def path_traces(model):
-    cfg = model.entry_body.cfg
-    events = {
-        n.id: n.event for n in cfg.call_nodes() if n.event is not None
-    }
-    for path in enumerate_paths(cfg):
+    events = model.events
+    for path in enumerate_paths(model.entry_body.cfg):
         yield [events[n] for n in path if n in events]
 
 

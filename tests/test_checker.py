@@ -19,7 +19,6 @@ from thadc.checker import (
     brute_force_paths,
     check,
     dataflow_fixpoint,
-    find_witness,
 )
 from thadc.minic import parse_source, unroll_loops
 from thadc.model import (
@@ -410,9 +409,8 @@ class TestBoundVerdicts:
 class TestWitness:
     def test_single_call_witness(self):
         model = prepared("int main(void) { read(0, 0, 4); return 0; }")
-        d1 = next(t for t in SPIDEV.thads if t.id == "d1")
         node = call_node(model, "read")
-        w = find_witness(model, SPIDEV, d1, node.id)
+        w = next(v for v in check(model, SPIDEV) if v.thad_id == "d1").witness
         assert [e.routine for e in w.events] == ["read"]
         assert w.steps[-1].node_id == node.id
         assert w.steps[-1].line == 1
@@ -571,10 +569,7 @@ class TestOracle:
 
 
 def fully_resolved(model, thad_set, *, descriptors: bool) -> bool:
-    for node in model.entry_body.cfg.call_nodes():
-        ev = node.event
-        if ev is None:
-            continue
+    for ev in model.events.values():
         if ev.discriminator_unknown:
             return False
         if descriptors and ev.routine != "open" and ev.descriptor_token is None:
@@ -663,8 +658,7 @@ class TestProperties:
             thad = next(t for t in SPIDEV.thads if t.id == v.thad_id)
             assert not trace_satisfies(thad, v.witness.events, SPIDEV.aliases)
             for step in v.witness.steps:
-                node = cfg.node(step.node_id)
-                assert node.event == step.event
+                assert model.events[step.node_id] == step.event
             steps = v.witness.steps
             for a, b in zip(steps, steps[1:]):
                 assert _reaches(cfg, a.node_id, b.node_id)

@@ -307,6 +307,29 @@ class TestBadInput:
         skeleton.write_text(HAL_SKELETON + nested_ifs(MAX_NESTING - 2))
         assert run(["annotate", str(skeleton)], capsys)[0] == 0
 
+    @pytest.mark.parametrize("source", [
+        in_main('    int fd = open("/dev/spidev0.0", 2);\n    int x = 10;\n'
+                + "    x = x * x;\n" * squarings + "    ioctl(fd, x, 0);")
+        for squarings in (13, 26)
+    ] + [
+        prefix + in_main('    int fd = open("/dev/spidev0.0", 2);\n'
+                         f"    ioctl(fd, {arg}, 0);")
+        for prefix, arg in (("", "9" * 5000),
+                            (f"#define BIG {'9' * 5000}\n", "BIG"),
+                            ("", "0x" + "f" * 5000))
+    ], ids=["13-squarings", "26-squarings", "5000-digit-literal",
+            "5000-digit-define", "5000-digit-hex"])
+    def test_huge_integers_end_without_a_traceback(self, tmp_path, source):
+        # Values past 64 bits are invalid literals or unknown values: the
+        # check ends quickly with exit 2 or 3, never a traceback and exit 1.
+        program = tmp_path / "big.c"
+        program.write_text(source)
+        result = subprocess.run(
+            [sys.executable, "-m", "thadc.cli", "check", str(program)],
+            capture_output=True, text=True, timeout=30)
+        assert result.returncode in (2, 3)
+        assert "Traceback" not in result.stderr
+
 
 class TestCorpus:
     def test_bundled_corpus_matches_expectations(self, capsys):

@@ -36,10 +36,8 @@ from thadc.model import Param, ParamRole, RoutineSpec, Thad, ThadSet
 from thadc.passes import (
     DepthLimitExceeded,
     RecursionDetected,
-    build_token_flow,
     inline_calls,
     preprocess,
-    resolve_discriminators,
 )
 
 from helpers import (
@@ -64,21 +62,16 @@ def prepared(source: str, thad_set=None, depth_limit: int = 16):
 
 def hal_events(model):
     """Events of the entry function's HAL calls, in node order."""
-    return [
-        n.event for n in model.entry_body.cfg.call_nodes() if n.event is not None
-    ]
+    return [model.events[nid] for nid in sorted(model.events)]
 
 
 def path_traces(model):
     """Set of HAL event tuples over all entry-to-exit paths."""
-    cfg = model.entry_body.cfg
-    traces = set()
-    for path in enumerate_paths(cfg):
-        trace = tuple(
-            cfg.node(n).event for n in path if cfg.node(n).event is not None
-        )
-        traces.add(trace)
-    return traces
+    events = model.events
+    return {
+        tuple(events[n] for n in path if n in events)
+        for path in enumerate_paths(model.entry_body.cfg)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +217,20 @@ class TestLiterals:
 
     @pytest.mark.parametrize("text", ["0x", "08", "09", "0x1G", "1.5", "", "u"])
     def test_not_an_integer_literal(self, text):
+        assert c_int_value(text) is None
+
+    @pytest.mark.parametrize("text, value", [
+        ("18446744073709551615u", 2**64 - 1), ("0xFFFFFFFFFFFFFFFF", 2**64 - 1),
+        ("01777777777777777777777", 2**64 - 1), ("0x" + "0" * 30 + "ff", 255),
+    ])
+    def test_literals_below_2_to_the_64_are_read(self, text, value):
+        assert c_int_value(text) == value
+
+    @pytest.mark.parametrize("text", [
+        "18446744073709551616", "0x10000000000000000",
+        "02000000000000000000000", "9" * 5000, "0x" + "f" * 5000,
+    ])
+    def test_literals_of_2_to_the_64_or_more_are_rejected(self, text):
         assert c_int_value(text) is None
 
     def test_defines_and_expressions_read_the_same_forms(self):
@@ -536,11 +543,7 @@ class TestInlining:
             return 0;
         }
         """
-        model = parse_program(source)
-        spec = spidev_set()
-        flat = inline_calls(model)
-        resolve_discriminators(flat, spec)
-        build_token_flow(flat, spec)
+        flat = preprocess(parse_program(source), spidev_set())
         traces = {
             tuple((e.routine, e.discriminator_value, e.descriptor_token) for e in t)
             for t in path_traces(flat)
@@ -609,6 +612,18 @@ class TestInlining:
         flat = inline_calls(model)
         assert set(flat.functions) == {"main"}
         check_cfg(flat.entry_body.cfg)
+
+    def test_entry_without_defined_calls_is_not_copied(self):
+        model = parse_program(
+            "int h(int x) { return x; }"
+            ' int main(void) { int fd = open("/d", 0); read(fd, 0, 1);'
+            " return 0; }")
+        assert inline_calls(model) is model
+        prepared_model = preprocess(model, spidev_set())
+        assert prepared_model is not model and not model.events
+        assert prepared_model.entry_body is model.entry_body
+        assert [e.routine for e in hal_events(prepared_model)] == [
+            "open", "read"]
 
 
 # ---------------------------------------------------------------------------

@@ -65,12 +65,16 @@ FULL = ("accelerometer-faulty.c.bundled", "large-3004.c.bound",
         "loops-1001.c.bundled")
 
 
+def corpus_names() -> list[str]:
+    return sorted(p.name for p in bundled_data_path("corpus").iterdir()
+                  if p.name.endswith(".c"))
+
+
 def programs() -> dict[str, str]:
     """Program name -> source, in a fixed order."""
     out = {}
     corpus = bundled_data_path("corpus")
-    for name in sorted(p.name for p in corpus.iterdir()
-                       if p.name.endswith(".c")):
+    for name in corpus_names():
         out[name] = corpus.joinpath(name).read_text(encoding="utf-8")
     for prefix, first, count, kwargs in DRAWS:
         for seed in range(first, first + count):
@@ -87,8 +91,22 @@ def entry_cfg_text(model) -> str:
     for nid, node in cfg.nodes.items():
         edges = " ".join(f"{e.label}:{e.dst}" for e in cfg.edges(nid))
         lines.append(f"{nid} {node.kind.value} {node.line} {node.callee} "
-                     f"{node.event!r} -> {edges}")
+                     f"{model.events.get(nid)!r} -> {edges}")
     return "\n".join(lines) + "\n"
+
+
+def lowered(path: str, source: str):
+    return build_model(parse_source(source, path))
+
+
+def prepared_texts(model, path: str, set_name: str) -> tuple[str, str]:
+    """The rendered report and the entry CFG text of ``model`` prepared
+    for one of the SETS."""
+    thad_set = SETS[set_name]
+    prepared = preprocess(model, thad_set)
+    report = build_report(check(prepared, thad_set), thad_set,
+                          spec_path=set_name, program_path=path)
+    return render_json(report), entry_cfg_text(prepared)
 
 
 @functools.cache
@@ -97,14 +115,12 @@ def outputs() -> tuple[dict[str, str], dict[str, str]]:
     and program -> entry CFG text for the bundled spec."""
     reports, cfgs = {}, {}
     for path, source in programs().items():
-        for set_name, thad_set in SETS.items():
-            model = preprocess(build_model(parse_source(source, path)),
-                               thad_set)
-            report = build_report(check(model, thad_set), thad_set,
-                                  spec_path=set_name, program_path=path)
-            reports[f"{path}.{set_name}"] = render_json(report)
+        for set_name in SETS:
+            report, cfg = prepared_texts(lowered(path, source), path,
+                                         set_name)
+            reports[f"{path}.{set_name}"] = report
             if set_name == "bundled":
-                cfgs[path] = entry_cfg_text(model)
+                cfgs[path] = cfg
     return reports, cfgs
 
 
@@ -141,6 +157,24 @@ def test_entry_cfgs_match_golden():
     _, cfgs = outputs()
     different = changed(cfgs, read_digests(CFG_FILE))
     assert not different, f"{len(different)} entry CFGs changed: {different[:10]}"
+
+
+def test_one_lowered_model_serves_both_specs():
+    # No pass changes the model it is given, so one lowered model,
+    # prepared for the bundled spec and then for the bound one, gives
+    # what fresh models give.  The corpus and the reduced programs, and
+    # the first plain and helper draws, cover entries with and without
+    # calls of defined functions.
+    sources = programs()
+    names = [*corpus_names(), *REDUCED,
+             *(f"plain-{seed}.c" for seed in range(10)),
+             *(f"helpers-{seed}.c" for seed in range(5000, 5020))]
+    for path in names:
+        shared = lowered(path, sources[path])
+        for set_name in SETS:
+            assert (prepared_texts(shared, path, set_name)
+                    == prepared_texts(lowered(path, sources[path]), path,
+                                      set_name)), (path, set_name)
 
 
 def main() -> None:
