@@ -4,7 +4,13 @@ Every program below is checked against the bundled spec and against
 ``helpers.bound_spidev_set()``, and the SHA-256 of each rendered
 ``--no-timing`` JSON report is compared with ``golden/reports.sha256``.
 A few reports are stored in full under ``golden/`` so that a change
-shows up as a readable diff.
+shows up as a readable diff.  ``golden/text.sha256`` pins the same
+reports rendered as text, plain and in color.
+
+``golden/unroll.sha256`` pins what ``thadc check PROGRAM --unroll 1
+--no-timing`` writes, in JSON and in text, for the corpus and the loop
+draws: stdout, stderr and the exit code.  Those are the only reports
+with an ``unroll_oracle`` block, and they go through the CLI.
 
 ``golden/entry_cfg.sha256`` holds one SHA-256 per program of its entry
 CFG as prepared for the bundled spec: node ids, kinds, lines, callees,
@@ -25,15 +31,21 @@ Regenerate them only for an intended change of output, and say why:
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
+import io
+import os
+import tempfile
 from pathlib import Path
+from unittest import mock
 
+from thadc import cli
 from thadc.cfg import build_model
 from thadc.checker import check
 from thadc.minic import parse_source
 from thadc.passes import preprocess
-from thadc.report import build_report, render_json
+from thadc.report import build_report, render_json, render_text
 from thadc.specio import bundled_data_path, bundled_spidev
 
 from helpers import bound_spidev_set
@@ -42,6 +54,8 @@ from randprog import generate_program
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SHA_FILE = GOLDEN / "reports.sha256"
 CFG_FILE = GOLDEN / "entry_cfg.sha256"
+TEXT_FILE = GOLDEN / "text.sha256"
+UNROLL_FILE = GOLDEN / "unroll.sha256"
 SETS = {"bundled": bundled_spidev(), "bound": bound_spidev_set()}
 
 # (name prefix, first seed, count, generate_program keyword arguments)
@@ -99,29 +113,57 @@ def lowered(path: str, source: str):
     return build_model(parse_source(source, path))
 
 
-def prepared_texts(model, path: str, set_name: str) -> tuple[str, str]:
-    """The rendered report and the entry CFG text of ``model`` prepared
-    for one of the SETS."""
+def prepared_texts(model, path: str, set_name: str
+                   ) -> tuple[str, str, str, str]:
+    """The report of ``model`` prepared for one of the SETS, rendered as
+    JSON, as plain text and as colored text, and its entry CFG text."""
     thad_set = SETS[set_name]
     prepared = preprocess(model, thad_set)
     report = build_report(check(prepared, thad_set), thad_set,
                           spec_path=set_name, program_path=path)
-    return render_json(report), entry_cfg_text(prepared)
+    return (render_json(report), render_text(report),
+            render_text(report, color=True), entry_cfg_text(prepared))
 
 
 @functools.cache
-def outputs() -> tuple[dict[str, str], dict[str, str]]:
+def outputs() -> tuple[dict[str, str], dict[str, str], dict[str, str]]:
     """``<program>.<set>`` -> rendered report for every program and set,
-    and program -> entry CFG text for the bundled spec."""
-    reports, cfgs = {}, {}
+    ``<program>.<set>.plain`` and ``.color`` -> its text rendering, and
+    program -> entry CFG text for the bundled spec."""
+    reports, texts, cfgs = {}, {}, {}
     for path, source in programs().items():
         for set_name in SETS:
-            report, cfg = prepared_texts(lowered(path, source), path,
-                                         set_name)
+            report, plain, color, cfg = prepared_texts(
+                lowered(path, source), path, set_name)
             reports[f"{path}.{set_name}"] = report
+            texts[f"{path}.{set_name}.plain"] = plain
+            texts[f"{path}.{set_name}.color"] = color
             if set_name == "bundled":
                 cfgs[path] = cfg
-    return reports, cfgs
+    return reports, texts, cfgs
+
+
+def cli_outputs() -> dict[str, str]:
+    """``<program>.<format>`` -> stdout, stderr and exit code of
+    ``thadc check PROGRAM --unroll 1 --no-timing`` for the corpus and the
+    ``loops-*`` draws, each run on a copy in a temporary directory so
+    that the report names the program by its bare name."""
+    sources = programs()
+    names = [*corpus_names(), *(n for n in sources if n.startswith("loops-"))]
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp), \
+            mock.patch.dict(os.environ, {"THADC_COLOR": "never"}):
+        for name in names:
+            Path(name).write_text(sources[name], encoding="utf-8")
+            for fmt in ("json", "text"):
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), \
+                        contextlib.redirect_stderr(stderr):
+                    code = cli.main(["check", name, "--format", fmt,
+                                     "--unroll", "1", "--no-timing"])
+                out[f"{name}.{fmt}"] = (f"{stdout.getvalue()}--- stderr\n"
+                                        f"{stderr.getvalue()}--- exit {code}\n")
+    return out
 
 
 def digest(text: str) -> str:
@@ -146,15 +188,26 @@ def changed(texts: dict[str, str], golden: dict[str, str]) -> list[str]:
 
 def test_report_bytes_match_golden():
     golden = read_digests(SHA_FILE)
-    reports, _ = outputs()
+    reports, _, _ = outputs()
     for name in FULL:
         assert reports[name] == (GOLDEN / f"{name}.json").read_text(), name
     different = changed(reports, golden)
     assert not different, f"{len(different)} reports changed: {different[:10]}"
 
 
+def test_text_reports_match_golden():
+    _, texts, _ = outputs()
+    different = changed(texts, read_digests(TEXT_FILE))
+    assert not different, f"{len(different)} text reports changed: {different[:10]}"
+
+
+def test_unroll_oracle_runs_match_golden():
+    different = changed(cli_outputs(), read_digests(UNROLL_FILE))
+    assert not different, f"{len(different)} CLI runs changed: {different[:10]}"
+
+
 def test_entry_cfgs_match_golden():
-    _, cfgs = outputs()
+    _, _, cfgs = outputs()
     different = changed(cfgs, read_digests(CFG_FILE))
     assert not different, f"{len(different)} entry CFGs changed: {different[:10]}"
 
@@ -178,12 +231,16 @@ def test_one_lowered_model_serves_both_specs():
 
 
 def main() -> None:
-    reports, cfgs = outputs()
+    reports, texts, cfgs = outputs()
+    runs = cli_outputs()
     write_digests(SHA_FILE, reports)
+    write_digests(TEXT_FILE, texts)
+    write_digests(UNROLL_FILE, runs)
     write_digests(CFG_FILE, cfgs)
     for name in FULL:
         (GOLDEN / f"{name}.json").write_text(reports[name])
-    print(f"wrote {len(reports)} report and {len(cfgs)} entry CFG digests")
+    print(f"wrote {len(reports)} report, {len(texts)} text report, "
+          f"{len(runs)} CLI run and {len(cfgs)} entry CFG digests")
 
 
 if __name__ == "__main__":
