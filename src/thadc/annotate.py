@@ -157,13 +157,6 @@ def _guard_of(pattern, constants) -> Optional[GuardSpec]:
     return GuardSpec(param, const, constants.get(const))
 
 
-def _descriptor_param(pattern) -> str:
-    for p in pattern.params:
-        if p.role is ParamRole.DESCRIPTOR:
-            return p.name
-    raise ValueError(f"{pattern.name} has no descriptor parameter")
-
-
 def plan_annotations(thad_set: ThadSet) -> AnnotationPlan:
     """The instrumentation plan for a dependency set, in set order."""
     decls: list[GhostDecl] = []
@@ -177,7 +170,7 @@ def plan_annotations(thad_set: ThadSet) -> AnnotationPlan:
             decls.append(GhostDecl(thad.id, fd_ghost, "fd"))
         fd_from_param = None
         if thad.binding is not None and thad.binding.source is BindingSource.PARAM:
-            fd_from_param = _descriptor_param(thad.dependency)
+            fd_from_param = thad.dependency.descriptor_param
         updates.append(
             GhostUpdate(
                 thad.id,

@@ -6,6 +6,7 @@ Exit codes, shared by all subcommands:
 * 1: ``check`` found at least one violation (or a corpus mismatch)
 * 2: usage, I/O, or parse error
 * 3: ``check`` found no violation but could not resolve everything
+* 4: internal error, reported in one line without a traceback
 
 ``THADC_COLOR`` (``auto``/``never``/``always``) controls ANSI colors in
 text output; ``auto`` colors only when writing to a terminal.
@@ -36,20 +37,13 @@ from .diagnostics import Diagnostic, DiagnosticError
 from .minic import UnrollTooDeep, parse_source, unroll_loops
 from .model import BindingSource, Thad, ThadSet
 from .passes import DepthLimitExceeded, RecursionDetected, preprocess
-from .report import (
-    OracleAgreement,
-    OracleDisagreement,
-    Report,
-    build_report,
-    exit_code,
-    render_json,
-    render_text,
-)
+from .report import build_report, exit_code, render_json, render_text
 from .specio import bundled_data_path, load_spec
 
 __all__ = ["main"]
 
 _USAGE = 2
+_INTERNAL = 4
 
 
 # ---------------------------------------------------------------------------
@@ -111,32 +105,27 @@ def _write_output(text: str, path: Optional[str]) -> None:
 # ---------------------------------------------------------------------------
 
 def _unroll_oracle(program, thad_set: ThadSet, verdicts: list[ThadVerdict],
-                   k: int, depth: int) -> OracleAgreement:
-    """Cross-check conclusive verdicts against the path oracle on a
-    k-unrolled copy of the program.  Informational only: on programs
-    with loops the oracle covers executions of up to k iterations."""
+                   k: int, depth: int) -> dict:
+    """The report's ``unroll_oracle`` object: the conclusive verdicts
+    cross-checked against the path oracle on a k-unrolled copy of the
+    program.  Informational only, it never changes verdicts or the exit
+    code.  Inconclusive verdicts are skipped, and on programs with loops
+    the oracle covers executions of up to k iterations."""
     unrolled = preprocess(build_model(unroll_loops(program, k)), thad_set,
                           depth)
     oracle = brute_force_paths(unrolled, thad_set)
-    checked = 0
-    disagreements = []
-    for verdict in verdicts:
-        if verdict.status is Status.INCONCLUSIVE:
-            continue
-        checked += 1
-        expected = verdict.status is Status.SATISFIED
-        if oracle[verdict.thad_id] is not expected:
-            disagreements.append(OracleDisagreement(
-                thad_id=verdict.thad_id,
-                status=verdict.status.name.lower(),
-                oracle_satisfied=oracle[verdict.thad_id],
-            ))
-    return OracleAgreement(k=k, checked=checked,
-                           disagreements=tuple(disagreements))
+    conclusive = [v for v in verdicts if v.status is not Status.INCONCLUSIVE]
+    disagreements = [
+        {"id": v.thad_id, "status": v.status.value,
+         "oracle_satisfied": oracle[v.thad_id]}
+        for v in conclusive
+        if oracle[v.thad_id] is not (v.status is Status.SATISFIED)]
+    return {"k": k, "checked": len(conclusive),
+            "agrees": not disagreements, "disagreements": disagreements}
 
 
 def _check_program(source: str, path: str, thad_set: ThadSet, spec_path: str,
-                   args) -> Report:
+                   args) -> dict:
     started = time.perf_counter()
     program = parse_source(source, path)
     model = preprocess(build_model(program), thad_set, args.inline_depth)
@@ -189,12 +178,12 @@ def _corpus_entries() -> list[tuple[str, str, dict]]:
     return entries
 
 
-def _corpus_facts(report: Report) -> dict:
-    non_trivial = {e.thad_id: e.status for e in report.entries
-                   if not e.trivial}
-    via_alias = sorted(e.thad_id for e in report.entries if e.via_alias)
-    witness_ends = {e.thad_id: e.witness[-1].routine for e in report.entries
-                    if e.witness}
+def _corpus_facts(report: dict) -> dict:
+    entries = report["entries"]
+    non_trivial = {e["id"]: e["status"] for e in entries if not e["trivial"]}
+    via_alias = sorted(e["id"] for e in entries if e["via_alias"])
+    witness_ends = {e["id"]: e["witness"][-1]["routine"] for e in entries
+                    if e["witness"]}
     return {"non_trivial": non_trivial, "via_alias": via_alias,
             "witness_ends": witness_ends, "exit_code": exit_code(report)}
 
@@ -216,8 +205,8 @@ def _run_corpus(thad_set: ThadSet, spec_path: str, args) -> int:
         if not problems:
             detail = (f"{len(facts['non_trivial'])} non-trivial, "
                       f"exit {facts['exit_code']}")
-            if report.wall_time_ms is not None:
-                detail += f", {report.wall_time_ms} ms"
+            if "wall_time_ms" in report:
+                detail += f", {report['wall_time_ms']} ms"
             mark = "ok" if not color else "\x1b[32mok\x1b[0m"
             lines.append(f"  {name:<{width}}  {mark} ({detail})")
         else:
@@ -413,15 +402,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     except DiagnosticError as exc:
         print(str(exc), file=sys.stderr)
         return _USAGE
-    except AnnotationError as exc:
+    except (AnnotationError, RecursionDetected, DepthLimitExceeded,
+            OSError) as exc:
         print(f"thadc: {exc}", file=sys.stderr)
         return _USAGE
-    except (RecursionDetected, DepthLimitExceeded) as exc:
-        print(f"thadc: {exc}", file=sys.stderr)
-        return _USAGE
-    except OSError as exc:
-        print(f"thadc: {exc}", file=sys.stderr)
-        return _USAGE
+    except Exception as exc:
+        message = " ".join(str(exc).splitlines())
+        print(f"thadc: internal error: {type(exc).__name__}: {message}",
+              file=sys.stderr)
+        return _INTERNAL
 
 
 if __name__ == "__main__":

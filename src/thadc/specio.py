@@ -37,7 +37,6 @@ from .model import (
     RoutineSpec,
     Thad,
     ThadSet,
-    resolve_constant,
 )
 
 __all__ = [
@@ -110,6 +109,8 @@ def parse_document(
     dep_ids: dict[str, int] = {}
     binds: dict[str, tuple[int, str, str, str, str]] = {}
     aliases: dict[str, str] = {}
+    # source constant -> (line, source column, target column) of its alias
+    alias_at: dict[str, tuple[int, int, int]] = {}
     used_constants: list[str] = []
 
     def err(line: int, col: int, message: str, code: str = "syntax") -> None:
@@ -203,6 +204,9 @@ def parse_document(
                 err(lineno, 1, f"duplicate alias for {src}", "duplicate-id")
                 continue
             aliases[src] = dst
+            indent = len(raw) - len(raw.lstrip())
+            alias_at[src] = (lineno, indent + m.start("src") + 1,
+                             indent + m.start("dst") + 1)
             used_constants.extend((src, dst))
         else:
             err(lineno, 1, f"unknown directive {keyword!r}")
@@ -285,14 +289,25 @@ def parse_document(
         err(bline, 1, f"bind references unknown dependency {bind_id!r}", "unknown-id")
 
     for src, dst in aliases.items():
+        line, src_col, dst_col = alias_at[src]
         if known_constants is not None:
-            for name in (src, dst):
+            for name, col in ((src, src_col), (dst, dst_col)):
                 if name not in known_constants:
-                    err(0, 0, f"unknown constant {name!r} in alias", "unknown-constant")
-    try:
-        resolve_constant(next(iter(aliases), ""), aliases)
-    except ValueError as e:
-        err(0, 0, str(e))
+                    err(line, col, f"unknown constant {name!r} in alias",
+                        "unknown-constant")
+    # Walk the chain from every alias; each cycle is reported once, at
+    # the alias of the name where the first walk to reach it closes it.
+    in_cycles: set[str] = set()
+    for src in aliases:
+        chain = [src]
+        name = aliases[src]
+        while name in aliases and name not in chain:
+            chain.append(name)
+            name = aliases[name]
+        if name in chain and name not in in_cycles:
+            in_cycles.update(chain[chain.index(name):])
+            line, src_col, _ = alias_at[name]
+            err(line, src_col, f"alias cycle through {name!r}")
 
     if diags:
         diags.sort(key=lambda d: (d.line, d.column))

@@ -129,6 +129,26 @@ class TestCheck:
         assert oracle == {"k": 2, "checked": 26, "agrees": True,
                           "disagreements": []}
 
+    def test_unroll_oracle_disagreement_reported(self, monkeypatch, capsys):
+        # An oracle that contradicts d14 is listed, and the exit code
+        # still comes from the verdicts.
+        oracle = cli.brute_force_paths
+
+        def contradicting(model, thad_set):
+            result = oracle(model, thad_set)
+            result["d14"] = not result["d14"]
+            return result
+
+        monkeypatch.setattr(cli, "brute_force_paths", contradicting)
+        code, out, _ = run(
+            ["check", str(CORPUS / "io-expander.c"), "--unroll", "1",
+             "--format", "json", "--no-timing"], capsys)
+        assert code == 0
+        assert json.loads(out)["unroll_oracle"] == {
+            "k": 1, "checked": 26, "agrees": False,
+            "disagreements": [{"id": "d14", "status": "satisfied",
+                               "oracle_satisfied": False}]}
+
     def test_unroll_does_not_change_exit_code(self, capsys):
         code, out, _ = run(
             ["check", str(CORPUS / "accelerometer-faulty.c"),
@@ -329,6 +349,20 @@ class TestBadInput:
             capture_output=True, text=True, timeout=30)
         assert result.returncode in (2, 3)
         assert "Traceback" not in result.stderr
+
+    def test_internal_error_exits_four_in_one_line(self, monkeypatch,
+                                                   capsys):
+        def broken(model, thad_set):
+            raise RuntimeError("no event\nfor node 7")
+
+        monkeypatch.setattr(cli, "check", broken)
+        code, out, err = run(["check", str(CORPUS / "io-expander.c")],
+                             capsys)
+        assert code == 4
+        assert out == ""
+        assert err == ("thadc: internal error: RuntimeError: no event "
+                       "for node 7\n")
+        assert "Traceback" not in err
 
 
 class TestCorpus:

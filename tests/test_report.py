@@ -10,15 +10,7 @@ from thadc.checker import check
 from thadc.minic import parse_source
 from thadc.model import ThadSet
 from thadc.passes import preprocess
-from thadc.report import (
-    OracleAgreement,
-    OracleDisagreement,
-    build_report,
-    exit_code,
-    render_json,
-    render_text,
-    to_dict,
-)
+from thadc.report import build_report, exit_code, render_json, render_text
 from thadc.specio import bundled_data_path
 
 from helpers import spidev_set
@@ -43,6 +35,8 @@ int main(void) {
 }
 """
 
+DISAGREEMENT = {"id": "d3", "status": "satisfied", "oracle_satisfied": False}
+
 UNRESOLVED_SOURCE = """
 int main(void) {
     int fd = open("/dev/spidev0.0", 2);
@@ -63,35 +57,35 @@ def report_for(source, program_path="prog.c", **kwargs):
 class TestBuild:
     def test_entries_cover_every_thad_in_natural_order(self):
         report = report_for(OK_SOURCE)
-        assert [e.thad_id for e in report.entries] == \
+        assert [e["id"] for e in report["entries"]] == \
             [f"d{i}" for i in range(1, 27)]
 
     def test_summary_counts_are_disjoint_and_total(self):
         report = report_for(OK_SOURCE)
-        s = report.summary
-        assert s.total == len(report.entries) == 26
-        assert (s.satisfied, s.violated, s.inconclusive,
-                s.trivially_satisfied) == (4, 0, 0, 22)
+        s = report["summary"]
+        assert sum(s.values()) == len(report["entries"]) == 26
+        assert (s["satisfied"], s["violated"], s["inconclusive"],
+                s["trivially_satisfied"]) == (4, 0, 0, 22)
 
     def test_violations_carry_witnesses_with_location(self):
         report = report_for(BAD_SOURCE, program_path="bad.c")
-        entry = next(e for e in report.entries if e.thad_id == "d24")
-        assert entry.status == "violated"
-        assert entry.feasibility == "not-proven"
-        assert [ev.routine for ev in entry.witness] == ["open", "read"]
-        assert all(ev.file == "bad.c" for ev in entry.witness)
-        assert all(ev.line > 0 for ev in entry.witness)
+        entry = next(e for e in report["entries"] if e["id"] == "d24")
+        assert entry["status"] == "violated"
+        assert entry["feasibility"] == "not-proven"
+        assert [ev["routine"] for ev in entry["witness"]] == ["open", "read"]
+        assert all(ev["file"] == "bad.c" for ev in entry["witness"])
+        assert all(ev["line"] > 0 for ev in entry["witness"])
 
     def test_satisfied_entries_have_no_witness(self):
         report = report_for(OK_SOURCE)
-        assert all(e.witness is None and e.feasibility is None
-                   for e in report.entries if e.status == "satisfied")
+        assert all(e["witness"] is None and e["feasibility"] is None
+                   for e in report["entries"] if e["status"] == "satisfied")
 
     def test_reason_kept_for_inconclusive(self):
         report = report_for(UNRESOLVED_SOURCE)
-        entry = next(e for e in report.entries if e.thad_id == "d17")
-        assert entry.status == "inconclusive"
-        assert "unresolved" in entry.reason
+        entry = next(e for e in report["entries"] if e["id"] == "d17")
+        assert entry["status"] == "inconclusive"
+        assert "unresolved" in entry["reason"]
 
 
 class TestExitCode:
@@ -130,16 +124,16 @@ class TestJson:
             bundled_data_path("report.schema.json").read_text())
         timed = report_for(OK_SOURCE, wall_time_ms=12)
         untimed = report_for(OK_SOURCE)
-        assert to_dict(timed)["wall_time_ms"] == 12
-        assert "wall_time_ms" not in to_dict(untimed)
-        jsonschema.validate(to_dict(timed), schema)
+        assert timed["wall_time_ms"] == 12
+        assert "wall_time_ms" not in untimed
+        jsonschema.validate(timed, schema)
 
     def test_oracle_block_matches_schema(self):
         schema = json.loads(
             bundled_data_path("report.schema.json").read_text())
-        oracle = OracleAgreement(k=2, checked=26, disagreements=(
-            OracleDisagreement("d3", "satisfied", False),))
-        data = to_dict(report_for(OK_SOURCE, oracle=oracle))
+        oracle = {"k": 2, "checked": 26, "agrees": False,
+                  "disagreements": [DISAGREEMENT]}
+        data = report_for(OK_SOURCE, oracle=oracle)
         assert data["unroll_oracle"]["agrees"] is False
         jsonschema.validate(data, schema)
 
@@ -148,7 +142,7 @@ class TestJson:
             render_json(report_for(OK_SOURCE))
 
     def test_fixed_top_level_key_order(self):
-        data = to_dict(report_for(OK_SOURCE, wall_time_ms=1))
+        data = report_for(OK_SOURCE, wall_time_ms=1)
         assert list(data) == ["tool", "version", "spec", "program",
                               "entries", "summary", "wall_time_ms"]
 
@@ -186,11 +180,11 @@ class TestText:
                 "22 trivially satisfied") in text
 
     def test_oracle_lines(self):
-        agree = OracleAgreement(k=3, checked=26, disagreements=())
+        agree = {"k": 3, "checked": 26, "agrees": True, "disagreements": []}
         text = render_text(report_for(OK_SOURCE, oracle=agree))
         assert "unroll oracle (k=3): agrees on 26 conclusive entries" in text
-        disagree = OracleAgreement(k=1, checked=26, disagreements=(
-            OracleDisagreement("d3", "satisfied", False),))
+        disagree = {"k": 1, "checked": 26, "agrees": False,
+                    "disagreements": [DISAGREEMENT]}
         text = render_text(report_for(OK_SOURCE, oracle=disagree))
         assert "DISAGREES on d3" in text
 

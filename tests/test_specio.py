@@ -100,6 +100,38 @@ def test_parse_alias_and_comments_and_crlf():
     assert s.resolve_constant("WR_MODE") == "WR_MODE32"
 
 
+ALIASED = """\
+routine open() returns descriptor
+routine ioctl(fd:descriptor, request:discriminator)
+dep d1: ioctl[request=A] requires open
+"""
+
+
+def positions(doc):
+    return [(d.line, d.column, d.message) for d in doc.diagnostics]
+
+
+def test_alias_of_unknown_constant_is_positioned():
+    doc = parse_document(ALIASED + "alias Q satisfies A\n",
+                         known_constants={"A": 1})
+    assert doc.parsed is None
+    assert positions(doc) == [(4, 7, "unknown constant 'Q' in alias")]
+
+
+@pytest.mark.parametrize("aliases, position", [
+    ("alias A satisfies B\nalias B satisfies A\n", (4, 7)),
+    # The cycle does not pass through the first alias.
+    ("alias C satisfies A\n  alias A satisfies B\nalias B satisfies A\n",
+     (5, 9)),
+    ("alias C satisfies B\nalias A satisfies A\n", (5, 7)),
+], ids=["first-alias", "later-alias", "self-alias"])
+def test_alias_cycle_is_positioned(aliases, position):
+    doc = parse_document(ALIASED + aliases,
+                         known_constants={"A": 1, "B": 2, "C": 3})
+    assert doc.parsed is None
+    assert positions(doc) == [(*position, "alias cycle through 'A'")]
+
+
 def test_parse_collects_multiple_diagnostics():
     text = "routine open(\ndep d1: nosuch requires open\nwhat is this\n"
     doc = parse_document(text)
