@@ -11,8 +11,8 @@ iteration.
 
 Statements that follow a ``return`` are dropped during lowering, so by
 construction every node lies on some entry-to-exit walk.  That property
-is what lets the must-style fixpoint used by the checker coincide with
-the meet over all paths.
+is what lets the must-style fixpoint of :func:`must_forward` coincide
+with the meet over all paths.
 
 Branch conditions are kept only for display.  The analyses in this
 package are path-insensitive: both arms of every branch are explored,
@@ -21,9 +21,10 @@ and no facts are refined from the condition.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 from .diagnostics import Diagnostic
 from .minic import (
@@ -48,7 +49,7 @@ from .minic import (
     Var,
     While,
 )
-from .model import CallEvent
+from .model import CallEvent, RoutineSpec, ThadSet
 
 __all__ = [
     "NodeKind",
@@ -59,6 +60,8 @@ __all__ = [
     "ProgramModel",
     "PathExplosion",
     "build_model",
+    "hal_sites",
+    "must_forward",
     "has_loops",
     "enumerate_paths",
     "return_var",
@@ -109,9 +112,6 @@ class Cfg:
     succ: dict[int, tuple[Edge, ...]]
     entry: int
     exit: int
-
-    def node(self, node_id: int) -> CfgNode:
-        return self.nodes[node_id]
 
     def edges(self, node_id: int) -> tuple[Edge, ...]:
         return self.succ.get(node_id, ())
@@ -356,16 +356,64 @@ def _lower_function(fn: FunctionDef) -> FunctionBody:
     return lowering.finish()
 
 
-def build_model(program: Program, entry: str = "main") -> ProgramModel:
-    """Lower a parsed program to CFGs.  The entry function must be defined."""
+ENTRY_FUNCTION = "main"
+
+
+def build_model(program: Program) -> ProgramModel:
+    """Lower a parsed program to CFGs.  ``main`` must be defined."""
     functions = {fn.name: _lower_function(fn) for fn in program.functions}
-    if entry not in functions:
+    if ENTRY_FUNCTION not in functions:
         raise MiniCError(
-            [Diagnostic(1, 1, f"no definition of entry function {entry!r}",
-                        "missing-entry")],
+            [Diagnostic(1, 1, "no definition of entry function "
+                        f"{ENTRY_FUNCTION!r}", "missing-entry")],
             program.path,
         )
-    return ProgramModel(functions, entry, program, program.path)
+    return ProgramModel(functions, ENTRY_FUNCTION, program, program.path)
+
+
+def hal_sites(body: FunctionBody,
+              spec_set: ThadSet) -> list[tuple[CfgNode, RoutineSpec]]:
+    """The body's calls of spec routines with their declarations, in
+    node id order.  Calls of any other name are skipped."""
+    routines = {r.name: r for r in spec_set.routines}
+    return [(node, routines[node.callee]) for node in body.cfg.call_nodes()
+            if node.callee in routines]
+
+
+# ---------------------------------------------------------------------------
+# Forward must-propagation
+# ---------------------------------------------------------------------------
+
+State = TypeVar("State")
+
+
+def must_forward(cfg: Cfg, start: State,
+                 transfer: Callable[[CfgNode, State], State],
+                 meet: Callable[[State, State], State]) -> dict[int, State]:
+    """Entry state of every node reached from the entry, for a forward
+    must-analysis on Kildall's worklist: ``start`` enters the entry,
+    ``transfer(node, state)`` leaves a node, and ``meet`` merges the
+    states arriving at a node, so a fact survives a merge only when it
+    holds on every incoming path.  It converges when meets only shrink.
+
+    States are shared, not copied: a node's first state is the object its
+    predecessor's transfer returned, and a transfer may return its input.
+    That is safe only because no transfer, meet or reader mutates a
+    state in place.
+    """
+    nodes, succ = cfg.nodes, cfg.succ
+    ins: dict[int, State] = {cfg.entry: start}
+    work = deque([cfg.entry])
+    while work:
+        nid = work.popleft()
+        out = transfer(nodes[nid], ins[nid])
+        for edge in succ.get(nid, ()):
+            cur = ins.get(edge.dst)
+            new = out if cur is None else meet(cur, out)
+            if new is not cur and new != cur:
+                ins[edge.dst] = new
+                work.append(edge.dst)
+    return ins
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +453,8 @@ def enumerate_paths(cfg: Cfg, bound: int = 1_000_000) -> Iterator[list[int]]:
     interpreter's recursion limit, and holds one path at a time.
     """
     if has_loops(cfg):
-        raise ValueError("cannot enumerate paths of a cyclic graph")
+        raise ValueError("cannot enumerate the paths of a cyclic graph; "
+                         "unroll its loops first")
     return _paths(cfg, bound)
 
 

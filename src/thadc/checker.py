@@ -52,10 +52,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
+from operator import and_, attrgetter
 from typing import Mapping, NamedTuple, Optional, Sequence
 
-from .cfg import Cfg, CfgNode, ProgramModel, enumerate_paths, has_loops
+from .cfg import (Cfg, CfgNode, ProgramModel, enumerate_paths, hal_sites,
+                  must_forward)
 from .model import (
     CallEvent,
     RoutineSpec,
@@ -68,7 +69,6 @@ from .model import (
 )
 
 __all__ = [
-    "Completion",
     "MonitorState",
     "Status",
     "WitnessStep",
@@ -83,27 +83,18 @@ __all__ = [
 MonitorKey = tuple[str, Optional[str]]  # (thad id, token or None for unbound)
 
 
-class Completion(Enum):
-    UNREACHABLE = "unreachable"
-    COMPLETED = "completed"
-    NOT_COMPLETED = "not-completed"
-
-
 class MonitorState:
-    """Must-completed facts entering one CFG node.
+    """Must-completed facts entering a CFG node.
 
     Bit ``i`` of ``mask`` is set when the required prior call of monitor
     key ``keys[i]`` (dependency id, token) has happened on every path to
-    the node; every other key is NotCompleted.  All states of one
-    fixpoint share the ``keys`` list.  Unreachable appears only on nodes
-    the fixpoint never visited, which a well-formed CFG does not have.
+    the node.  All states of one fixpoint share the ``keys`` list, and
+    nodes with the same mask share one state.
     """
 
-    __slots__ = ("reachable", "mask", "keys")
+    __slots__ = ("mask", "keys")
 
-    def __init__(self, reachable: bool, mask: int,
-                 keys: Sequence[MonitorKey]):
-        self.reachable = reachable
+    def __init__(self, mask: int, keys: Sequence[MonitorKey]):
         self.mask = mask
         self.keys = keys
 
@@ -111,13 +102,6 @@ class MonitorState:
     def completed(self) -> frozenset[MonitorKey]:
         return frozenset(key for i, key in enumerate(self.keys)
                          if self.mask >> i & 1)
-
-    def completion(self, thad_id: str, token: Optional[str] = None) -> Completion:
-        if not self.reachable:
-            return Completion.UNREACHABLE
-        if (thad_id, token) in self.completed:
-            return Completion.COMPLETED
-        return Completion.NOT_COMPLETED
 
 
 class Status(Enum):
@@ -166,16 +150,14 @@ class ThadVerdict:
 def _hal_nodes(model: ProgramModel, thad_set: ThadSet) -> list[CfgNode]:
     """Entry-function call nodes of spec routines; each has a resolved
     event in ``model.events``."""
-    spec_names = {r.name for r in thad_set.routines}
     nodes = []
-    for node in model.entry_body.cfg.call_nodes():
-        if node.callee in spec_names:
-            if node.id not in model.events:
-                raise ValueError(
-                    f"call node {node.id} ({node.callee}) has no resolved event; "
-                    "run the preparation passes first"
-                )
-            nodes.append(node)
+    for node, _ in hal_sites(model.entry_body, thad_set):
+        if node.id not in model.events:
+            raise ValueError(
+                f"call node {node.id} ({node.callee}) has no resolved event; "
+                "run the preparation passes first"
+            )
+        nodes.append(node)
     return nodes
 
 
@@ -267,34 +249,21 @@ class _States(dict):
 def dataflow_fixpoint(
     model: ProgramModel, thad_set: ThadSet
 ) -> dict[int, MonitorState]:
-    """Per-node entry states of the must-completed monitor analysis.
+    """Entry state of every node of the must-completed monitor analysis.
 
-    All monitor keys are decided at once: a state is one ``int`` with a
-    bit per key, gen is ``|`` and the merge is ``&``.  The state at a
-    node describes the moment before the node acts, so a call's own
-    completion is not visible to the assertion evaluated at that same
-    call.  The loop converges because states only shrink once reached.
+    All monitor keys are decided at once on :func:`~thadc.cfg.must_forward`:
+    a state is one ``int`` with a bit per key, gen is ``|`` and the merge
+    is ``&``.  The state at a node describes the moment before the node
+    acts, so a call's own completion is not visible to the assertion
+    evaluated at that same call.
     """
-    cfg = model.entry_body.cfg
     sites = _site_table(model, thad_set)
-    gen, succ = sites.gen, cfg.succ
-    ins: dict[int, int] = {cfg.entry: 0}
-    work = deque([cfg.entry])
-    while work:
-        nid = work.popleft()
-        out = ins[nid] | gen.get(nid, 0)
-        for edge in succ.get(nid, ()):
-            cur = ins.get(edge.dst)
-            new = out if cur is None else cur & out
-            if new != cur:
-                ins[edge.dst] = new
-                work.append(edge.dst)
-
+    gen = sites.gen
+    ins = must_forward(model.entry_body.cfg, 0,
+                       lambda node, mask: mask | gen.get(node.id, 0), and_)
     keys = list(sites.bits)
-    states = _States(
-        (nid, MonitorState(nid in ins, ins.get(nid, 0), keys))
-        for nid in cfg.nodes
-    )
+    shared = {mask: MonitorState(mask, keys) for mask in set(ins.values())}
+    states = _States((nid, shared[mask]) for nid, mask in ins.items())
     states.sites = sites
     return states
 
@@ -304,7 +273,8 @@ def dataflow_fixpoint(
 # ---------------------------------------------------------------------------
 
 def _free_distances(
-    cfg: Cfg, blocked: set[int], targets: list[CfgNode]
+    cfg: Cfg, blocked: set[int], targets: list[CfgNode],
+    order: dict[int, list[int]],
 ) -> tuple[dict[int, int], dict[int, Optional[int]]]:
     """Distance (in edges) from the entry along paths that pass no
     blocked node before their last one, for every target at least, and
@@ -314,7 +284,8 @@ def _free_distances(
     visits a node's successors lowest (line, node id) first, so every
     layer is discovered in path order: the previous-node chain of a node
     is its shortest such path that takes the lowest line, then node id,
-    at the first point of divergence."""
+    at the first point of divergence.  ``order`` memoizes each expanded
+    branch's successors in that order; it depends only on the CFG."""
     nodes, succ = cfg.nodes, cfg.succ
     dist = {cfg.entry: 0}
     prev: dict[int, Optional[int]] = {cfg.entry: None}
@@ -327,8 +298,10 @@ def _free_distances(
         step = dist[nid] + 1
         edges = succ.get(nid, ())
         if len(edges) > 1:  # a branch: only here is there an order to keep
-            dsts = sorted({e.dst for e in edges},
-                          key=lambda n: (nodes[n].line, n))
+            dsts = order.get(nid)
+            if dsts is None:
+                dsts = order[nid] = sorted({e.dst for e in edges},
+                                           key=lambda n: (nodes[n].line, n))
         else:
             dsts = [e.dst for e in edges]
         for dst in dsts:
@@ -373,7 +346,8 @@ def check(model: ProgramModel, thad_set: ThadSet) -> list[ThadVerdict]:
     three verdicts and the relevance rules.
     """
     states = dataflow_fixpoint(model, thad_set)
-    verdicts = [_check_one(model, thad_set, thad, states)
+    order: dict[int, list[int]] = {}  # see _free_distances
+    verdicts = [_check_one(model, thad_set, thad, states, order)
                 for thad in thad_set.thads]
     verdicts.sort(key=lambda v: natural_key(v.thad_id))
     return verdicts
@@ -384,6 +358,7 @@ def _check_one(
     thad_set: ThadSet,
     thad: Thad,
     states: _States,
+    order: dict[int, list[int]],
 ) -> ThadVerdict:
     sites = states.sites
     row = sites.rows[thad.id]
@@ -438,7 +413,7 @@ def _check_one(
             completers = set() if bit is None else {
                 nid for nid, mask in sites.gen.items() if mask >> bit & 1
             }
-            dist, prev = _free_distances(cfg, completers, nodes)
+            dist, prev = _free_distances(cfg, completers, nodes, order)
             for node in nodes:
                 assert node.id in dist, "must-analysis promised a free path"
                 ranked.append((dist[node.id], node.line, node.id))
@@ -471,8 +446,6 @@ def brute_force_paths(
     :class:`~thadc.cfg.PathExplosion` past ``path_bound`` paths.
     """
     cfg = model.entry_body.cfg
-    if has_loops(cfg):
-        raise ValueError("the model has loops; unroll before enumerating paths")
     events_by_node = {n.id: model.events[n.id]
                       for n in _hal_nodes(model, thad_set)}
     all_events = list(events_by_node.values())

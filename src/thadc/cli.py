@@ -267,9 +267,7 @@ def _explain_text(thad_set: ThadSet) -> str:
         lines.append(f"alias: {source} satisfies {target}")
     lines.append("")
     for thad in thad_set.thads:
-        lines.append(f"{thad.id}: {thad.dependent.describe()} requires "
-                     f"{thad.dependency.describe()}"
-                     f"{_binding_text(thad, thad_set)}")
+        lines.append(thad.describe() + _binding_text(thad, thad_set))
     return "\n".join(lines) + "\n"
 
 

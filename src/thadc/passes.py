@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from collections import ChainMap, deque
+from collections import ChainMap
 from typing import Callable, Mapping, Optional
 
 from .cfg import (
@@ -49,10 +49,12 @@ from .cfg import (
     FunctionBody,
     NodeKind,
     ProgramModel,
+    hal_sites,
+    must_forward,
     return_var,
 )
 from .minic import Binary, Expr, Num, Unary, Var
-from .model import CallEvent, RoutineSpec, ThadSet
+from .model import CallEvent, ParamRole, ThadSet
 
 __all__ = [
     "RecursionDetected",
@@ -287,32 +289,36 @@ def inline_calls(model: ProgramModel, depth_limit: int = 16) -> ProgramModel:
 
 
 # ---------------------------------------------------------------------------
-# Forward must-propagation (shared by the two resolution passes)
+# Must-known values (shared by the two resolution passes)
 # ---------------------------------------------------------------------------
 
-def _must_forward(
-    cfg: Cfg,
-    transfer: Callable[[CfgNode, dict], dict],
+def _must_values(
+    cfg: Cfg, value: Callable[[CfgNode, dict], Optional[object]]
 ) -> dict[int, dict]:
-    """Entry-state map per node for a gen/kill environment analysis where
-    a fact survives a merge only if every incoming path agrees on it."""
-    ins: dict[int, Optional[dict]] = {n: None for n in cfg.nodes}
-    ins[cfg.entry] = {}
-    work = deque([cfg.entry])
-    while work:
-        nid = work.popleft()
-        state = ins[nid]
-        assert state is not None
-        out = transfer(cfg.nodes[nid], state)
-        for e in cfg.edges(nid):
-            cur = ins[e.dst]
-            new = dict(out) if cur is None else {
-                k: v for k, v in cur.items() if out.get(k) == v
-            }
-            if new != cur:
-                ins[e.dst] = new
-                work.append(e.dst)
-    return {n: (s if s is not None else {}) for n, s in ins.items()}
+    """Entry environment, variable -> the value it holds on every path,
+    of every node reached from the entry.  A node writes at most one
+    variable, an ASSIGN its ``var`` and a CALL its ``lhs``, and
+    ``value(node, env)`` gives the new value, or None for unknown.  Only
+    a write that changes an environment copies it."""
+    def transfer(node: CfgNode, env: dict) -> dict:
+        var = node.var or node.lhs
+        if var is None:
+            return env
+        new = value(node, env)
+        if env.get(var) == new:
+            return env
+        out = dict(env)
+        if new is None:
+            del out[var]
+        else:
+            out[var] = new
+        return out
+
+    def meet(env: dict, other: dict) -> dict:
+        kept = {k: v for k, v in env.items() if other.get(k) == v}
+        return env if len(kept) == len(env) else kept
+
+    return must_forward(cfg, {}, transfer, meet)
 
 
 # ---------------------------------------------------------------------------
@@ -366,22 +372,6 @@ def _eval_expr(expr: Expr, env: dict[str, int],
     return value if value is None or -2**63 <= value < 2**64 else None
 
 
-def _routine_of(node: CfgNode, spec_set: ThadSet) -> Optional[RoutineSpec]:
-    try:
-        return spec_set.routine(node.callee) if node.callee else None
-    except KeyError:
-        return None
-
-
-def _param_index(routine: RoutineSpec, param: Optional[str]) -> Optional[int]:
-    if param is None:
-        return None
-    for i, p in enumerate(routine.params):
-        if p.name == param:
-            return i
-    return None
-
-
 def resolve_discriminators(model: ProgramModel,
                            spec_set: ThadSet) -> dict[int, dict]:
     """The discriminator fields of every HAL call event in the entry
@@ -412,28 +402,16 @@ def resolve_discriminators(model: ProgramModel,
             return value
         return model.defines.get(name)
 
-    def transfer(node: CfgNode, env: dict) -> dict:
-        if node.kind is NodeKind.ASSIGN and node.var:
-            out = dict(env)
-            value = _eval_expr(node.expr, env, lookup)
-            if value is None:
-                out.pop(node.var, None)
-            else:
-                out[node.var] = value
-            return out
-        if node.kind is NodeKind.CALL and node.lhs:
-            out = dict(env)
-            out.pop(node.lhs, None)
-            return out
-        return env
+    def assigned_value(node: CfgNode, env: dict) -> Optional[int]:
+        if node.kind is NodeKind.ASSIGN:
+            return _eval_expr(node.expr, env, lookup)
+        return None  # a call's result
 
-    ins = _must_forward(body.cfg, transfer)
+    ins = _must_values(body.cfg, assigned_value)
     fields: dict[int, dict] = {}
-    for node in body.cfg.call_nodes():
-        routine = _routine_of(node, spec_set)
-        if routine is None:
-            continue
-        idx = _param_index(routine, routine.discriminator_param)
+    for node, routine in hal_sites(body, spec_set):
+        idx = next((i for i, p in enumerate(routine.params)
+                    if p.role is ParamRole.DISCRIMINATOR), None)
         value_name: Optional[str] = None
         if idx is not None:
             arg = node.args[idx] if idx < len(node.args) else None
@@ -467,36 +445,22 @@ def build_token_flow(model: ProgramModel,
     argument's use; otherwise the argument stays unknown.
     """
     body = model.entry_body
+    sites = hal_sites(body, spec_set)
     produced: dict[int, str] = {}
-    for node in body.cfg.call_nodes():
-        routine = _routine_of(node, spec_set)
-        if routine is not None and routine.returns_descriptor:
+    for node, routine in sites:
+        if routine.returns_descriptor:
             produced[node.id] = f"t{len(produced) + 1}"
 
-    def transfer(node: CfgNode, env: dict) -> dict:
-        if node.kind is NodeKind.CALL and node.lhs:
-            out = dict(env)
-            if node.id in produced:
-                out[node.lhs] = produced[node.id]
-            else:
-                out.pop(node.lhs, None)
-            return out
-        if node.kind is NodeKind.ASSIGN and node.var:
-            out = dict(env)
-            if isinstance(node.expr, Var) and node.expr.name in env:
-                out[node.var] = env[node.expr.name]
-            else:
-                out.pop(node.var, None)
-            return out
-        return env
+    def assigned_token(node: CfgNode, env: dict) -> Optional[str]:
+        if node.kind is NodeKind.CALL:
+            return produced.get(node.id)
+        return env.get(node.expr.name) if isinstance(node.expr, Var) else None
 
-    ins = _must_forward(body.cfg, transfer)
+    ins = _must_values(body.cfg, assigned_token)
     fields: dict[int, dict] = {}
-    for node in body.cfg.call_nodes():
-        routine = _routine_of(node, spec_set)
-        if routine is None:
-            continue
-        idx = _param_index(routine, routine.descriptor_param)
+    for node, routine in sites:
+        idx = next((i for i, p in enumerate(routine.params)
+                    if p.role is ParamRole.DESCRIPTOR), None)
         token: Optional[str] = None
         if idx is not None and idx < len(node.args):
             arg = node.args[idx]

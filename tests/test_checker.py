@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from operator import and_
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +11,17 @@ from hypothesis import strategies as st
 
 from helpers import bound_spidev_set, parse_program, spidev_set
 from randprog import generate_program
-from thadc.cfg import PathExplosion, build_model
+from thadc.cfg import (
+    Cfg,
+    CfgNode,
+    Edge,
+    NodeKind,
+    PathExplosion,
+    build_model,
+    hal_sites,
+    must_forward,
+)
 from thadc.checker import (
-    Completion,
     Status,
     ThadVerdict,
     WitnessTrace,
@@ -114,30 +123,88 @@ int main(int c) {
 """
 
 
+class TestMustForward:
+    """The one worklist every must-analysis runs on, on a hand-built CFG:
+
+    0 entry -> 1 branch -> 2 gen 0b011 | 3 gen 0b001 -> 4 join
+    -> 5 branch -> 6 gen 0b100 -> back to 4 | 7 exit; 8 -> 7 unreached.
+    """
+
+    GEN = {2: 0b011, 3: 0b001, 6: 0b100}
+
+    def cfg(self) -> Cfg:
+        kinds = {0: NodeKind.ENTRY, 1: NodeKind.BRANCH, 2: NodeKind.CALL,
+                 3: NodeKind.CALL, 4: NodeKind.JOIN, 5: NodeKind.BRANCH,
+                 6: NodeKind.CALL, 7: NodeKind.EXIT, 8: NodeKind.JOIN}
+        succ = {0: (1,), 1: (2, 3), 2: (4,), 3: (4,), 4: (5,), 5: (6, 7),
+                6: (4,), 7: (), 8: (7,)}
+        return Cfg({n: CfgNode(n, k) for n, k in kinds.items()},
+                   {n: tuple(Edge(None, d) for d in ds)
+                    for n, ds in succ.items()}, 0, 7)
+
+    def states(self) -> dict[int, int]:
+        return must_forward(self.cfg(), 0,
+                            lambda node, mask: mask | self.GEN.get(node.id, 0),
+                            and_)
+
+    def test_join_meets_the_masks(self):
+        assert self.states()[4] == 0b011 & 0b001
+
+    def test_back_edge_converges(self):
+        states = self.states()
+        assert states[6] == 0b001  # the loop's gen does not reach back
+        assert states[7] == 0b001
+
+    def test_unreached_node_has_no_state(self):
+        states = self.states()
+        assert 8 not in states
+        assert set(states) == set(range(8))
+
+    def test_node_that_writes_nothing_passes_its_state_on(self):
+        states = self.states()
+        assert states[5] == states[4]
+        assert states[1] == states[0] == 0
+
+
+class TestHalSites:
+    def test_spec_calls_in_node_order(self):
+        model = parse_program("""
+        int helper(int x) { return x; }
+        int main(void) {
+            int fd = open("/d", 0);
+            printf("x");
+            helper(fd);
+            read(fd, 0, 4);
+            ioctl(fd, WR_MODE32, 0);
+            return 0;
+        }
+        """, "<test>")
+        sites = hal_sites(model.entry_body, SPIDEV)
+        assert [node.callee for node, _ in sites] == ["open", "read", "ioctl"]
+        ids = [node.id for node, _ in sites]
+        assert ids == sorted(ids)
+        assert all(routine == SPIDEV.routine(node.callee)
+                   for node, routine in sites)
+
+
 class TestDataflow:
     def test_straight_line_read_sees_open_completed(self):
         model = prepared('int main(void) { int fd = open("/d", 0); read(fd, 0, 4); return 0; }')
         states = dataflow_fixpoint(model, SPIDEV)
         read_node = call_node(model, "read")
         open_node = call_node(model, "open")
-        assert states[read_node.id].completion("d1") is Completion.COMPLETED
-        assert states[open_node.id].completion("d1") is Completion.NOT_COMPLETED
+        assert ("d1", None) in states[read_node.id].completed
+        assert ("d1", None) not in states[open_node.id].completed
 
     def test_own_completion_not_visible_at_entry(self):
         model = prepared('int main(void) { int fd = open("/d", 0); close(fd); return 0; }')
         states = dataflow_fixpoint(model, SPIDEV)
-        assert (
-            states[call_node(model, "open").id].completion("d4")
-            is Completion.NOT_COMPLETED
-        )
+        assert ("d4", None) not in states[call_node(model, "open").id].completed
 
     def test_diamond_meet_loses_the_fact(self):
         model = prepared(DIAMOND_OPEN)
         states = dataflow_fixpoint(model, SPIDEV)
-        assert (
-            states[call_node(model, "read").id].completion("d1")
-            is Completion.NOT_COMPLETED
-        )
+        assert ("d1", None) not in states[call_node(model, "read").id].completed
 
     def test_loop_first_iteration_not_completed(self):
         src = """
@@ -151,16 +218,12 @@ class TestDataflow:
         """
         model = prepared(src)
         states = dataflow_fixpoint(model, SPIDEV)
-        assert (
-            states[call_node(model, "read").id].completion("d1")
-            is Completion.NOT_COMPLETED
-        )
+        assert ("d1", None) not in states[call_node(model, "read").id].completed
 
     def test_all_nodes_reachable(self):
         model = prepared(STRAIGHT_OK)
         states = dataflow_fixpoint(model, SPIDEV)
         assert set(states) == set(model.entry_body.cfg.nodes)
-        assert all(s.reachable for s in states.values())
 
 
 class TestVerdicts:
