@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Literal, Optional, Sequence
 
 from .minic import Token, c_int_value, tokenize
-from .model import BindingSource, ParamRole, ThadSet
+from .model import BindingSource, ParamRole, ThadSet, resolve_constant
 
 __all__ = [
     "AnnotationError",
@@ -544,12 +544,9 @@ _PARAM_TYPES = {
 def _matching_constants(const: str, thad_set: ThadSet) -> list[str]:
     """Constant names whose calls match a pattern over ``const`` once
     alias substitution is applied; empty if the pattern is dead."""
-    out = []
-    if const not in thad_set.aliases:
-        out.append(const)
-    for source, target in thad_set.aliases.items():
-        if target == const:
-            out.append(source)
+    aliases = thad_set.aliases
+    out = [] if const in aliases else [const]
+    out.extend(s for s in aliases if resolve_constant(s, aliases) == const)
     return out
 
 

@@ -77,6 +77,7 @@ __all__ = [
     "dataflow_fixpoint",
     "check",
     "find_witness",
+    "hal_traces",
     "brute_force_paths",
 ]
 
@@ -432,6 +433,18 @@ def _check_one(
 # Brute-force oracle
 # ---------------------------------------------------------------------------
 
+def hal_traces(model: ProgramModel, path_bound: int = 1_000_000
+               ) -> set[tuple[CallEvent, ...]]:
+    """The distinct HAL traces of a prepared loop-free model: each
+    entry-to-exit path projected onto the events of its HAL calls.
+    Paths can outnumber traces by far, so only the traces are kept.
+    Raises ValueError on cyclic graphs (unroll loops first) and
+    :class:`~thadc.cfg.PathExplosion` past ``path_bound`` paths."""
+    events = model.events
+    return {tuple(events[n] for n in path if n in events)
+            for path in enumerate_paths(model.entry_body.cfg, path_bound)}
+
+
 def brute_force_paths(
     model: ProgramModel, thad_set: ThadSet, path_bound: int = 1_000_000
 ) -> dict[str, bool]:
@@ -440,21 +453,11 @@ def brute_force_paths(
 
     Applies the same same-routine relevance rule as :func:`check` (a
     dependency pattern no call resolves to obligates nothing), then
-    evaluates the reference trace semantics on each distinct trace of
-    the enumerated paths, so memory grows with the traces, not the
-    paths.  Raises ValueError on cyclic graphs (unroll loops first) and
-    :class:`~thadc.cfg.PathExplosion` past ``path_bound`` paths.
+    checks each of :func:`hal_traces` against the reference semantics.
     """
-    cfg = model.entry_body.cfg
-    events_by_node = {n.id: model.events[n.id]
-                      for n in _hal_nodes(model, thad_set)}
-    all_events = list(events_by_node.values())
+    all_events = [model.events[n.id] for n in _hal_nodes(model, thad_set)]
     aliases = thad_set.aliases
-
-    traces = {  # distinct ones only: paths can outnumber them by far
-        tuple(events_by_node[n] for n in path if n in events_by_node)
-        for path in enumerate_paths(cfg, path_bound)
-    }
+    traces = hal_traces(model, path_bound)
 
     result: dict[str, bool] = {}
     for thad in thad_set.thads:

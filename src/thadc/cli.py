@@ -1,5 +1,8 @@
 """Command-line interface: ``check``, ``annotate``, and ``explain``.
 
+:func:`run_check` is ``check`` on one program's source text, for library
+use: it returns the report as a JSON-ready dict.
+
 Exit codes, shared by all subcommands:
 
 * 0: success (for ``check``: every dependency satisfied)
@@ -40,7 +43,7 @@ from .passes import DepthLimitExceeded, RecursionDetected, preprocess
 from .report import build_report, exit_code, render_json, render_text
 from .specio import bundled_data_path, load_spec
 
-__all__ = ["main"]
+__all__ = ["main", "run_check"]
 
 _USAGE = 2
 _INTERNAL = 4
@@ -104,6 +107,11 @@ def _write_output(text: str, path: Optional[str]) -> None:
 # check
 # ---------------------------------------------------------------------------
 
+def _prepared(program, thad_set: ThadSet, depth: int):
+    """A parsed program lowered and prepared for the checker."""
+    return preprocess(build_model(program), thad_set, depth)
+
+
 def _unroll_oracle(program, thad_set: ThadSet, verdicts: list[ThadVerdict],
                    k: int, depth: int) -> dict:
     """The report's ``unroll_oracle`` object: the conclusive verdicts
@@ -111,8 +119,7 @@ def _unroll_oracle(program, thad_set: ThadSet, verdicts: list[ThadVerdict],
     program.  Informational only, it never changes verdicts or the exit
     code.  Inconclusive verdicts are skipped, and on programs with loops
     the oracle covers executions of up to k iterations."""
-    unrolled = preprocess(build_model(unroll_loops(program, k)), thad_set,
-                          depth)
+    unrolled = _prepared(unroll_loops(program, k), thad_set, depth)
     oracle = brute_force_paths(unrolled, thad_set)
     conclusive = [v for v in verdicts if v.status is not Status.INCONCLUSIVE]
     disagreements = [
@@ -124,22 +131,25 @@ def _unroll_oracle(program, thad_set: ThadSet, verdicts: list[ThadVerdict],
             "agrees": not disagreements, "disagreements": disagreements}
 
 
-def _check_program(source: str, path: str, thad_set: ThadSet, spec_path: str,
-                   args) -> dict:
+def run_check(source: str, path: str, thad_set: ThadSet, *, spec_path: str,
+              inline_depth: int = 16, unroll: Optional[int] = None,
+              timing: bool = False) -> dict:
+    """Parse, lower, inline and resolve, and decide one program against
+    ``thad_set``; returns the report.  ``unroll`` adds the ``--unroll``
+    oracle block and ``timing`` the wall time.  Parse and preparation
+    errors raise, as ``check`` exits 2 on them."""
     started = time.perf_counter()
     program = parse_source(source, path)
-    model = preprocess(build_model(program), thad_set, args.inline_depth)
-    verdicts = check(model, thad_set)
+    verdicts = check(_prepared(program, thad_set, inline_depth), thad_set)
     oracle = None
-    if args.unroll is not None:
+    if unroll is not None:
         try:
-            oracle = _unroll_oracle(program, thad_set, verdicts,
-                                    args.unroll, args.inline_depth)
+            oracle = _unroll_oracle(program, thad_set, verdicts, unroll,
+                                    inline_depth)
         except (PathExplosion, UnrollTooDeep) as exc:
             print(f"thadc: unroll oracle skipped: {exc}", file=sys.stderr)
-    wall_ms = None
-    if not args.no_timing:
-        wall_ms = int((time.perf_counter() - started) * 1000)
+    wall_ms = (int((time.perf_counter() - started) * 1000) if timing
+               else None)
     return build_report(verdicts, thad_set, spec_path=spec_path,
                         program_path=path, wall_time_ms=wall_ms,
                         oracle=oracle)
@@ -147,10 +157,12 @@ def _check_program(source: str, path: str, thad_set: ThadSet, spec_path: str,
 
 def _cmd_check(args) -> int:
     thad_set, spec_path = _load_set(args)
+    options = {"spec_path": spec_path, "inline_depth": args.inline_depth,
+               "unroll": args.unroll, "timing": not args.no_timing}
     if args.corpus:
-        return _run_corpus(thad_set, spec_path, args)
+        return _run_corpus(thad_set, options, args.output)
     source = _read_text(Path(args.program), args.program)
-    report = _check_program(source, args.program, thad_set, spec_path, args)
+    report = run_check(source, args.program, thad_set, **options)
     if args.format == "json":
         text = render_json(report)
     else:
@@ -188,14 +200,17 @@ def _corpus_facts(report: dict) -> dict:
             "witness_ends": witness_ends, "exit_code": exit_code(report)}
 
 
-def _run_corpus(thad_set: ThadSet, spec_path: str, args) -> int:
+def _run_corpus(thad_set: ThadSet, options: dict,
+                output: Optional[str]) -> int:
+    """``check --corpus``; ``options`` are :func:`run_check`'s."""
     entries = _corpus_entries()
-    color = args.output is None and _want_color(sys.stdout)
-    lines = [f"corpus: {len(entries)} programs (spec: {spec_path})"]
+    color = output is None and _want_color(sys.stdout)
+    lines = [f"corpus: {len(entries)} programs "
+             f"(spec: {options['spec_path']})"]
     width = max(len(name) for name, _, _ in entries)
     mismatches = 0
     for name, source, expected in entries:
-        report = _check_program(source, name, thad_set, spec_path, args)
+        report = run_check(source, name, thad_set, **options)
         facts = _corpus_facts(report)
         problems = []
         for key in ("non_trivial", "via_alias", "witness_ends", "exit_code"):
@@ -220,7 +235,7 @@ def _run_corpus(thad_set: ThadSet, spec_path: str, args) -> int:
                      "do not match expectations")
     else:
         lines.append(f"corpus: all {len(entries)} programs match expectations")
-    _write_output("\n".join(lines) + "\n", args.output)
+    _write_output("\n".join(lines) + "\n", output)
     return 1 if mismatches else 0
 
 

@@ -15,15 +15,14 @@ while the dependencies themselves are not.  The two bundled files describe
 the Linux SPI userspace device interface ("spidev"): five routines and 26
 dependencies over them, plus the legacy-mode alias.
 
-Parsing reports every problem it can find as a diagnostic with line and
-column instead of stopping at the first; the convenience wrappers raise
-:class:`SpecError` carrying the list.
+Parsing collects every problem it can find as a diagnostic with line
+and column instead of stopping at the first, then raises
+:class:`SpecError` carrying them all, sorted by position.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from importlib import resources
 from typing import Mapping, Optional
 
@@ -41,7 +40,6 @@ from .model import (
 
 __all__ = [
     "Diagnostic",
-    "SpecDocument",
     "SpecError",
     "parse_thad_spec",
     "parse_constants",
@@ -54,19 +52,6 @@ __all__ = [
 
 class SpecError(DiagnosticError):
     """Raised when a specification file does not parse cleanly."""
-
-
-@dataclass(frozen=True)
-class SpecDocument:
-    """A parse result: the source text, the set (when clean), diagnostics."""
-
-    source: str
-    parsed: Optional[ThadSet]
-    diagnostics: tuple[Diagnostic, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return self.parsed is not None
 
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
@@ -96,11 +81,13 @@ def _strip_comment(raw: str) -> str:
     return raw if cut < 0 else raw[:cut]
 
 
-def parse_document(
+def parse_thad_spec(
     text: str,
     known_constants: Optional[Mapping[str, int]] = None,
-) -> SpecDocument:
-    """Parse a dependency spec, collecting diagnostics instead of raising."""
+    path: str = "<spec>",
+) -> ThadSet:
+    """Parse a dependency spec; raise :class:`SpecError` carrying every
+    diagnostic, sorted by position, if there is any."""
     diags: list[Diagnostic] = []
     routines: list[RoutineSpec] = []
     routine_lines: dict[str, int] = {}
@@ -311,7 +298,7 @@ def parse_document(
 
     if diags:
         diags.sort(key=lambda d: (d.line, d.column))
-        return SpecDocument(text, None, tuple(diags))
+        raise SpecError(diags, path)
 
     constants: dict[str, Optional[int]] = {}
     if known_constants is not None:
@@ -320,27 +307,14 @@ def parse_document(
         constants.setdefault(name, None)
 
     try:
-        parsed = ThadSet(
+        return ThadSet(
             routines=tuple(routines),
             thads=tuple(thads),
             constants=constants,
             aliases=aliases,
         )
     except ValueError as e:
-        return SpecDocument(text, None, (Diagnostic(0, 0, str(e)),))
-    return SpecDocument(text, parsed, ())
-
-
-def parse_thad_spec(
-    text: str,
-    known_constants: Optional[Mapping[str, int]] = None,
-    path: str = "<spec>",
-) -> ThadSet:
-    """Parse a dependency spec; raise :class:`SpecError` on any diagnostic."""
-    doc = parse_document(text, known_constants)
-    if doc.parsed is None:
-        raise SpecError(list(doc.diagnostics), path)
-    return doc.parsed
+        raise SpecError([Diagnostic(0, 0, str(e))], path) from None
 
 
 def parse_constants(text: str, path: str = "<consts>") -> dict[str, int]:

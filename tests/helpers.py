@@ -9,7 +9,7 @@ place shows up as a mismatch instead of silently shipping.
 from __future__ import annotations
 
 from thadc.cfg import Cfg, NodeKind, ProgramModel, build_model
-from thadc.minic import parse_source
+from thadc.minic import parse_source, unroll_loops
 from thadc.model import (
     BindingSource,
     CallEvent,
@@ -20,6 +20,7 @@ from thadc.model import (
     Thad,
     ThadSet,
 )
+from thadc.passes import preprocess
 
 # The Linux ioctl request encoding: dir<<30 | size<<16 | type<<8 | nr,
 # with type 'k' (0x6B) for the SPI device interface.  Recomputed here from
@@ -202,6 +203,20 @@ def bound_spidev_set() -> ThadSet:
 def parse_program(source: str, path: str = "<input>") -> ProgramModel:
     """Parse C-subset source text and lower it to a program model."""
     return build_model(parse_source(source, path))
+
+
+def prepared(source: str, thad_set: ThadSet | None = None,
+             depth_limit: int = 16, unroll: int | None = None
+             ) -> ProgramModel:
+    """Source text parsed, lowered and prepared for the checker against
+    ``thad_set`` (the spidev set by default), with its loops unrolled
+    ``unroll`` times first when given."""
+    program = parse_source(source, "<test>")
+    if unroll is not None:
+        program = unroll_loops(program, unroll)
+    if thad_set is None:
+        thad_set = spidev_set()
+    return preprocess(build_model(program), thad_set, depth_limit)
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,9 @@ from hypothesis import strategies as st
 
 from thadc import cli
 from thadc.annotate import emit_annotated_source, emit_wrapper, plan_annotations
-from thadc.cfg import build_model
-from thadc.checker import Status, brute_force_paths, check
-from thadc.minic import parse_source, unroll_loops
+from thadc.checker import Status, brute_force_paths, check, hal_traces
 from thadc.model import trace_satisfies
-from thadc.passes import preprocess
-from thadc.report import build_report, exit_code
+from thadc.report import exit_code
 from thadc.specio import (
     bundled_data_path,
     bundled_spidev,
@@ -27,7 +24,7 @@ from thadc.specio import (
 )
 
 from ghostsim import simulate_wrapper
-from helpers import bound_spidev_set, spidev_set
+from helpers import bound_spidev_set, prepared, spidev_set
 from randprog import generate_program
 from strategies import thad_sets
 from test_annotate import (
@@ -35,7 +32,6 @@ from test_annotate import (
     MULTI_SKELETON,
     OPEN_IOCTL_SKELETON,
     SINGLE_ANNOTATED,
-    path_traces,
     subset,
 )
 
@@ -56,35 +52,31 @@ EXPECTED_VIA_ALIAS = {
 
 
 def checked(source, path="prog.c"):
-    """(verdicts, elapsed seconds) for one program against the bundled set."""
+    """(report, elapsed seconds) for one program against the bundled set."""
     started = time.perf_counter()
-    model = preprocess(build_model(parse_source(source, path)), SPIDEV)
-    verdicts = check(model, SPIDEV)
-    return verdicts, time.perf_counter() - started
+    report = cli.run_check(source, path, SPIDEV, spec_path="spidev.thad")
+    return report, time.perf_counter() - started
 
 
 def test_criterion_1_corpus_relevance_matrix():
     for name, expected_ids in EXPECTED_NON_TRIVIAL.items():
-        verdicts, elapsed = checked((CORPUS / name).read_text(), name)
-        non_trivial = {v.thad_id for v in verdicts if not v.trivial}
+        report, elapsed = checked((CORPUS / name).read_text(), name)
+        entries = report["entries"]
+        non_trivial = {e["id"] for e in entries if not e["trivial"]}
         assert non_trivial == expected_ids, name
-        assert all(v.status is Status.SATISFIED for v in verdicts), name
-        via_alias = {v.thad_id for v in verdicts if v.via_alias}
+        assert all(e["status"] == "satisfied" for e in entries), name
+        via_alias = {e["id"] for e in entries if e["via_alias"]}
         assert via_alias == EXPECTED_VIA_ALIAS[name], name
-        report = build_report(verdicts, SPIDEV, spec_path="spidev.thad",
-                              program_path=name)
         assert exit_code(report) == 0, name
         assert elapsed < 1.0, f"{name}: {elapsed:.2f}s"
 
 
 def test_criterion_2_faulty_variant_detected():
     name = "accelerometer-faulty.c"
-    verdicts, elapsed = checked((CORPUS / name).read_text(), name)
-    by_id = {v.thad_id: v for v in verdicts}
-    assert by_id["d24"].status is Status.VIOLATED
-    assert by_id["d24"].witness.steps[-1].event.routine == "read"
-    report = build_report(verdicts, SPIDEV, spec_path="spidev.thad",
-                          program_path=name)
+    report, elapsed = checked((CORPUS / name).read_text(), name)
+    by_id = {e["id"]: e for e in report["entries"]}
+    assert by_id["d24"]["status"] == "violated"
+    assert by_id["d24"]["witness"][-1]["routine"] == "read"
     assert exit_code(report) == 1
     assert elapsed < 1.0, f"{elapsed:.2f}s"
 
@@ -103,7 +95,7 @@ def test_criterion_3_annotation_reference_fidelity():
 
 def assert_oracle_agrees(seed, source, thad_set):
     """Every verdict is conclusive and matches the path oracle."""
-    model = preprocess(build_model(parse_source(source, "r.c")), thad_set)
+    model = prepared(source, thad_set)
     oracle = brute_force_paths(model, thad_set)
     for verdict in check(model, thad_set):
         assert verdict.status is not Status.INCONCLUSIVE, (seed, verdict)
@@ -132,8 +124,7 @@ def test_criterion_5_wrapper_asserts_encode_trace_semantics():
     wrapper = emit_wrapper(SPIDEV, "acsl")
     for seed in range(500):
         source = generate_program(seed)
-        model = preprocess(build_model(parse_source(source, "r.c")), SPIDEV)
-        for trace in path_traces(model):
+        for trace in hal_traces(prepared(source, SPIDEV)):
             failed = simulate_wrapper(wrapper, trace, SPIDEV)
             expected = {
                 t.id for t in SPIDEV.thads
@@ -157,15 +148,12 @@ def test_criterion_6_satisfied_verdicts_sound_under_loop_unrolling():
         if source.count("while (") != 1:
             continue
         found += 1
-        program = parse_source(source, "loop.c")
-        model = preprocess(build_model(program), SPIDEV)
         conclusive = {v.thad_id: v.status is Status.VIOLATED
-                      for v in check(model, SPIDEV)
+                      for v in check(prepared(source, SPIDEV), SPIDEV)
                       if v.status is not Status.INCONCLUSIVE}
         for k in (1, 2, 3):
-            unrolled = preprocess(
-                build_model(unroll_loops(program, k)), SPIDEV)
-            oracle = brute_force_paths(unrolled, SPIDEV)
+            oracle = brute_force_paths(prepared(source, SPIDEV, unroll=k),
+                                       SPIDEV)
             wrong = {t for t, violated in conclusive.items()
                      if oracle[t] == violated and (k == 1 or not violated)}
             assert not wrong, (seed - 1, k, wrong)

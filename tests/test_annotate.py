@@ -15,7 +15,7 @@ from helpers import (
     ev_ioctl,
     ev_open,
     ev_read,
-    parse_program,
+    prepared,
     spidev_set,
 )
 from randprog import generate_program
@@ -27,10 +27,10 @@ from thadc.annotate import (
     emit_wrapper,
     plan_annotations,
 )
-from thadc.cfg import enumerate_paths
+from thadc.checker import hal_traces
 from thadc.minic import parse_source
 from thadc.model import ThadSet, trace_satisfies
-from thadc.passes import preprocess
+from thadc.specio import parse_thad_spec
 
 SPIDEV = spidev_set()
 
@@ -458,18 +458,30 @@ class TestSimulator:
         # raises their assertions
         assert self.run(trace) == {"d15", "d18", "d21", "d24"}
 
+    def test_guards_follow_alias_chains(self):
+        # A -> B -> C: a call with A or B resolves to C, so only the C
+        # pattern (d1) can match; the B pattern (d2) is dead.
+        chained = parse_thad_spec(
+            "routine open(path) returns descriptor\n"
+            "routine ioctl(fd:descriptor, request:discriminator, arg)\n"
+            "dep d1: ioctl[request=C] requires open\n"
+            "dep d2: ioctl[request=B] requires open\n"
+            "alias A satisfies B\n"
+            "alias B satisfies C\n",
+            known_constants={"A": 1, "B": 2, "C": 3})
+        for const in ("A", "B", "C"):
+            trace = [ev_ioctl(const, "t1")]
+            expected = {t.id for t in chained.thads
+                        if not trace_satisfies(t, trace, chained.aliases)}
+            assert expected == {"d1"}
+            assert self.run(trace, chained) == expected, const
+
     def test_rejects_drifted_text(self):
         text = emit_wrapper(SPIDEV, "acsl").replace(
             "    return ret;", "    return ret + 1;", 1
         )
         with pytest.raises(WrapperShapeError):
             simulate_wrapper(text, [ev_read("t1")], SPIDEV)
-
-
-def path_traces(model):
-    events = model.events
-    for path in enumerate_paths(model.entry_body.cfg):
-        yield [events[n] for n in path if n in events]
 
 
 class TestAnnotationCorrectness:
@@ -479,9 +491,8 @@ class TestAnnotationCorrectness:
     @settings(max_examples=120, deadline=None)
     def test_wrapper_fails_exactly_on_unsatisfied_traces(self, seed, mode):
         source = generate_program(seed)
-        model = preprocess(parse_program(source, "<rand>"), SPIDEV)
         wrapper = emit_wrapper(SPIDEV, mode)
-        for trace in path_traces(model):
+        for trace in hal_traces(prepared(source, SPIDEV)):
             failed = simulate_wrapper(wrapper, trace, SPIDEV)
             expected = {
                 t.id
@@ -495,9 +506,8 @@ class TestAnnotationCorrectness:
     def test_bound_wrapper_matches_trace_semantics(self, seed):
         bound = bound_spidev_set()
         source = generate_program(seed, min_opens=1)
-        model = preprocess(parse_program(source, "<rand>"), bound)
         wrapper = emit_wrapper(bound, "acsl")
-        for trace in path_traces(model):
+        for trace in hal_traces(prepared(source, bound)):
             failed = simulate_wrapper(wrapper, trace, bound)
             expected = {
                 t.id

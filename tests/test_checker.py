@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import bound_spidev_set, parse_program, spidev_set
+from helpers import bound_spidev_set, parse_program, prepared, spidev_set
 from randprog import generate_program
 from thadc.cfg import (
     Cfg,
@@ -29,7 +29,7 @@ from thadc.checker import (
     check,
     dataflow_fixpoint,
 )
-from thadc.minic import parse_source, unroll_loops
+from thadc.minic import parse_source
 from thadc.model import (
     BindingSource,
     DescriptorBinding,
@@ -40,13 +40,8 @@ from thadc.model import (
     ThadSet,
     trace_satisfies,
 )
-from thadc.passes import preprocess
 
 SPIDEV = spidev_set()
-
-
-def prepared(source: str, thad_set: ThadSet = SPIDEV):
-    return preprocess(parse_program(source, "<test>"), thad_set)
 
 
 def verdicts(source: str, thad_set: ThadSet = SPIDEV) -> dict[str, ThadVerdict]:
@@ -624,10 +619,8 @@ class TestOracle:
         vs = verdicts(src)
         satisfied = {i for i, v in vs.items() if v.status is Status.SATISFIED}
         assert satisfied == {f"d{i}" for i in range(1, 27)}
-        program = parse_source(src, "<test>")
         for k in (1, 2, 3):
-            unrolled = preprocess(build_model(unroll_loops(program, k)), SPIDEV)
-            oracle = brute_force_paths(unrolled, SPIDEV)
+            oracle = brute_force_paths(prepared(src, SPIDEV, unroll=k), SPIDEV)
             assert all(oracle[i] for i in satisfied)
 
 
@@ -700,12 +693,11 @@ class TestProperties:
     @settings(max_examples=75, deadline=None)
     def test_loop_soundness_against_unrollings(self, seed):
         source = generate_program(seed, allow_loops=True)
-        program = parse_source(source, "<rand>")
         vs = check(prepared(source), SPIDEV)
         satisfied = {v.thad_id for v in vs if v.status is Status.SATISFIED}
         for k in (1, 2, 3):
-            unrolled = preprocess(build_model(unroll_loops(program, k)), SPIDEV)
-            oracle = brute_force_paths(unrolled, SPIDEV)
+            oracle = brute_force_paths(prepared(source, SPIDEV, unroll=k),
+                                       SPIDEV)
             for tid in satisfied:
                 assert oracle[tid], f"{tid} fails at k={k}, seed {seed}:\n{source}"
 

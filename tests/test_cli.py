@@ -1,15 +1,20 @@
 """Command-line behavior: subcommands, exit codes, and output formats."""
 
+import importlib
+import importlib.util
 import json
 import subprocess
 import sys
+from collections import Counter
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 from thadc import cli
 from thadc.minic import MAX_NESTING
-from thadc.specio import bundled_data_path
+from thadc.report import exit_code, render_json
+from thadc.specio import bundled_data_path, bundled_spidev
 
 from helpers import nested_ifs, nested_parens, plus_chain
 
@@ -102,6 +107,42 @@ class TestCheck:
         schema = json.loads(
             bundled_data_path("report.schema.json").read_text())
         jsonschema.validate(json.loads(out1), schema)
+
+    def test_run_check_returns_the_cli_report(self, capsys):
+        path = str(CORPUS / "accelerometer-faulty.c")
+        code, out, _ = run(["check", path, "--format", "json", "--no-timing",
+                            "--unroll", "1"], capsys)
+        report = cli.run_check((CORPUS / "accelerometer-faulty.c").read_text(),
+                               path, bundled_spidev(), spec_path="spidev.thad",
+                               unroll=1)
+        assert render_json(report) == out
+        assert exit_code(report) == code == 1
+
+    def test_every_benchmarked_layer_is_called(self, monkeypatch, capsys):
+        # The benchmark's per-layer metrics come from wrapping the names
+        # in perfbench/tracing.py's WRAPPED from outside, and a layer that
+        # is wrapped but never called reads 0 there rather than failing.
+        # So each name must still exist and be called through the module
+        # attribute by one check with a violation.
+        tracing_py = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("tracing", tracing_py)
+        tracing = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, tracing)
+        spec.loader.exec_module(tracing)
+        calls = Counter()
+        for module_name, attr in tracing.WRAPPED:
+            module = importlib.import_module(module_name)
+            original = getattr(module, attr)
+
+            def counted(*args, _fn=original, _key=(module_name, attr),
+                        **kwargs):
+                calls[_key] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, attr, counted)
+        code, _, _ = run(["check", str(CORPUS / "accelerometer-faulty.c"),
+                          "--format", "json", "--no-timing"], capsys)
+        assert code == 1
+        assert sorted(set(tracing.WRAPPED) - set(calls)) == []
 
     def test_json_reports_timing_by_default(self, capsys):
         code, out, _ = run(

@@ -24,6 +24,7 @@ from thadc.cfg import (
     enumerate_paths,
     has_loops,
 )
+from thadc.checker import hal_traces
 from thadc.minic import (
     MAX_NESTING,
     MiniCError,
@@ -47,6 +48,7 @@ from helpers import (
     nested_parens,
     parse_program,
     plus_chain,
+    prepared,
     spidev_set,
 )
 from randprog import generate_program
@@ -55,23 +57,9 @@ from strategies import c_ish_text
 pytestmark = []
 
 
-def prepared(source: str, thad_set=None, depth_limit: int = 16):
-    model = parse_program(source)
-    return preprocess(model, thad_set or spidev_set(), depth_limit)
-
-
 def hal_events(model):
     """Events of the entry function's HAL calls, in node order."""
     return [model.events[nid] for nid in sorted(model.events)]
-
-
-def path_traces(model):
-    """Set of HAL event tuples over all entry-to-exit paths."""
-    events = model.events
-    return {
-        tuple(events[n] for n in path if n in events)
-        for path in enumerate_paths(model.entry_body.cfg)
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -543,10 +531,10 @@ class TestInlining:
             return 0;
         }
         """
-        flat = preprocess(parse_program(source), spidev_set())
+        flat = prepared(source)
         traces = {
             tuple((e.routine, e.discriminator_value, e.descriptor_token) for e in t)
-            for t in path_traces(flat)
+            for t in hal_traces(flat)
         }
         assert traces == {
             (
@@ -860,11 +848,10 @@ class TestLoops:
         assert has_loops(model.entry_body.cfg)
 
     def test_unrolled_traces(self):
-        ast = parse_source(self.SOURCE)
-        model = preprocess(build_model(unroll_loops(ast, 2)), spidev_set())
+        model = prepared(self.SOURCE, unroll=2)
         assert not has_loops(model.entry_body.cfg)
         names = {
-            tuple(e.routine for e in trace) for trace in path_traces(model)
+            tuple(e.routine for e in trace) for trace in hal_traces(model)
         }
         assert names == {
             ("open", "read"),
@@ -882,10 +869,9 @@ class TestLoops:
             return 0;
         }
         """
-        ast = parse_source(source)
-        model = preprocess(build_model(unroll_loops(ast, 3)), spidev_set())
         names = {
-            tuple(e.routine for e in trace) for trace in path_traces(model)
+            tuple(e.routine for e in trace)
+            for trace in hal_traces(prepared(source, unroll=3))
         }
         assert names == {
             ("open",),
@@ -897,14 +883,13 @@ class TestLoops:
     def test_unroll_stops_at_the_nesting_limit(self):
         # The while, its k - 1 inner copies, the read and its argument
         # list: k + 2 levels.
-        ast = parse_source(
-            "int main(void) { int fd = open(\"/dev/x\", 0);"
-            " while (c) { read(fd, 0, 1); } return 0; }")
+        source = ("int main(void) { int fd = open(\"/dev/x\", 0);"
+                  " while (c) { read(fd, 0, 1); } return 0; }")
         k = MAX_NESTING - 2
-        model = preprocess(build_model(unroll_loops(ast, k)), spidev_set())
+        model = prepared(source, unroll=k)
         assert len(list(enumerate_paths(model.entry_body.cfg))) == k + 1
         with pytest.raises(UnrollTooDeep) as exc:
-            unroll_loops(ast, k + 1)
+            prepared(source, unroll=k + 1)
         assert (exc.value.k, exc.value.levels) == (k + 1, MAX_NESTING + 1)
 
     def test_nested_loops_count_k_levels_each(self):

@@ -5,15 +5,12 @@ import json
 import jsonschema
 import pytest
 
-from thadc.cfg import build_model
 from thadc.checker import check
-from thadc.minic import parse_source
 from thadc.model import ThadSet
-from thadc.passes import preprocess
 from thadc.report import build_report, exit_code, render_json, render_text
 from thadc.specio import bundled_data_path
 
-from helpers import spidev_set
+from helpers import prepared, spidev_set
 
 SPIDEV = spidev_set()
 
@@ -48,8 +45,7 @@ int main(void) {
 
 
 def report_for(source, program_path="prog.c", **kwargs):
-    model = preprocess(build_model(parse_source(source, program_path)), SPIDEV)
-    verdicts = check(model, SPIDEV)
+    verdicts = check(prepared(source, SPIDEV), SPIDEV)
     return build_report(verdicts, SPIDEV, spec_path="spidev.thad",
                         program_path=program_path, **kwargs)
 
@@ -190,9 +186,7 @@ class TestText:
 
     def test_empty_spec_renders(self):
         empty = ThadSet()
-        model = preprocess(
-            build_model(parse_source("int main(void) { return 0; }", "p.c")),
-            empty)
+        model = prepared("int main(void) { return 0; }", empty)
         report = build_report(check(model, empty), empty,
                               spec_path="empty.thad", program_path="p.c")
         text = render_text(report)

@@ -14,7 +14,6 @@ from thadc.specio import (
     bundled_spidev,
     load_spec,
     parse_constants,
-    parse_document,
     parse_thad_spec,
     serialize_spec,
 )
@@ -31,6 +30,13 @@ dep d1: read requires open
 # parsing
 # ---------------------------------------------------------------------------
 
+def spec_diagnostics(text, known_constants=None):
+    """The diagnostics of a spec that must not parse."""
+    with pytest.raises(SpecError) as exc:
+        parse_thad_spec(text, known_constants)
+    return exc.value.diagnostics
+
+
 def test_parse_minimal_dep():
     s = parse_thad_spec(MINIMAL)
     assert [t.id for t in s.thads] == ["d1"]
@@ -46,16 +52,14 @@ def test_parse_empty_file_gives_empty_set():
 
 def test_parse_duplicate_dep_id_reports_second_line():
     text = MINIMAL + "dep d1: read requires open\n"
-    doc = parse_document(text)
-    assert doc.parsed is None
-    (diag,) = [d for d in doc.diagnostics if d.code == "duplicate-id"]
+    diags = spec_diagnostics(text)
+    (diag,) = [d for d in diags if d.code == "duplicate-id"]
     assert diag.line == 4
 
 
 def test_parse_unknown_routine():
-    doc = parse_document("dep d1: read requires open\n")
-    assert doc.parsed is None
-    assert {d.code for d in doc.diagnostics} == {"unknown-routine"}
+    diags = spec_diagnostics("dep d1: read requires open\n")
+    assert {d.code for d in diags} == {"unknown-routine"}
 
 
 def test_parse_unknown_constant_only_with_universe():
@@ -68,9 +72,8 @@ dep d1: ioctl[request=MSG] requires open
     s = parse_thad_spec(text)
     assert s.constants == {"MSG": None}
     # with one, unknown names are errors
-    doc = parse_document(text, known_constants={"WR_MODE32": 1})
-    assert doc.parsed is None
-    assert {d.code for d in doc.diagnostics} == {"unknown-constant"}
+    diags = spec_diagnostics(text, known_constants={"WR_MODE32": 1})
+    assert {d.code for d in diags} == {"unknown-constant"}
 
 
 def test_parse_bind_lines():
@@ -82,9 +85,8 @@ def test_parse_bind_lines():
 
 
 def test_parse_bind_to_unknown_dep_is_an_error():
-    doc = parse_document(MINIMAL + "bind d9: open.return -> read.fd\n")
-    assert doc.parsed is None
-    assert any(d.code == "unknown-id" for d in doc.diagnostics)
+    diags = spec_diagnostics(MINIMAL + "bind d9: open.return -> read.fd\n")
+    assert any(d.code == "unknown-id" for d in diags)
 
 
 def test_parse_alias_and_comments_and_crlf():
@@ -107,15 +109,14 @@ dep d1: ioctl[request=A] requires open
 """
 
 
-def positions(doc):
-    return [(d.line, d.column, d.message) for d in doc.diagnostics]
+def positions(diags):
+    return [(d.line, d.column, d.message) for d in diags]
 
 
 def test_alias_of_unknown_constant_is_positioned():
-    doc = parse_document(ALIASED + "alias Q satisfies A\n",
-                         known_constants={"A": 1})
-    assert doc.parsed is None
-    assert positions(doc) == [(4, 7, "unknown constant 'Q' in alias")]
+    diags = spec_diagnostics(ALIASED + "alias Q satisfies A\n",
+                             known_constants={"A": 1})
+    assert positions(diags) == [(4, 7, "unknown constant 'Q' in alias")]
 
 
 @pytest.mark.parametrize("aliases, position", [
@@ -126,18 +127,16 @@ def test_alias_of_unknown_constant_is_positioned():
     ("alias C satisfies B\nalias A satisfies A\n", (5, 7)),
 ], ids=["first-alias", "later-alias", "self-alias"])
 def test_alias_cycle_is_positioned(aliases, position):
-    doc = parse_document(ALIASED + aliases,
-                         known_constants={"A": 1, "B": 2, "C": 3})
-    assert doc.parsed is None
-    assert positions(doc) == [(*position, "alias cycle through 'A'")]
+    diags = spec_diagnostics(ALIASED + aliases,
+                             known_constants={"A": 1, "B": 2, "C": 3})
+    assert positions(diags) == [(*position, "alias cycle through 'A'")]
 
 
 def test_parse_collects_multiple_diagnostics():
     text = "routine open(\ndep d1: nosuch requires open\nwhat is this\n"
-    doc = parse_document(text)
-    assert doc.parsed is None
-    assert len(doc.diagnostics) >= 3
-    lines = [d.line for d in doc.diagnostics]
+    diags = spec_diagnostics(text)
+    assert len(diags) >= 3
+    lines = [d.line for d in diags]
     assert lines == sorted(lines)
 
 
@@ -147,8 +146,7 @@ routine open() returns descriptor
 routine read(fd:descriptor)
 dep d1: read[request=MSG] requires open
 """
-    doc = parse_document(text)
-    assert doc.parsed is None
+    spec_diagnostics(text)
 
 
 # ---------------------------------------------------------------------------
