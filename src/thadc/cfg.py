@@ -43,7 +43,6 @@ from .minic import (
     Program,
     Return,
     Stmt,
-    Str,
     Switch,
     Unary,
     Var,
@@ -77,7 +76,6 @@ class NodeKind(Enum):
     JOIN = "join"
 
 
-@dataclass(frozen=True)
 class CfgNode:
     """One CFG node.  Field use by kind:
 
@@ -87,23 +85,41 @@ class CfgNode:
     others  no extra fields
 
     A HAL call's resolved event is not a node field: it lives in the
-    prepared model's ``events`` table.
+    prepared model's ``events`` table.  Nodes are plain slot records,
+    built once and never changed; they compare by identity, and every
+    table keys them by ``id``.
     """
 
-    id: int
-    kind: NodeKind
-    line: int = 0
-    callee: Optional[str] = None
-    args: tuple[Expr, ...] = ()
-    lhs: Optional[str] = None
-    var: Optional[str] = None
-    expr: Optional[Expr] = None
+    __slots__ = ("id", "kind", "line", "callee", "args", "lhs", "var", "expr")
+
+    def __init__(self, id: int, kind: NodeKind, line: int = 0,
+                 callee: Optional[str] = None, args: tuple[Expr, ...] = (),
+                 lhs: Optional[str] = None, var: Optional[str] = None,
+                 expr: Optional[Expr] = None):
+        self.id = id
+        self.kind = kind
+        self.line = line
+        self.callee = callee
+        self.args = args
+        self.lhs = lhs
+        self.var = var
+        self.expr = expr
+
+    def __repr__(self) -> str:
+        return f"CfgNode({self.id}, {self.kind.name}, line {self.line})"
 
 
-@dataclass(frozen=True)
 class Edge:
-    label: Optional[str]
-    dst: int
+    """An out-edge: its branch label (None when unlabeled) and target."""
+
+    __slots__ = ("label", "dst")
+
+    def __init__(self, label: Optional[str], dst: int):
+        self.label = label
+        self.dst = dst
+
+    def __repr__(self) -> str:
+        return f"Edge({self.label!r}, {self.dst})"
 
 
 @dataclass
@@ -134,6 +150,9 @@ class FunctionBody:
     params: tuple[str, ...]
     locals: tuple[str, ...]
     cfg: Cfg
+    # For an inlined entry: each call's tail node id -> the renamed names
+    # its copy owns.  Nothing after the tail reads them.
+    dead_after: dict[int, tuple[str, ...]] = field(default_factory=dict)
 
 
 @dataclass

@@ -27,6 +27,10 @@ each event once from what the last two return:
     way, so a call's descriptor argument maps to the ``open`` that
     produced it exactly when that holds on every path.
 
+Both resolution passes follow only the variables that can reach their
+arguments (a flow-insensitive backward slice), and an inlined copy's
+variables leave their environments at the copy's return.
+
 Only the entry body is inlined and resolved: the checker, the path
 oracle and the report read nothing else.  No pass mutates the model it
 is given.  ``inline_calls`` returns its input or a new model that shares
@@ -39,8 +43,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from collections import ChainMap
-from typing import Callable, Mapping, Optional
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Optional
 
 from .cfg import (
     Cfg,
@@ -54,7 +57,7 @@ from .cfg import (
     return_var,
 )
 from .minic import Binary, Expr, Num, Unary, Var
-from .model import CallEvent, ParamRole, ThadSet
+from .model import CallEvent, ParamRole, RoutineSpec, ThadSet
 
 __all__ = [
     "RecursionDetected",
@@ -147,30 +150,29 @@ def _rename_expr(expr: Optional[Expr], mapping: Mapping[str, str]) -> Optional[E
     return expr  # unchanged; lowering hoists every call out of expressions
 
 
-def _owned_names(body: FunctionBody) -> set[str]:
-    """The function's own variables: everything it writes or declares,
-    plus its synthetic return slot.  An inlined copy renames them, and
-    resolution never reads them as constants.  Free names (platform
-    constants, defines, globals) stay untouched."""
-    names = set(body.params) | set(body.locals) | {return_var(body.name)}
-    for node in body.cfg.nodes.values():
-        if node.kind is NodeKind.ASSIGN and node.var:
-            names.add(node.var)
-        elif node.kind is NodeKind.CALL and node.lhs:
-            names.add(node.lhs)
-    return names
+def _owned_names(body: FunctionBody) -> Iterator[str]:
+    """The function's own variables, some more than once: everything it
+    writes (an ASSIGN's ``var``, a CALL's ``lhs``) or declares, plus its
+    synthetic return slot.  An inlined copy renames them, and resolution
+    never reads them as constants.  Free names (platform constants,
+    defines, globals) stay untouched."""
+    written = (node.var or node.lhs for node in body.cfg.nodes.values())
+    return itertools.chain((return_var(body.name),), body.params,
+                           body.locals, filter(None, written))
 
 
 class _Copy:
     """One lowered body being copied into the entry: its renames, the
     node ids still to copy, and the first and last new node of each
-    copied one (they differ where a call was expanded).  ``call`` is
-    None for the entry itself; an inlined copy holds the caller's copy,
-    the call node's id, the new bind nodes and the new tail node."""
+    copied one (they differ where a call was expanded).  ``ren`` is one
+    flat dict: the caller's renames overlaid with the copy's own.
+    ``call`` is None for the entry itself; an inlined copy holds the
+    caller's copy, the call node's id, the new bind nodes and the new
+    tail node."""
 
     __slots__ = ("body", "ren", "call", "pending", "head", "tail")
 
-    def __init__(self, body: FunctionBody, ren: Mapping[str, str],
+    def __init__(self, body: FunctionBody, ren: dict[str, str],
                  call=None):
         self.body, self.ren, self.call = body, ren, call
         self.pending = iter(sorted(body.cfg.nodes))
@@ -187,11 +189,14 @@ def _splice_entry(model: ProgramModel) -> FunctionBody:
     succ: dict[int, tuple[Edge, ...]] = {}
     owned: dict[str, list[str]] = {}  # function -> its names, sorted
     extra_locals: list[str] = []
+    dead_after: dict[int, tuple[str, ...]] = {}
     instances = itertools.count(1)
 
-    def add(kind: NodeKind, line: int, **fields) -> int:
+    def add(kind: NodeKind, line: int, callee=None, args=(), lhs=None,
+            var=None, expr=None) -> int:
         node_id = len(nodes)
-        nodes[node_id] = CfgNode(node_id, kind, line, **fields)
+        nodes[node_id] = CfgNode(node_id, kind, line, callee, args, lhs,
+                                 var, expr)
         succ[node_id] = ()
         return node_id
 
@@ -199,7 +204,7 @@ def _splice_entry(model: ProgramModel) -> FunctionBody:
         """Emit one call's parameter binds and tail; the callee's copy."""
         callee = functions[call.callee]
         if callee.name not in owned:
-            owned[callee.name] = sorted(_owned_names(callee))
+            owned[callee.name] = sorted(set(_owned_names(callee)))
         instance = next(instances)
         own = {n: f"{n}__inl{instance}" for n in owned[callee.name]}
         extra_locals.extend(own.values())
@@ -212,8 +217,9 @@ def _splice_entry(model: ProgramModel) -> FunctionBody:
             tail = add(NodeKind.ASSIGN, call.line,
                        var=caller.ren.get(call.lhs, call.lhs),
                        expr=Var(own[return_var(callee.name)], call.line))
-        ren = caller.ren.new_child(own) if caller.call else ChainMap(own)
-        return _Copy(callee, ren, (caller, call.id, binds, tail))
+        dead_after[tail] = tuple(own.values())
+        return _Copy(callee, {**caller.ren, **own},
+                     (caller, call.id, binds, tail))
 
     def close(copy: _Copy) -> None:
         """Connect a finished copy's edges.  An inlined copy also chains
@@ -244,18 +250,18 @@ def _splice_entry(model: ProgramModel) -> FunctionBody:
             if copy is entry or node.kind not in (NodeKind.ENTRY,
                                                   NodeKind.EXIT):
                 copy.head[cid] = copy.tail[cid] = add(
-                    node.kind, node.line, callee=node.callee,
-                    args=tuple(_rename_expr(a, ren) for a in node.args),
-                    lhs=ren.get(node.lhs, node.lhs) if node.lhs else None,
-                    var=ren.get(node.var, node.var) if node.var else None,
-                    expr=_rename_expr(node.expr, ren))
+                    node.kind, node.line, node.callee,
+                    tuple([_rename_expr(a, ren) for a in node.args]),
+                    ren.get(node.lhs, node.lhs) if node.lhs else None,
+                    ren.get(node.var, node.var) if node.var else None,
+                    _rename_expr(node.expr, ren))
         else:
             close(stack.pop())
     body = model.entry_body
     cfg = Cfg(nodes, succ, entry.head[body.cfg.entry],
               entry.head[body.cfg.exit])
     return FunctionBody(body.name, body.params,
-                        body.locals + tuple(extra_locals), cfg)
+                        body.locals + tuple(extra_locals), cfg, dead_after)
 
 
 def inline_calls(model: ProgramModel, depth_limit: int = 16) -> ProgramModel:
@@ -269,7 +275,8 @@ def inline_calls(model: ProgramModel, depth_limit: int = 16) -> ProgramModel:
     order.  Each inlined copy renames the names its callee owns (see
     :func:`_owned_names`) with a fresh ``__inl<n>`` suffix; any other
     name follows the nearest enclosing copy that owns it, so a helper
-    reads the variable its caller writes.
+    reads the variable its caller writes.  The new entry body's
+    ``dead_after`` maps each call's tail to the names its copy owns.
 
     Raises :class:`RecursionDetected` when the call graph is cyclic and
     :class:`DepthLimitExceeded` when some call chain involves more than
@@ -292,33 +299,80 @@ def inline_calls(model: ProgramModel, depth_limit: int = 16) -> ProgramModel:
 # Must-known values (shared by the two resolution passes)
 # ---------------------------------------------------------------------------
 
+def _backward_slice(cfg: Cfg, seeds: Iterable[Expr],
+                    follows: type = object) -> set[str]:
+    """The variables the ``seeds`` can depend on, flow-insensitively:
+    the variables they read, and then those read by every assignment to
+    a variable already in the slice whose value is a ``follows`` (any
+    expression by default).  A call's result depends on no variable."""
+    sources: dict[str, list[Expr]] = {}  # variable -> its assigned values
+    for node in cfg.nodes.values():
+        if node.kind is NodeKind.ASSIGN and isinstance(node.expr, follows):
+            sources.setdefault(node.var, []).append(node.expr)
+    relevant: set[str] = set()
+    work = list(seeds)
+    while work:
+        expr = work.pop()
+        if isinstance(expr, Var):
+            if expr.name not in relevant:
+                relevant.add(expr.name)
+                work += sources.get(expr.name, ())
+        elif isinstance(expr, Unary):
+            work.append(expr.operand)
+        elif isinstance(expr, Binary):
+            work += (expr.lhs, expr.rhs)
+    return relevant
+
+
 def _must_values(
-    cfg: Cfg, value: Callable[[CfgNode, dict], Optional[object]]
+    body: FunctionBody, value: Callable[[CfgNode, dict], Optional[object]],
+    relevant: Collection[str],
 ) -> dict[int, dict]:
     """Entry environment, variable -> the value it holds on every path,
-    of every node reached from the entry.  A node writes at most one
-    variable, an ASSIGN its ``var`` and a CALL its ``lhs``, and
-    ``value(node, env)`` gives the new value, or None for unknown.  Only
-    a write that changes an environment copies it."""
+    of every node of ``body`` reached from its entry.  A node writes at
+    most one variable, an ASSIGN its ``var`` and a CALL its ``lhs``, and
+    ``value(node, env)`` gives the new value, or None for unknown.
+
+    Only the ``relevant`` variables are tracked: a write to any other
+    leaves the environment as it is, so ``relevant`` must hold every
+    variable that ``value`` reads for a relevant write.  An inlined
+    copy's names leave the environment after its tail's own write (see
+    ``FunctionBody.dead_after``).  Only a write or an end that changes
+    an environment copies it."""
+    dead_after = body.dead_after
+
     def transfer(node: CfgNode, env: dict) -> dict:
         var = node.var or node.lhs
-        if var is None:
-            return env
-        new = value(node, env)
-        if env.get(var) == new:
-            return env
-        out = dict(env)
-        if new is None:
-            del out[var]
-        else:
-            out[var] = new
-        return out
+        if var in relevant:
+            new = value(node, env)
+            if env.get(var) != new:
+                env = dict(env)
+                if new is None:
+                    del env[var]
+                else:
+                    env[var] = new
+        dead = dead_after.get(node.id)
+        if dead and not env.keys().isdisjoint(dead):
+            env = dict(env)
+            for name in dead:
+                env.pop(name, None)
+        return env
 
     def meet(env: dict, other: dict) -> dict:
         kept = {k: v for k, v in env.items() if other.get(k) == v}
         return env if len(kept) == len(env) else kept
 
-    return must_forward(cfg, {}, transfer, meet)
+    return must_forward(body.cfg, {}, transfer, meet)
+
+
+def _role_arg(node: CfgNode, routine: RoutineSpec, role: ParamRole
+              ) -> tuple[Optional[int], Optional[Expr]]:
+    """The index of the routine's parameter with ``role`` (None when it
+    has none) and the call's argument there (None when it is missing)."""
+    idx = next((i for i, p in enumerate(routine.params) if p.role is role),
+               None)
+    arg = node.args[idx] if idx is not None and idx < len(node.args) else None
+    return idx, arg
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +446,12 @@ def resolve_discriminators(model: ProgramModel,
             rev[value] = cname
 
     body = model.entry_body
-    program_vars = _owned_names(body)
+    sites = [(node, _role_arg(node, routine, ParamRole.DISCRIMINATOR))
+             for node, routine in hal_sites(body, spec_set)]
+    relevant = _backward_slice(
+        body.cfg, [arg for _, (_, arg) in sites if arg is not None])
+    # the slice holds every name this pass looks up
+    program_vars = relevant.intersection(_owned_names(body))
 
     def lookup(name: str) -> Optional[int]:
         if name in program_vars:
@@ -407,14 +466,11 @@ def resolve_discriminators(model: ProgramModel,
             return _eval_expr(node.expr, env, lookup)
         return None  # a call's result
 
-    ins = _must_values(body.cfg, assigned_value)
+    ins = _must_values(body, assigned_value, relevant)
     fields: dict[int, dict] = {}
-    for node, routine in hal_sites(body, spec_set):
-        idx = next((i for i, p in enumerate(routine.params)
-                    if p.role is ParamRole.DISCRIMINATOR), None)
+    for node, (idx, arg) in sites:
         value_name: Optional[str] = None
         if idx is not None:
-            arg = node.args[idx] if idx < len(node.args) else None
             if (isinstance(arg, Var) and arg.name not in program_vars
                     and arg.name in spec_set.constants):
                 value_name = arg.name
@@ -450,22 +506,22 @@ def build_token_flow(model: ProgramModel,
     for node, routine in sites:
         if routine.returns_descriptor:
             produced[node.id] = f"t{len(produced) + 1}"
+    uses = [(node, _role_arg(node, routine, ParamRole.DESCRIPTOR))
+            for node, routine in sites]
 
     def assigned_token(node: CfgNode, env: dict) -> Optional[str]:
         if node.kind is NodeKind.CALL:
             return produced.get(node.id)
         return env.get(node.expr.name) if isinstance(node.expr, Var) else None
 
-    ins = _must_values(body.cfg, assigned_token)
+    relevant = _backward_slice(
+        body.cfg, [arg for _, (_, arg) in uses if isinstance(arg, Var)], Var)
+    ins = _must_values(body, assigned_token, relevant)
     fields: dict[int, dict] = {}
-    for node, routine in sites:
-        idx = next((i for i, p in enumerate(routine.params)
-                    if p.role is ParamRole.DESCRIPTOR), None)
+    for node, (idx, arg) in uses:
         token: Optional[str] = None
-        if idx is not None and idx < len(node.args):
-            arg = node.args[idx]
-            if isinstance(arg, Var):
-                token = ins[node.id].get(arg.name)
+        if isinstance(arg, Var):
+            token = ins[node.id].get(arg.name)
         fields[node.id] = {
             "descriptor_token": token,
             "descriptor_unknown": idx is not None and token is None,

@@ -9,7 +9,6 @@ import json
 import time
 
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from thadc import cli
 from thadc.annotate import emit_annotated_source, emit_wrapper, plan_annotations

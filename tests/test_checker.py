@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+import importlib.util
+import sys
 import tracemalloc
 from operator import and_
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +33,7 @@ from thadc.checker import (
     check,
     dataflow_fixpoint,
 )
+from thadc import passes
 from thadc.minic import parse_source
 from thadc.model import (
     BindingSource,
@@ -180,6 +185,157 @@ class TestHalSites:
         assert ids == sorted(ids)
         assert all(routine == SPIDEV.routine(node.callee)
                    for node, routine in sites)
+
+
+class _Everything:
+    """A relevance set that holds every variable name."""
+
+    def __contains__(self, name) -> bool:
+        return True
+
+
+MUST_VALUES = passes._must_values
+
+
+def unsliced_must_values(body, value, relevant):
+    """The reference for ``passes._must_values``: every variable is
+    tracked, and no inlined copy's names end at its tail."""
+    return MUST_VALUES(dataclasses.replace(body, dead_after={}), value,
+                       _Everything())
+
+
+def ends_of_copies_source() -> str:
+    return """
+    int send(int fd, int req) {
+        int r = req;
+        ioctl(fd, r, 0);
+        return r;
+    }
+    int main(void) {
+        int fd = open("/dev/spidev0.0", 2);
+        int a = send(fd, WR_MODE32);
+        int b = send(fd, a);
+        ioctl(fd, b, 0);
+        close(fd);
+        return 0;
+    }
+    """
+
+
+def chain_source(n: int) -> str:
+    """``main`` opens, reads ``f1(0)`` bytes and closes; each ``fK``
+    returns ``fK+1(x + 1)`` down to ``fn``, which returns ``x``."""
+    functions = [f"int f{n}(int x) {{ return x; }}"]
+    functions += [f"int f{k}(int x) {{ return f{k + 1}(x + 1); }}"
+                  for k in range(n - 1, 0, -1)]
+    return "\n".join(functions) + """
+    int main(void) {
+        int fd = open("/dev/spidev0.0", 2);
+        int n = f1(0);
+        read(fd, 0, n);
+        close(fd);
+        return 0;
+    }
+    """
+
+
+def benchmark_generator(monkeypatch):
+    """``perfbench/gen.py``, loaded by file path for the length of one
+    test: the tests import nothing else from the benchmark."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestMustValues:
+    """The environment engine of both resolution passes: only relevant
+    variables are tracked, and an inlined copy's names end at its tail."""
+
+    def test_write_outside_the_slice_keeps_the_environment(self):
+        body = parse_program("""
+        int main(void) {
+            int a = 1;
+            int b = 2;
+            int c = 3;
+            return 0;
+        }
+        """).entry_body
+        cfg = body.cfg
+        b = next(n.id for n in cfg.nodes.values() if n.var == "b")
+        after = cfg.edges(b)[0].dst
+        sliced = passes._must_values(body, lambda node, env: 1, {"a", "c"})
+        assert sliced[after] is sliced[b]
+        assert sliced[after] == {"a": 1}
+        full = passes._must_values(body, lambda node, env: 1, {"a", "b"})
+        assert full[after] is not full[b]
+        assert full[after] == {"a": 1, "b": 1}
+
+    def test_names_of_a_copy_end_at_its_tail(self):
+        body = passes.inline_calls(
+            parse_program(ends_of_copies_source())).entry_body
+        cfg = body.cfg
+        assert len(body.dead_after) == 2
+        # every write gets a known value, so only an end removes a name
+        ins = passes._must_values(body, lambda node, env: node.id,
+                                  _Everything())
+        for tail, names in body.dead_after.items():
+            assert len({name[name.rindex("__inl"):] for name in names}) == 1
+            assert ins[tail].keys() & set(names)  # live up to the tail
+            after = [e.dst for e in cfg.edges(tail)]
+            downstream = [nid for nid in cfg.nodes
+                          if any(_reaches(cfg, a, nid) for a in after)]
+            assert downstream
+            for nid in downstream:
+                assert not ins[nid].keys() & set(names), nid
+
+    def test_values_flow_out_of_a_copy_through_its_tail(self):
+        model = prepared(ends_of_copies_source())
+        ioctls = [model.events[node.id] for node in
+                  model.entry_body.cfg.call_nodes() if node.callee == "ioctl"]
+        assert len(ioctls) == 3
+        assert ioctls[0].discriminator_value is not None
+        assert {e.discriminator_value for e in ioctls} == {
+            ioctls[0].discriminator_value}
+        assert {e.descriptor_token for e in ioctls} == {"t1"}
+
+    def test_chain_resolution_peak_stays_small(self):
+        model = passes.inline_calls(parse_program(chain_source(1000)), 2000)
+        assert len(model.entry_body.cfg.nodes) > 2000
+        for run in (passes.resolve_discriminators, passes.build_token_flow):
+            tracemalloc.start()
+            try:
+                run(model, SPIDEV)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 10 * 2**20, (run.__name__, peak)
+
+    @pytest.mark.parametrize("programs", ["randprog", "wide", "diamond"])
+    def test_sliced_runs_equal_the_unsliced_reference(self, programs,
+                                                      monkeypatch):
+        if programs == "randprog":
+            sources = [generate_program(seed, helpers=True,
+                                        allow_loops=seed >= 150)
+                       for seed in range(300)]
+        else:
+            cases = getattr(benchmark_generator(monkeypatch),
+                            f"{programs}_cases")
+            sources = [case.source for seed in (1, 101)
+                       for case in cases(seed)]
+        for source in sources:
+            flat = passes.inline_calls(parse_program(source))
+            for thad_set in (SPIDEV, bound_spidev_set()):
+                sliced = passes.preprocess(flat, thad_set)
+                with monkeypatch.context() as patch:
+                    patch.setattr(passes, "_must_values",
+                                  unsliced_must_values)
+                    reference = passes.preprocess(flat, thad_set)
+                assert sliced.events == reference.events
+                assert (check(sliced, thad_set)
+                        == check(reference, thad_set))
 
 
 class TestDataflow:

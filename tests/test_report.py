@@ -3,7 +3,6 @@
 import json
 
 import jsonschema
-import pytest
 
 from thadc.checker import check
 from thadc.model import ThadSet

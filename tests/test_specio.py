@@ -7,7 +7,7 @@ from hypothesis import given, settings
 
 from helpers import SPIDEV_CONSTANTS, spidev_set
 from strategies import thad_sets
-from thadc.model import BindingSource, ParamRole
+from thadc.model import BindingSource
 from thadc.specio import (
     SpecError,
     bundled_data_path,
