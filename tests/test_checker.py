@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from helpers import bound_spidev_set, parse_program, prepared, spidev_set
 from randprog import generate_program
+from thadc import passes
 from thadc.cfg import (
     Cfg,
     CfgNode,
@@ -33,7 +34,6 @@ from thadc.checker import (
     check,
     dataflow_fixpoint,
 )
-from thadc import passes
 from thadc.minic import parse_source
 from thadc.model import (
     BindingSource,
@@ -204,22 +204,21 @@ def unsliced_must_values(body, value, relevant):
                        _Everything())
 
 
-def ends_of_copies_source() -> str:
-    return """
-    int send(int fd, int req) {
-        int r = req;
-        ioctl(fd, r, 0);
-        return r;
-    }
-    int main(void) {
-        int fd = open("/dev/spidev0.0", 2);
-        int a = send(fd, WR_MODE32);
-        int b = send(fd, a);
-        ioctl(fd, b, 0);
-        close(fd);
-        return 0;
-    }
-    """
+TWO_COPIES = """
+int send(int fd, int req) {
+    int r = req;
+    ioctl(fd, r, 0);
+    return r;
+}
+int main(void) {
+    int fd = open("/dev/spidev0.0", 2);
+    int a = send(fd, WR_MODE32);
+    int b = send(fd, a);
+    ioctl(fd, b, 0);
+    close(fd);
+    return 0;
+}
+"""
 
 
 def chain_source(n: int) -> str:
@@ -274,8 +273,7 @@ class TestMustValues:
         assert full[after] == {"a": 1, "b": 1}
 
     def test_names_of_a_copy_end_at_its_tail(self):
-        body = passes.inline_calls(
-            parse_program(ends_of_copies_source())).entry_body
+        body = passes.inline_calls(parse_program(TWO_COPIES)).entry_body
         cfg = body.cfg
         assert len(body.dead_after) == 2
         # every write gets a known value, so only an end removes a name
@@ -283,16 +281,17 @@ class TestMustValues:
                                   _Everything())
         for tail, names in body.dead_after.items():
             assert len({name[name.rindex("__inl"):] for name in names}) == 1
-            assert ins[tail].keys() & set(names)  # live up to the tail
+            ended = set(names)
+            assert ins[tail].keys() & ended  # live up to the tail
             after = [e.dst for e in cfg.edges(tail)]
             downstream = [nid for nid in cfg.nodes
                           if any(_reaches(cfg, a, nid) for a in after)]
             assert downstream
             for nid in downstream:
-                assert not ins[nid].keys() & set(names), nid
+                assert not ins[nid].keys() & ended, nid
 
     def test_values_flow_out_of_a_copy_through_its_tail(self):
-        model = prepared(ends_of_copies_source())
+        model = prepared(TWO_COPIES)
         ioctls = [model.events[node.id] for node in
                   model.entry_body.cfg.call_nodes() if node.callee == "ioctl"]
         assert len(ioctls) == 3
