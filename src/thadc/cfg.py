@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Optional, TypeVar
+from typing import Callable, Optional, TypeVar
 
 from .diagnostics import Diagnostic
 from .minic import (
@@ -57,12 +57,9 @@ __all__ = [
     "Cfg",
     "FunctionBody",
     "ProgramModel",
-    "PathExplosion",
     "build_model",
     "hal_sites",
     "must_forward",
-    "has_loops",
-    "enumerate_paths",
     "return_var",
 ]
 
@@ -133,10 +130,10 @@ class Cfg:
         return self.succ.get(node_id, ())
 
     def call_nodes(self) -> list[CfgNode]:
-        return [
-            self.nodes[i] for i in sorted(self.nodes)
-            if self.nodes[i].kind is NodeKind.CALL
-        ]
+        """The CALL nodes in id order: both builders add nodes in
+        ascending id order, so no sort is needed."""
+        return [node for node in self.nodes.values()
+                if node.kind is NodeKind.CALL]
 
 
 def return_var(function_name: str) -> str:
@@ -181,14 +178,6 @@ class ProgramModel:
     @property
     def entry_body(self) -> FunctionBody:
         return self.functions[self.entry]
-
-
-class PathExplosion(Exception):
-    """More entry-to-exit paths than the caller was willing to enumerate."""
-
-    def __init__(self, bound: int):
-        self.bound = bound
-        super().__init__(f"more than {bound} control-flow paths")
 
 
 # ---------------------------------------------------------------------------
@@ -433,68 +422,3 @@ def must_forward(cfg: Cfg, start: State,
                 ins[edge.dst] = new
                 work.append(edge.dst)
     return ins
-
-
-# ---------------------------------------------------------------------------
-# Loops and path enumeration
-# ---------------------------------------------------------------------------
-
-def has_loops(cfg: Cfg) -> bool:
-    """Is there a cycle reachable from the entry node?"""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in cfg.nodes}
-    stack: list[tuple[int, Iterable[Edge]]] = [(cfg.entry, iter(cfg.edges(cfg.entry)))]
-    color[cfg.entry] = GRAY
-    while stack:
-        node, edges = stack[-1]
-        advanced = False
-        for e in edges:
-            if color[e.dst] == GRAY:
-                return True
-            if color[e.dst] == WHITE:
-                color[e.dst] = GRAY
-                stack.append((e.dst, iter(cfg.edges(e.dst))))
-                advanced = True
-                break
-        if not advanced:
-            color[node] = BLACK
-            stack.pop()
-    return False
-
-
-def enumerate_paths(cfg: Cfg, bound: int = 1_000_000) -> Iterator[list[int]]:
-    """All entry-to-exit node sequences of an acyclic CFG, one at a time.
-
-    Raises ValueError on a cyclic graph, at the call.  The iterator
-    raises :class:`PathExplosion` when it would yield path ``bound + 1``.
-    Edge order is preserved, so the enumeration is deterministic.  The
-    walk keeps its own stack, so no path is too long for the
-    interpreter's recursion limit, and holds one path at a time.
-    """
-    if has_loops(cfg):
-        raise ValueError("cannot enumerate the paths of a cyclic graph; "
-                         "unroll its loops first")
-    return _paths(cfg, bound)
-
-
-def _paths(cfg: Cfg, bound: int) -> Iterator[list[int]]:
-    count = 0
-    prefix: list[int] = []  # the walk from the entry to the current node
-    pending: list[Iterator[Edge]] = []  # the unexplored edges along it
-    node: Optional[int] = cfg.entry
-    while node is not None:
-        prefix.append(node)
-        if node == cfg.exit:
-            if count >= bound:
-                raise PathExplosion(bound)
-            count += 1
-            yield list(prefix)
-        pending.append(iter(() if node == cfg.exit else cfg.edges(node)))
-        node = None
-        while pending and node is None:
-            edge = next(pending[-1], None)
-            if edge is None:
-                pending.pop()
-                prefix.pop()
-            else:
-                node = edge.dst

@@ -49,14 +49,13 @@ Satisfied.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from enum import Enum
 from operator import and_, attrgetter
 from typing import Mapping, NamedTuple, Optional, Sequence
 
-from .cfg import (Cfg, CfgNode, ProgramModel, enumerate_paths, hal_sites,
-                  must_forward)
+from .cfg import Cfg, CfgNode, ProgramModel, hal_sites, must_forward
 from .model import (
     CallEvent,
     RoutineSpec,
@@ -77,6 +76,7 @@ __all__ = [
     "dataflow_fixpoint",
     "check",
     "find_witness",
+    "PathExplosion",
     "hal_traces",
     "brute_force_paths",
 ]
@@ -433,20 +433,78 @@ def _check_one(
 # Brute-force oracle
 # ---------------------------------------------------------------------------
 
-def hal_traces(model: ProgramModel, path_bound: int = 1_000_000
+class PathExplosion(Exception):
+    """More distinct HAL traces than the caller was willing to list."""
+
+    def __init__(self, bound: int):
+        self.bound = bound
+        super().__init__(f"more than {bound} distinct HAL traces")
+
+
+def hal_traces(model: ProgramModel, bound: int = 1_000_000
                ) -> set[tuple[CallEvent, ...]]:
     """The distinct HAL traces of a prepared loop-free model: each
     entry-to-exit path projected onto the events of its HAL calls.
-    Paths can outnumber traces by far, so only the traces are kept.
-    Raises ValueError on cyclic graphs (unroll loops first) and
-    :class:`~thadc.cfg.PathExplosion` past ``path_bound`` paths."""
-    events = model.events
-    return {tuple(events[n] for n in path if n in events)
-            for path in enumerate_paths(model.entry_body.cfg, path_bound)}
+
+    One pass, without recursion, over the graph instead of its paths
+    (the reverse-topological dynamic programming of Ball and Larus,
+    "Efficient Path Profiling", MICRO 1996).  A depth-first walk from
+    the entry finishes each node after its successors; a node reached
+    again while still on the depth-first stack closes a cycle, and
+    raises ValueError.  A finishing node gets the set of trace suffixes
+    from it to the exit: the union of its successors' sets, shared with
+    the successor when there is only one, with the node's own event put
+    in front.  No set is changed once built, and each is dropped once
+    every predecessor has read it.
+
+    Raises :class:`PathExplosion` as soon as any node has more than
+    ``bound`` suffixes.  Every node is reached by some prefix, and one
+    prefix in front of distinct suffixes gives distinct traces, so the
+    program then has more than ``bound`` traces.
+    """
+    cfg, events = model.entry_body.cfg, model.events
+    succ, exit_id = cfg.succ, cfg.exit
+    readers = Counter(e.dst for edges in succ.values() for e in edges)
+    # A node's set exists from when it finishes until its last reader
+    # finishes, and no edge into it is followed after that.
+    suffixes: dict[int, set[tuple[CallEvent, ...]]] = {}
+    on_stack = {cfg.entry}
+    stack = [(cfg.entry, iter(succ.get(cfg.entry, ())))]
+    while stack:
+        nid, pending = stack[-1]
+        for edge in pending:
+            if edge.dst in on_stack:
+                raise ValueError("cannot list the traces of a cyclic graph; "
+                                 "unroll its loops first")
+            if edge.dst not in suffixes:
+                on_stack.add(edge.dst)
+                stack.append((edge.dst, iter(succ.get(edge.dst, ()))))
+                break
+        else:  # every successor is finished: nid finishes
+            stack.pop()
+            on_stack.remove(nid)
+            edges = succ.get(nid, ())
+            if nid == exit_id:
+                out = {()}
+            elif len(edges) == 1:
+                out = suffixes[edges[0].dst]
+            else:
+                out = set().union(*(suffixes[e.dst] for e in edges))
+            if len(out) > bound:
+                raise PathExplosion(bound)
+            event = events.get(nid)
+            if event is not None:
+                out = {(event,) + suffix for suffix in out}
+            suffixes[nid] = out
+            for edge in edges:
+                readers[edge.dst] -= 1
+                if not readers[edge.dst]:
+                    del suffixes[edge.dst]
+    return suffixes[cfg.entry]
 
 
 def brute_force_paths(
-    model: ProgramModel, thad_set: ThadSet, path_bound: int = 1_000_000
+    model: ProgramModel, thad_set: ThadSet, bound: int = 1_000_000
 ) -> dict[str, bool]:
     """Exhaustive ground truth on loop-free models: for each dependency,
     do all entry-to-exit path traces satisfy it?
@@ -457,7 +515,7 @@ def brute_force_paths(
     """
     all_events = [model.events[n.id] for n in _hal_nodes(model, thad_set)]
     aliases = thad_set.aliases
-    traces = hal_traces(model, path_bound)
+    traces = hal_traces(model, bound)
 
     result: dict[str, bool] = {}
     for thad in thad_set.thads:

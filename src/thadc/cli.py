@@ -34,8 +34,9 @@ from .annotate import (
     emit_wrapper,
     plan_annotations,
 )
-from .cfg import PathExplosion, build_model
-from .checker import Status, ThadVerdict, brute_force_paths, check
+from .cfg import build_model
+from .checker import (PathExplosion, Status, ThadVerdict, brute_force_paths,
+                      check)
 from .diagnostics import Diagnostic, DiagnosticError
 from .minic import UnrollTooDeep, parse_source, unroll_loops
 from .model import BindingSource, Thad, ThadSet

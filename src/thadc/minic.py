@@ -213,12 +213,6 @@ class Program:
     defines: dict[str, int] = field(default_factory=dict)
     path: str = "<input>"
 
-    def function(self, name: str) -> FunctionDef:
-        for f in self.functions:
-            if f.name == name:
-                return f
-        raise KeyError(name)
-
 
 # ---------------------------------------------------------------------------
 # Lexer

@@ -290,15 +290,6 @@ class ThadSet:
                 return r
         raise KeyError(name)
 
-    def thad(self, thad_id: str) -> Thad:
-        for t in self.thads:
-            if t.id == thad_id:
-                return t
-        raise KeyError(thad_id)
-
-    def resolve_constant(self, name: str) -> str:
-        return resolve_constant(name, self.aliases)
-
 
 # ---------------------------------------------------------------------------
 # Trace semantics

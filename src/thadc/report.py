@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import __version__
 from .checker import ThadVerdict
-from .model import ThadSet, natural_key
+from .model import ThadSet
 
 __all__ = ["build_report", "exit_code", "render_json", "render_text"]
 
@@ -49,13 +49,14 @@ def build_report(verdicts: list[ThadVerdict], thad_set: ThadSet, *,
                  spec_path: str, program_path: str,
                  wall_time_ms: Optional[int] = None,
                  oracle: Optional[dict] = None) -> dict:
-    """The report document; entries are sorted by natural thad-id order.
+    """The report document, one entry per verdict in the verdicts' order
+    (:func:`~thadc.checker.check` returns them in natural thad-id order).
     ``oracle`` is its ``unroll_oracle`` object, when the oracle ran."""
     by_id = {t.id: t for t in thad_set.thads}
     entries = []
     summary = {"satisfied": 0, "violated": 0, "inconclusive": 0,
                "trivially_satisfied": 0}
-    for verdict in sorted(verdicts, key=lambda v: natural_key(v.thad_id)):
+    for verdict in verdicts:
         thad = by_id[verdict.thad_id]
         witness = _witness(verdict, program_path)
         entries.append({

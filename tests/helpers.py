@@ -229,8 +229,12 @@ def check_cfg(cfg: Cfg) -> None:
     Every node must be reachable from the entry and able to reach the
     exit (so meeting over paths sees every node), the entry must have no
     predecessors, the exit no successors, and non-branch nodes at most
-    one out-edge.
+    one out-edge.  Nodes must be stored in ascending id order, which
+    ``Cfg.call_nodes`` relies on instead of sorting.
     """
+    ids = list(cfg.nodes)
+    if ids != sorted(ids):
+        raise ValueError("nodes are not stored in ascending id order")
     for src, edges in cfg.succ.items():
         if src not in cfg.nodes:
             raise ValueError(f"edge source {src} is not a node")
@@ -283,6 +287,21 @@ def nested_ifs(n: int) -> str:
     return ('int main(void) {\n    int fd = open("/dev/spidev0.0", 2);\n'
             + "    if (c) {\n" * n + "    read(fd, 0, 1);\n" + "    }\n" * n
             + "    return 0;\n}\n")
+
+
+# Two nested loops around one read.  Unrolled 10 times each, they have
+# over a million control-flow paths but only 101 distinct HAL traces.
+NESTED_LOOPS = """\
+int main(void) {
+    int fd = open("/dev/spidev0.0", 2);
+    while (a) {
+        while (b) {
+            read(fd, 0, 1);
+        }
+    }
+    return 0;
+}
+"""
 
 
 def nested_parens(n: int) -> str:

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import bound_spidev_set, parse_program, prepared, spidev_set
+from helpers import (NESTED_LOOPS, bound_spidev_set, parse_program, prepared,
+                     spidev_set)
 from randprog import generate_program
 from thadc import passes
 from thadc.cfg import (
@@ -21,7 +22,6 @@ from thadc.cfg import (
     CfgNode,
     Edge,
     NodeKind,
-    PathExplosion,
     build_model,
     hal_sites,
     must_forward,
@@ -33,6 +33,7 @@ from thadc.checker import (
     brute_force_paths,
     check,
     dataflow_fixpoint,
+    hal_traces,
 )
 from thadc.minic import parse_source
 from thadc.model import (
@@ -740,20 +741,30 @@ class TestOracle:
         assert all(result.values())
 
     def test_memory_does_not_grow_with_the_paths(self):
-        # 2**14 paths, all with the trace (open, close).  The oracle holds
-        # one path and the distinct traces, not every path it walked.
+        # 2**14 paths, all with the trace (open, close).  The bound counts
+        # distinct traces, not paths, and the oracle keeps trace suffixes
+        # per node, never the paths.
         model = prepared(
             'int main(void) { int fd = open("/d", 0);'
             + "".join(f" if (c{k}) {{ x = {k}; }}" for k in range(14))
             + " close(fd); return 0; }")
         tracemalloc.start()
         try:
-            with pytest.raises(PathExplosion):
-                brute_force_paths(model, SPIDEV, path_bound=4000)
+            traces = hal_traces(model, bound=4000)
+            result = brute_force_paths(model, SPIDEV, bound=4000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 400_000  # keeping the 4,000 paths takes over 1 MB
+        assert [tuple(e.routine for e in t) for t in traces] == [
+            ("open", "close")]
+        assert all(result.values())
+        assert peak < 400_000  # holding 4,000 paths would take over 1 MB
+
+    def test_traces_not_paths_after_nested_unrolling(self):
+        # Unrolled 10 times each, the two loops have over a million
+        # paths but only 101 traces: open, then 0 to 100 reads.
+        traces = hal_traces(prepared(NESTED_LOOPS, unroll=10), bound=1000)
+        assert sorted(len(t) for t in traces) == list(range(1, 102))
 
     def test_loop_check_satisfied_holds_on_unrollings(self):
         src = """

@@ -16,7 +16,7 @@ from thadc.minic import MAX_NESTING
 from thadc.report import exit_code, render_json
 from thadc.specio import bundled_data_path, bundled_spidev
 
-from helpers import nested_ifs, nested_parens, plus_chain
+from helpers import NESTED_LOOPS, nested_ifs, nested_parens, plus_chain
 
 CORPUS = bundled_data_path("corpus")
 
@@ -276,6 +276,16 @@ class TestCheck:
         assert err == (f"thadc: unroll oracle skipped: unrolling loops {k} "
                        f"times nests {levels} levels, "
                        f"limit is {MAX_NESTING}\n")
+
+    def test_nested_loops_unrolled_ten_times_reach_the_oracle(
+            self, tmp_path, capsys):
+        # Over a million paths, 101 distinct traces: the oracle runs.
+        program = tmp_path / "nested.c"
+        program.write_text(NESTED_LOOPS)
+        code, out, err = run(["check", str(program), "--unroll", "10",
+                              "--format", "json", "--no-timing"], capsys)
+        assert json.loads(out)["unroll_oracle"]["agrees"] is True
+        assert (code, err) == (1, "")
 
     def test_color_env_always(self, monkeypatch, capsys):
         monkeypatch.setenv("THADC_COLOR", "always")

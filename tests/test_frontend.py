@@ -6,6 +6,7 @@ test helpers.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import sys
@@ -14,17 +15,8 @@ import pytest
 from hypothesis import given, settings
 
 from thadc import cli
-from thadc.cfg import (
-    Cfg,
-    CfgNode,
-    Edge,
-    NodeKind,
-    PathExplosion,
-    build_model,
-    enumerate_paths,
-    has_loops,
-)
-from thadc.checker import hal_traces
+from thadc.cfg import Cfg, CfgNode, Edge, FunctionBody, NodeKind
+from thadc.checker import PathExplosion, hal_traces
 from thadc.minic import (
     MAX_NESTING,
     MiniCError,
@@ -33,7 +25,7 @@ from thadc.minic import (
     parse_source,
     unroll_loops,
 )
-from thadc.model import Param, ParamRole, RoutineSpec, Thad, ThadSet
+from thadc.model import CallEvent, Param, ParamRole, RoutineSpec, Thad, ThadSet
 from thadc.passes import (
     DepthLimitExceeded,
     RecursionDetected,
@@ -226,7 +218,7 @@ class TestLiterals:
             "#define MODE 0644\n#define BIG 0x10UL\n#define ERR -1\n"
             "int main(void) { return 0644 + 10u; }\n")
         assert program.defines == {"MODE": 420, "BIG": 16, "ERR": -1}
-        ret = program.function("main").body.stmts[0]
+        ret = program.functions[0].body.stmts[0]
         assert (ret.value.lhs.value, ret.value.rhs.value) == (420, 10)
 
     def test_open_with_an_octal_mode(self):
@@ -246,7 +238,7 @@ class TestLiterals:
     ])
     def test_character_literal_value(self, literal, value):
         program = parse_source(f"int main(void) {{ return {literal}; }}\n")
-        assert program.function("main").body.stmts[0].value.value == value
+        assert program.functions[0].body.stmts[0].value.value == value
 
     @pytest.mark.parametrize("literal, message", [
         ("0x", "invalid integer literal '0x'"),
@@ -354,8 +346,9 @@ class TestCfgShape:
     def test_loop_detection(self):
         looped = parse_program("int main(void) { while (c) { x = 1; } return 0; }")
         straight = parse_program("int main(void) { if (c) { x = 1; } return 0; }")
-        assert has_loops(looped.entry_body.cfg)
-        assert not has_loops(straight.entry_body.cfg)
+        with pytest.raises(ValueError, match="cyclic"):
+            hal_traces(looped)
+        assert hal_traces(straight) == {()}
 
     def test_branch_edges_labeled(self):
         model = parse_program("int main(void) { if (c) { x = 1; } return x; }")
@@ -367,9 +360,12 @@ class TestCfgShape:
 
 
 class TestPathEnumeration:
+    """``hal_traces`` against the HAL projection of every path, listed
+    one at a time by a plain recursive walk."""
+
     @staticmethod
     def reference_paths(cfg):
-        """Depth-first in edge order, the order enumerate_paths keeps."""
+        """Every entry-to-exit path, depth-first in edge order."""
         def walk(prefix):
             if prefix[-1] == cfg.exit:
                 yield prefix
@@ -380,37 +376,50 @@ class TestPathEnumeration:
 
     def test_paths_in_edge_order(self):
         for seed in range(40):
-            ast = parse_source(generate_program(seed, allow_loops=True))
-            cfg = build_model(unroll_loops(ast, 2)).entry_body.cfg
-            assert list(enumerate_paths(cfg)) == self.reference_paths(cfg), seed
+            model = prepared(generate_program(seed, allow_loops=True),
+                             unroll=2)
+            events = model.events
+            want = {tuple(events[n] for n in path if n in events)
+                    for path in self.reference_paths(model.entry_body.cfg)}
+            assert hal_traces(model) == want, seed
 
     def test_path_bound(self):
-        cfg = parse_program(
-            "int main(void) { if (a) { x = 1; } if (b) { x = 2; }"
-            " if (c) { x = 3; } return x; }").entry_body.cfg
-        assert len(list(enumerate_paths(cfg, 8))) == 8
+        # Three opens, each read under its own if: reads of different
+        # descriptors are different events, so 8 distinct traces.
+        model = prepared(
+            'int main(void) { int f = open("/a", 0); int g = open("/b", 0);'
+            ' int h = open("/c", 0); if (a) { read(f, 0, 1); }'
+            " if (b) { read(g, 0, 1); } if (c) { read(h, 0, 1); }"
+            " return 0; }")
+        assert len(hal_traces(model, 8)) == 8
         with pytest.raises(PathExplosion) as exc:
-            list(enumerate_paths(cfg, 7))
+            hal_traces(model, 7)
         assert exc.value.bound == 7
 
     def test_cyclic_graph_is_rejected_at_the_call(self):
-        cfg = parse_program(
-            "int main(void) { while (c) { x = 1; } return 0; }").entry_body.cfg
+        model = parse_program(
+            "int main(void) { while (c) { x = 1; } return 0; }")
         with pytest.raises(ValueError, match="cyclic"):
-            enumerate_paths(cfg)
+            hal_traces(model)
 
     def test_long_straight_line_needs_no_recursion(self, monkeypatch):
         n = 5000
-        nodes = {i: CfgNode(i, NodeKind.JOIN, 1) for i in range(1, n + 1)}
-        nodes[0] = CfgNode(0, NodeKind.ENTRY, 1)
+        nodes = {0: CfgNode(0, NodeKind.ENTRY, 1)}
+        nodes.update((i, CfgNode(i, NodeKind.CALL, 1, callee="read"))
+                     for i in range(1, n + 1))
         nodes[n + 1] = CfgNode(n + 1, NodeKind.EXIT, 1)
         succ = {i: (Edge(None, i + 1),) for i in range(n + 1)}
+        body = FunctionBody("main", (), (), Cfg(nodes, succ, 0, n + 1))
+        events = {i: CallEvent("read", descriptor_token=f"t{i}")
+                  for i in range(1, n + 1)}
+        model = dataclasses.replace(
+            parse_program("int main(void) { return 0; }"),
+            functions={"main": body}, events=events)
 
         def refuse(limit):
             raise AssertionError("the recursion limit was changed")
         monkeypatch.setattr(sys, "setrecursionlimit", refuse)
-        assert list(enumerate_paths(Cfg(nodes, succ, 0, n + 1))) == [
-            list(range(n + 2))]
+        assert hal_traces(model) == {tuple(events.values())}
 
 
 # ---------------------------------------------------------------------------
@@ -845,11 +854,11 @@ class TestLoops:
 
     def test_loop_condition_call_sits_on_the_loop(self):
         model = prepared(self.SOURCE)
-        assert has_loops(model.entry_body.cfg)
+        with pytest.raises(ValueError, match="cyclic"):
+            hal_traces(model)
 
     def test_unrolled_traces(self):
         model = prepared(self.SOURCE, unroll=2)
-        assert not has_loops(model.entry_body.cfg)
         names = {
             tuple(e.routine for e in trace) for trace in hal_traces(model)
         }
@@ -887,7 +896,7 @@ class TestLoops:
                   " while (c) { read(fd, 0, 1); } return 0; }")
         k = MAX_NESTING - 2
         model = prepared(source, unroll=k)
-        assert len(list(enumerate_paths(model.entry_body.cfg))) == k + 1
+        assert len(hal_traces(model)) == k + 1  # open, then 0 to k reads
         with pytest.raises(UnrollTooDeep) as exc:
             prepared(source, unroll=k + 1)
         assert (exc.value.k, exc.value.levels) == (k + 1, MAX_NESTING + 1)

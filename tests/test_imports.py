@@ -1,17 +1,23 @@
 """Hygiene: no module of the package or of the tests imports a name it
-never reads.
+never reads, and every name a package module lists in ``__all__``
+exists on it.
 
-An ``ast`` scan, so nothing is imported: every name bound by an
-``import`` or ``from ... import`` statement must be read somewhere in
-its module, as a name, as the base of an attribute, in an annotation
-(a quoted one too) or through the module's ``__all__``.  The package's
-``__init__.py`` only re-exports, so its imports are exempt.
+The first check is an ``ast`` scan, so nothing is imported: every name
+bound by an ``import`` or ``from ... import`` statement must be read
+somewhere in its module, as a name, as the base of an attribute, in an
+annotation (a quoted one too) or through the module's ``__all__``.  The
+package's ``__init__.py`` only re-exports, so its imports are exempt.
+The second imports each package module, since a stale ``__all__`` entry
+otherwise fails only on ``from thadc.<module> import *``.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -69,6 +75,18 @@ def test_no_module_imports_a_name_it_never_reads():
     unused = [entry for path in modules() if path.name != "__init__.py"
               for entry in unused_imports(path)]
     assert unused == []
+
+
+PACKAGE = sorted(path.stem for path in (ROOT / "src" / "thadc").glob("*.py"))
+
+
+@pytest.mark.parametrize("stem", PACKAGE)
+def test_every_name_in_all_resolves(stem):
+    name = "thadc" if stem == "__init__" else f"thadc.{stem}"
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", ())
+               if not hasattr(module, n)]
+    assert missing == [], f"{name}.__all__ names what it does not define"
 
 
 def test_the_scan_sees_an_unused_import(tmp_path):

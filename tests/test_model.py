@@ -34,7 +34,7 @@ ALIASES = SPIDEV.aliases
 
 
 def thad(tid: str) -> Thad:
-    return SPIDEV.thad(tid)
+    return next(t for t in SPIDEV.thads if t.id == tid)
 
 
 def satisfied_by(trace) -> dict[str, bool]:
@@ -165,7 +165,7 @@ def test_legacy_mode_request_satisfies_d15_under_alias():
 
 def test_binding_requires_same_token():
     s = bound_read_set()
-    b1 = s.thad("b1")
+    (b1,) = s.thads
     assert trace_satisfies(b1, [ev_open("t0"), ev_read("t0")]) is True
     assert trace_satisfies(b1, [ev_open("t0"), ev_read("t1")]) is False
     assert (
@@ -175,7 +175,7 @@ def test_binding_requires_same_token():
 
 def test_binding_with_missing_tokens_is_never_satisfied():
     s = bound_read_set()
-    b1 = s.thad("b1")
+    (b1,) = s.thads
     assert trace_satisfies(b1, [ev_open("t0"), ev_read(None)]) is False
     assert (
         trace_satisfies(b1, [CallEvent("open"), ev_read("t0")]) is False

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 
 from helpers import SPIDEV_CONSTANTS, spidev_set
 from strategies import thad_sets
-from thadc.model import BindingSource
+from thadc.model import BindingSource, resolve_constant
 from thadc.specio import (
     SpecError,
     bundled_data_path,
@@ -99,7 +99,7 @@ def test_parse_alias_and_comments_and_crlf():
     )
     s = parse_thad_spec(text)
     assert s.aliases == {"WR_MODE": "WR_MODE32"}
-    assert s.resolve_constant("WR_MODE") == "WR_MODE32"
+    assert resolve_constant("WR_MODE", s.aliases) == "WR_MODE32"
 
 
 ALIASED = """\
