@@ -4,10 +4,12 @@ Each function body lowers to a graph of small nodes: parameter-less
 ``ENTRY``/``EXIT`` markers, ``CALL`` (one direct call, arguments already
 flattened), ``ASSIGN`` (one scalar assignment), ``BRANCH`` (a condition
 or switch subject with labeled out-edges) and ``JOIN`` (a merge point,
-used for loop headers and splice seams).  Calls nested inside
-expressions are hoisted onto fresh temporaries during lowering; a loop
-condition's calls are hoisted *inside* the loop so they re-execute each
-iteration.
+used for loop headers and splice seams).  A graph keeps each node's
+successors as a tuple of node ids; a branch node holds one label per
+successor, and :meth:`Cfg.edges` pairs them up for display.  Calls
+nested inside expressions are hoisted onto fresh temporaries during
+lowering; a loop condition's calls are hoisted *inside* the loop so they
+re-execute each iteration.
 
 Statements that follow a ``return`` are dropped during lowering, so by
 construction every node lies on some entry-to-exit walk.  That property
@@ -21,9 +23,10 @@ and no facts are refined from the condition.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+from itertools import repeat
 from typing import Callable, Optional, TypeVar
 
 from .diagnostics import Diagnostic
@@ -78,21 +81,24 @@ class CfgNode:
 
     CALL    callee, args, lhs (None for a discarded result)
     ASSIGN  var, expr
-    BRANCH  expr (condition or switch subject, display only)
+    BRANCH  expr (condition or switch subject, display only) and
+            labels, one per successor in the graph's order
     others  no extra fields
 
     A HAL call's resolved event is not a node field: it lives in the
     prepared model's ``events`` table.  Nodes are plain slot records,
-    built once and never changed; they compare by identity, and every
+    built once and never changed once lowered (a branch gets its labels
+    as lowering connects its edges); they compare by identity, and every
     table keys them by ``id``.
     """
 
-    __slots__ = ("id", "kind", "line", "callee", "args", "lhs", "var", "expr")
+    __slots__ = ("id", "kind", "line", "callee", "args", "lhs", "var",
+                 "expr", "labels")
 
     def __init__(self, id: int, kind: NodeKind, line: int = 0,
                  callee: Optional[str] = None, args: tuple[Expr, ...] = (),
                  lhs: Optional[str] = None, var: Optional[str] = None,
-                 expr: Optional[Expr] = None):
+                 expr: Optional[Expr] = None, labels: tuple[str, ...] = ()):
         self.id = id
         self.kind = kind
         self.line = line
@@ -101,13 +107,15 @@ class CfgNode:
         self.lhs = lhs
         self.var = var
         self.expr = expr
+        self.labels = labels
 
     def __repr__(self) -> str:
         return f"CfgNode({self.id}, {self.kind.name}, line {self.line})"
 
 
 class Edge:
-    """An out-edge: its branch label (None when unlabeled) and target."""
+    """An out-edge as :meth:`Cfg.edges` shows it: its branch label (None
+    when unlabeled) and target."""
 
     __slots__ = ("label", "dst")
 
@@ -121,13 +129,35 @@ class Edge:
 
 @dataclass
 class Cfg:
+    """Nodes by id, and each node's successor ids in edge order.  The
+    analyses read ``succ`` directly; only display needs :meth:`edges`."""
+
     nodes: dict[int, CfgNode]
-    succ: dict[int, tuple[Edge, ...]]
+    succ: dict[int, tuple[int, ...]]
     entry: int
     exit: int
 
     def edges(self, node_id: int) -> tuple[Edge, ...]:
-        return self.succ.get(node_id, ())
+        """The node's out-edges with their branch labels."""
+        labels = self.nodes[node_id].labels or repeat(None)
+        return tuple(Edge(label, dst) for label, dst
+                     in zip(labels, self.succ.get(node_id, ())))
+
+    @cached_property
+    def merges(self) -> dict[int, int]:
+        """Node id -> number of in-edges, for the nodes where states
+        meet: those with more than one in-edge, and the entry if any
+        edge enters it.  Counted once per graph, in a list indexed by
+        node id (ids are small ints); a graph is never changed once
+        built."""
+        counts = [0] * (max(self.nodes) + 1)
+        for dsts in self.succ.values():
+            for dst in dsts:
+                counts[dst] += 1
+        merges = {nid: n for nid, n in enumerate(counts) if n > 1}
+        if counts[self.entry]:
+            merges[self.entry] = counts[self.entry]
+        return merges
 
     def call_nodes(self) -> list[CfgNode]:
         """The CALL nodes in id order: both builders add nodes in
@@ -161,8 +191,9 @@ class ProgramModel:
     (from ``#define NAME <int>``) do participate in argument resolution.
 
     ``events`` maps each HAL call node of the entry body to its resolved
-    :class:`~thadc.model.CallEvent`.  It is empty on a lowered model;
-    :func:`thadc.passes.preprocess` returns a new model that fills it.
+    :class:`~thadc.model.CallEvent`, in node id order.  It is empty on a
+    lowered model; :func:`thadc.passes.preprocess` returns a new model
+    that fills it.
     """
 
     functions: dict[str, FunctionBody]
@@ -188,7 +219,7 @@ class _FunctionLowering:
     def __init__(self, fn: FunctionDef):
         self.fn = fn
         self.nodes: dict[int, CfgNode] = {}
-        self.succ: dict[int, tuple[Edge, ...]] = {}
+        self.succ: dict[int, tuple[int, ...]] = {}
         self.next_id = 0
         self.next_temp = 0
         self.locals: list[str] = []
@@ -207,7 +238,9 @@ class _FunctionLowering:
         return node_id
 
     def _connect(self, src: int, label: Optional[str], dst: int) -> None:
-        self.succ[src] = self.succ[src] + (Edge(label, dst),)
+        self.succ[src] += (dst,)
+        if label is not None:  # only a branch's edges are labeled
+            self.nodes[src].labels += (label,)
 
     def _emit(self, kind: NodeKind, line: int, **fields) -> int:
         node_id = self._raw(kind, line, **fields)
@@ -393,32 +426,78 @@ def hal_sites(body: FunctionBody,
 # ---------------------------------------------------------------------------
 
 State = TypeVar("State")
+Value = TypeVar("Value")
 
 
 def must_forward(cfg: Cfg, start: State,
                  transfer: Callable[[CfgNode, State], State],
-                 meet: Callable[[State, State], State]) -> dict[int, State]:
-    """Entry state of every node reached from the entry, for a forward
-    must-analysis on Kildall's worklist: ``start`` enters the entry,
-    ``transfer(node, state)`` leaves a node, and ``meet`` merges the
-    states arriving at a node, so a fact survives a merge only when it
-    holds on every incoming path.  It converges when meets only shrink.
+                 meet: Callable[[State, State], State],
+                 read: Callable[[CfgNode, State], Optional[Value]],
+                 ) -> dict[int, Value]:
+    """What ``read`` finds in the entry state of every node reached from
+    the entry, for a forward must-analysis: node id -> ``read(node,
+    state)``, kept only where that is not None.  ``start`` enters the
+    entry, ``transfer(node, state)`` leaves a node, and ``meet`` merges
+    the states arriving at a node, so a fact survives a merge only when
+    it holds on every incoming path.  It converges when meets only
+    shrink.
 
-    States are shared, not copied: a node's first state is the object its
-    predecessor's transfer returned, and a transfer may return its input.
-    That is safe only because no transfer, meet or reader mutates a
-    state in place.
+    States are kept only at the entry and at the merge points of
+    :attr:`Cfg.merges`, as on the sparse evaluation graphs of Choi,
+    Cytron and Ferrante (POPL 1991).  Every other node has one in-edge,
+    so its state is carried in a local along the chain of such nodes
+    that starts at a kept state, and ``read`` sees it on the way.  The
+    one worklist is Kildall's, over merge points whose state changed.
+    A merge point is walked once all its in-edges have delivered a
+    state, or, when none is, the one that first got a state; so on a
+    graph without cycles every chain is walked once.  A chain walked
+    again overwrites what was read on it before, so every result comes
+    from the node's final state.
+
+    States are shared, not copied: a transfer may return its input, and
+    a merge point's first state is the object its first in-edge
+    delivered.  That is safe only because no transfer, meet or reader
+    mutates a state in place.
     """
-    nodes, succ = cfg.nodes, cfg.succ
-    ins: dict[int, State] = {cfg.entry: start}
-    work = deque([cfg.entry])
-    while work:
-        nid = work.popleft()
-        out = transfer(nodes[nid], ins[nid])
-        for edge in succ.get(nid, ()):
-            cur = ins.get(edge.dst)
-            new = out if cur is None else meet(cur, out)
-            if new is not cur and new != cur:
-                ins[edge.dst] = new
-                work.append(edge.dst)
-    return ins
+    nodes, succ, merges = cfg.nodes, cfg.succ, cfg.merges
+    states: dict[int, State] = {cfg.entry: start}
+    left = dict(merges)  # in-edges each merge point still waits for
+    ready: dict[int, None] = {cfg.entry: None}  # as a stack
+    waiting: dict[int, None] = {}  # changed, not ready; in arrival order
+    walked: set[int] = set()
+    found: dict[int, Value] = {}
+    while ready or waiting:
+        if ready:
+            head = ready.popitem()[0]
+        else:
+            head = next(iter(waiting))
+            del waiting[head]
+        again = head in walked
+        walked.add(head)
+        todo = [(head, states[head])]
+        while todo:
+            nid, state = todo.pop()
+            node = nodes[nid]
+            value = read(node, state)
+            if value is not None:
+                found[nid] = value
+            elif again:
+                found.pop(nid, None)
+            out = transfer(node, state)
+            for dst in succ[nid]:
+                if dst not in merges:
+                    todo.append((dst, out))
+                    continue
+                cur = states.get(dst)
+                new = out if cur is None else meet(cur, out)
+                changed = new is not cur and new != cur
+                if changed:
+                    states[dst] = new
+                left[dst] -= 1
+                if left[dst] > 0:
+                    if changed:
+                        waiting[dst] = None
+                elif changed or dst in waiting:
+                    waiting.pop(dst, None)
+                    ready[dst] = None
+    return found

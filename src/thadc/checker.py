@@ -52,6 +52,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from operator import and_, attrgetter
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -149,17 +150,19 @@ class ThadVerdict:
 # ---------------------------------------------------------------------------
 
 def _hal_nodes(model: ProgramModel, thad_set: ThadSet) -> list[CfgNode]:
-    """Entry-function call nodes of spec routines; each has a resolved
-    event in ``model.events``."""
-    nodes = []
-    for node, _ in hal_sites(model.entry_body, thad_set):
-        if node.id not in model.events:
+    """Entry-function call nodes of spec routines, in node id order,
+    read off the prepared model's ``events`` table.  Only an empty table
+    makes it scan the entry, to tell a model without HAL calls from one
+    that was never prepared."""
+    nodes, events = model.entry_body.cfg.nodes, model.events
+    if not events:
+        for node, _ in hal_sites(model.entry_body, thad_set):
             raise ValueError(
                 f"call node {node.id} ({node.callee}) has no resolved event; "
                 "run the preparation passes first"
             )
-        nodes.append(node)
-    return nodes
+    names = {r.name for r in thad_set.routines}
+    return [nodes[nid] for nid, ev in events.items() if ev.routine in names]
 
 
 def _possibly_matches(pattern, ev: CallEvent) -> bool:
@@ -260,11 +263,18 @@ def dataflow_fixpoint(
     """
     sites = _site_table(model, thad_set)
     gen = sites.gen
-    ins = must_forward(model.entry_body.cfg, 0,
-                       lambda node, mask: mask | gen.get(node.id, 0), and_)
     keys = list(sites.bits)
-    shared = {mask: MonitorState(mask, keys) for mask in set(ins.values())}
-    states = _States((nid, shared[mask]) for nid, mask in ins.items())
+    shared: dict[int, MonitorState] = {}  # one state per distinct mask
+
+    def state(node: CfgNode, mask: int) -> MonitorState:
+        found = shared.get(mask)
+        if found is None:
+            found = shared[mask] = MonitorState(mask, keys)
+        return found
+
+    states = _States(must_forward(
+        model.entry_body.cfg, 0,
+        lambda node, mask: mask | gen.get(node.id, 0), and_, state))
     states.sites = sites
     return states
 
@@ -297,14 +307,13 @@ def _free_distances(
         if nid in blocked:
             continue
         step = dist[nid] + 1
-        edges = succ.get(nid, ())
-        if len(edges) > 1:  # a branch: only here is there an order to keep
-            dsts = order.get(nid)
-            if dsts is None:
-                dsts = order[nid] = sorted({e.dst for e in edges},
-                                           key=lambda n: (nodes[n].line, n))
-        else:
-            dsts = [e.dst for e in edges]
+        dsts = succ[nid]
+        if len(dsts) > 1:  # a branch: only here is there an order to keep
+            ordered = order.get(nid)
+            if ordered is None:
+                ordered = order[nid] = sorted(
+                    set(dsts), key=lambda n: (nodes[n].line, n))
+            dsts = ordered
         for dst in dsts:
             if dst not in dist:
                 dist[dst] = step
@@ -464,7 +473,7 @@ def hal_traces(model: ProgramModel, bound: int = 1_000_000
     """
     cfg, events = model.entry_body.cfg, model.events
     succ, exit_id = cfg.succ, cfg.exit
-    readers = Counter(e.dst for edges in succ.values() for e in edges)
+    readers = Counter(chain.from_iterable(succ.values()))
     # A node's set exists from when it finishes until its last reader
     # finishes, and no edge into it is followed after that.
     suffixes: dict[int, set[tuple[CallEvent, ...]]] = {}
@@ -472,34 +481,34 @@ def hal_traces(model: ProgramModel, bound: int = 1_000_000
     stack = [(cfg.entry, iter(succ.get(cfg.entry, ())))]
     while stack:
         nid, pending = stack[-1]
-        for edge in pending:
-            if edge.dst in on_stack:
+        for dst in pending:
+            if dst in on_stack:
                 raise ValueError("cannot list the traces of a cyclic graph; "
                                  "unroll its loops first")
-            if edge.dst not in suffixes:
-                on_stack.add(edge.dst)
-                stack.append((edge.dst, iter(succ.get(edge.dst, ()))))
+            if dst not in suffixes:
+                on_stack.add(dst)
+                stack.append((dst, iter(succ.get(dst, ()))))
                 break
         else:  # every successor is finished: nid finishes
             stack.pop()
             on_stack.remove(nid)
-            edges = succ.get(nid, ())
+            dsts = succ.get(nid, ())
             if nid == exit_id:
                 out = {()}
-            elif len(edges) == 1:
-                out = suffixes[edges[0].dst]
+            elif len(dsts) == 1:
+                out = suffixes[dsts[0]]
             else:
-                out = set().union(*(suffixes[e.dst] for e in edges))
+                out = set().union(*(suffixes[dst] for dst in dsts))
             if len(out) > bound:
                 raise PathExplosion(bound)
             event = events.get(nid)
             if event is not None:
                 out = {(event,) + suffix for suffix in out}
             suffixes[nid] = out
-            for edge in edges:
-                readers[edge.dst] -= 1
-                if not readers[edge.dst]:
-                    del suffixes[edge.dst]
+            for dst in dsts:
+                readers[dst] -= 1
+                if not readers[dst]:
+                    del suffixes[dst]
     return suffixes[cfg.entry]
 
 

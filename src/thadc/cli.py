@@ -1,7 +1,8 @@
 """Command-line interface: ``check``, ``annotate``, and ``explain``.
 
 :func:`run_check` is ``check`` on one program's source text, for library
-use: it returns the report as a JSON-ready dict.
+use: it returns the report as a JSON-ready dict, and the note that says
+why the ``--unroll`` oracle was skipped, if it was.
 
 Exit codes, shared by all subcommands:
 
@@ -27,13 +28,6 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .annotate import (
-    MODES,
-    AnnotationError,
-    emit_annotated_source,
-    emit_wrapper,
-    plan_annotations,
-)
 from .cfg import build_model
 from .checker import (PathExplosion, Status, ThadVerdict, brute_force_paths,
                       check)
@@ -48,6 +42,9 @@ __all__ = ["main", "run_check"]
 
 _USAGE = 2
 _INTERNAL = 4
+# ``thadc.annotate.MODES``, spelled out so that building the parser does
+# not import ``annotate``; a test keeps the two equal.
+_MODES = ("acsl", "assert")
 
 
 # ---------------------------------------------------------------------------
@@ -134,26 +131,38 @@ def _unroll_oracle(program, thad_set: ThadSet, verdicts: list[ThadVerdict],
 
 def run_check(source: str, path: str, thad_set: ThadSet, *, spec_path: str,
               inline_depth: int = 16, unroll: Optional[int] = None,
-              timing: bool = False) -> dict:
+              timing: bool = False) -> tuple[dict, Optional[str]]:
     """Parse, lower, inline and resolve, and decide one program against
-    ``thad_set``; returns the report.  ``unroll`` adds the ``--unroll``
-    oracle block and ``timing`` the wall time.  Parse and preparation
-    errors raise, as ``check`` exits 2 on them."""
+    ``thad_set``; returns the report and a note.  ``unroll`` adds the
+    ``--unroll`` oracle block and ``timing`` the wall time.  The note is
+    None unless the oracle was asked for and had to be skipped; then the
+    report has no oracle block, and the note says why.  Parse and
+    preparation errors raise, as ``check`` exits 2 on them."""
     started = time.perf_counter()
     program = parse_source(source, path)
     verdicts = check(_prepared(program, thad_set, inline_depth), thad_set)
-    oracle = None
+    oracle = note = None
     if unroll is not None:
         try:
             oracle = _unroll_oracle(program, thad_set, verdicts, unroll,
                                     inline_depth)
         except (PathExplosion, UnrollTooDeep) as exc:
-            print(f"thadc: unroll oracle skipped: {exc}", file=sys.stderr)
+            note = f"unroll oracle skipped: {exc}"
     wall_ms = (int((time.perf_counter() - started) * 1000) if timing
                else None)
-    return build_report(verdicts, thad_set, spec_path=spec_path,
-                        program_path=path, wall_time_ms=wall_ms,
-                        oracle=oracle)
+    report = build_report(verdicts, thad_set, spec_path=spec_path,
+                          program_path=path, wall_time_ms=wall_ms,
+                          oracle=oracle)
+    return report, note
+
+
+def _checked(source: str, path: str, thad_set: ThadSet, options: dict
+             ) -> dict:
+    """:func:`run_check`'s report; its note, if any, goes to stderr."""
+    report, note = run_check(source, path, thad_set, **options)
+    if note is not None:
+        print(f"thadc: {note}", file=sys.stderr)
+    return report
 
 
 def _cmd_check(args) -> int:
@@ -163,7 +172,7 @@ def _cmd_check(args) -> int:
     if args.corpus:
         return _run_corpus(thad_set, options, args.output)
     source = _read_text(Path(args.program), args.program)
-    report = run_check(source, args.program, thad_set, **options)
+    report = _checked(source, args.program, thad_set, options)
     if args.format == "json":
         text = render_json(report)
     else:
@@ -211,7 +220,7 @@ def _run_corpus(thad_set: ThadSet, options: dict,
     width = max(len(name) for name, _, _ in entries)
     mismatches = 0
     for name, source, expected in entries:
-        report = run_check(source, name, thad_set, **options)
+        report = _checked(source, name, thad_set, options)
         facts = _corpus_facts(report)
         problems = []
         for key in ("non_trivial", "via_alias", "witness_ends", "exit_code"):
@@ -245,19 +254,26 @@ def _run_corpus(thad_set: ThadSet, options: dict,
 # ---------------------------------------------------------------------------
 
 def _cmd_annotate(args) -> int:
+    # Imported here, not at the top: ``check`` never needs it, and its
+    # start-up would pay for it.
+    from . import annotate
+
     thad_set, _ = _load_set(args)
-    if args.wrapper:
-        text = emit_wrapper(thad_set, mode=args.mode)
-        _write_output(text, args.output)
-        return 0
-    source = _read_text(Path(args.skeleton), args.skeleton)
-    plan = plan_annotations(thad_set)
-    text = emit_annotated_source(plan, source, mode=args.mode)
     output = args.output
-    if output is None:
-        stem = args.skeleton[:-2] if args.skeleton.endswith(".c") \
-            else args.skeleton
-        output = stem + ".annotated.c"
+    try:
+        if args.wrapper:
+            text = annotate.emit_wrapper(thad_set, mode=args.mode)
+        else:
+            source = _read_text(Path(args.skeleton), args.skeleton)
+            text = annotate.emit_annotated_source(
+                annotate.plan_annotations(thad_set), source, mode=args.mode)
+            if output is None:
+                stem = args.skeleton[:-2] if args.skeleton.endswith(".c") \
+                    else args.skeleton
+                output = stem + ".annotated.c"
+    except annotate.AnnotationError as exc:
+        print(f"thadc: {exc}", file=sys.stderr)
+        return _USAGE
     _write_output(text, output)
     return 0
 
@@ -365,7 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="HAL implementation skeleton to annotate "
                             "(omit with --wrapper)")
     _add_spec_options(p_ann)
-    p_ann.add_argument("--mode", choices=list(MODES), default="acsl",
+    p_ann.add_argument("--mode", choices=list(_MODES), default="acsl",
                        help="annotation style (default acsl)")
     p_ann.add_argument("--wrapper", action="store_true",
                        help="emit a self-contained instrumentation wrapper "
@@ -416,8 +432,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except DiagnosticError as exc:
         print(str(exc), file=sys.stderr)
         return _USAGE
-    except (AnnotationError, RecursionDetected, DepthLimitExceeded,
-            OSError) as exc:
+    except (RecursionDetected, DepthLimitExceeded, OSError) as exc:
         print(f"thadc: {exc}", file=sys.stderr)
         return _USAGE
     except Exception as exc:

@@ -29,26 +29,29 @@ each event once from what the last two return:
 
 Both resolution passes follow only the variables that can reach their
 arguments (a flow-insensitive backward slice), and an inlined copy's
-variables leave their environments at the copy's return.
+variables leave their environments at the copy's return.  Environments
+are kept only at merge points (see :func:`~thadc.cfg.must_forward`),
+and at each HAL site a pass reads only the one value it resolves there.
 
 Only the entry body is inlined and resolved: the checker, the path
 oracle and the report read nothing else.  No pass mutates the model it
 is given.  ``inline_calls`` returns its input or a new model that shares
 the other functions' lowered bodies with it, the two resolution passes
-return per-site fields, and ``preprocess`` returns a new model, so one
-lowered model can be prepared for several specs.
+return small per-site tables (node id -> constant name or token), and
+``preprocess`` returns a new model, so one lowered model can be prepared
+for several specs.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from typing import Callable, Collection, Iterable, Iterator, Mapping, Optional
+from typing import (Callable, Collection, Iterable, Iterator, Mapping,
+                    Optional, TypeVar)
 
 from .cfg import (
     Cfg,
     CfgNode,
-    Edge,
     FunctionBody,
     NodeKind,
     ProgramModel,
@@ -186,17 +189,17 @@ def _splice_entry(model: ProgramModel) -> FunctionBody:
     :func:`inline_calls`.  Keeps its own stack of open copies."""
     functions = model.functions
     nodes: dict[int, CfgNode] = {}
-    succ: dict[int, tuple[Edge, ...]] = {}
+    succ: dict[int, tuple[int, ...]] = {}
     owned: dict[str, list[str]] = {}  # function -> its names, sorted
     extra_locals: list[str] = []
     dead_after: dict[int, tuple[str, ...]] = {}
     instances = itertools.count(1)
 
     def add(kind: NodeKind, line: int, callee=None, args=(), lhs=None,
-            var=None, expr=None) -> int:
+            var=None, expr=None, labels=()) -> int:
         node_id = len(nodes)
         nodes[node_id] = CfgNode(node_id, kind, line, callee, args, lhs,
-                                 var, expr)
+                                 var, expr, labels)
         succ[node_id] = ()
         return node_id
 
@@ -229,13 +232,12 @@ def _splice_entry(model: ProgramModel) -> FunctionBody:
         if copy.call:
             caller, call_id, binds, tail = copy.call
             head[cfg.exit] = tail
-            chain = (*binds, head[cfg.edges(cfg.entry)[0].dst])
+            chain = (*binds, head[cfg.succ[cfg.entry][0]])
             for a, b in zip(chain, chain[1:]):
-                succ[a] += (Edge(None, b),)
+                succ[a] += (b,)
             caller.head[call_id], caller.tail[call_id] = chain[0], tail
         for cid, src in copy.tail.items():
-            succ[src] += tuple(Edge(e.label, head[e.dst])
-                               for e in cfg.edges(cid))
+            succ[src] += tuple([head[dst] for dst in cfg.succ[cid]])
 
     entry = _Copy(model.entry_body, {})  # the entry keeps its names
     stack = [entry]
@@ -254,7 +256,7 @@ def _splice_entry(model: ProgramModel) -> FunctionBody:
                     tuple([_rename_expr(a, ren) for a in node.args]),
                     ren.get(node.lhs, node.lhs) if node.lhs else None,
                     ren.get(node.var, node.var) if node.var else None,
-                    _rename_expr(node.expr, ren))
+                    _rename_expr(node.expr, ren), node.labels)
         else:
             close(stack.pop())
     body = model.entry_body
@@ -324,19 +326,24 @@ def _backward_slice(cfg: Cfg, seeds: Iterable[Expr],
     return relevant
 
 
+R = TypeVar("R")
+
+
 def _must_values(
     body: FunctionBody, value: Callable[[CfgNode, dict], Optional[object]],
-    relevant: Collection[str],
-) -> dict[int, dict]:
-    """Entry environment, variable -> the value it holds on every path,
-    of every node of ``body`` reached from its entry.  A node writes at
-    most one variable, an ASSIGN its ``var`` and a CALL its ``lhs``, and
+    relevant: Collection[str], read: Callable[[CfgNode, dict], Optional[R]],
+) -> dict[int, R]:
+    """What ``read(node, env)`` finds at every node of ``body`` reached
+    from its entry, kept where it is not None (see
+    :func:`~thadc.cfg.must_forward`).  ``env`` maps each variable to the
+    value it holds on every path to the node.  A node writes at most one
+    variable, an ASSIGN its ``var`` and a CALL its ``lhs``, and
     ``value(node, env)`` gives the new value, or None for unknown.
 
     Only the ``relevant`` variables are tracked: a write to any other
     leaves the environment as it is, so ``relevant`` must hold every
-    variable that ``value`` reads for a relevant write.  An inlined
-    copy's names leave the environment after its tail's own write (see
+    variable that ``value`` or ``read`` reads.  An inlined copy's names
+    leave the environment after its tail's own write (see
     ``FunctionBody.dead_after``).  Only a write or an end that changes
     an environment copies it."""
     dead_after = body.dead_after
@@ -362,17 +369,25 @@ def _must_values(
         kept = {k: v for k, v in env.items() if other.get(k) == v}
         return env if len(kept) == len(env) else kept
 
-    return must_forward(body.cfg, {}, transfer, meet)
+    return must_forward(body.cfg, {}, transfer, meet, read)
 
 
-def _role_arg(node: CfgNode, routine: RoutineSpec, role: ParamRole
-              ) -> tuple[Optional[int], Optional[Expr]]:
-    """The index of the routine's parameter with ``role`` (None when it
-    has none) and the call's argument there (None when it is missing)."""
-    idx = next((i for i, p in enumerate(routine.params) if p.role is role),
-               None)
-    arg = node.args[idx] if idx is not None and idx < len(node.args) else None
-    return idx, arg
+def _role_args(sites: list[tuple[CfgNode, RoutineSpec]],
+               role: ParamRole) -> dict[int, Expr]:
+    """Call node id -> the call's argument for its routine's parameter
+    with ``role``, for each site whose routine has one and whose call
+    passes an argument there."""
+    where: dict[str, Optional[int]] = {}  # routine -> the parameter index
+    args: dict[int, Expr] = {}
+    for node, routine in sites:
+        if routine.name not in where:
+            where[routine.name] = next(
+                (i for i, p in enumerate(routine.params) if p.role is role),
+                None)
+        idx = where[routine.name]
+        if idx is not None and idx < len(node.args):
+            args[node.id] = node.args[idx]
+    return args
 
 
 # ---------------------------------------------------------------------------
@@ -426,11 +441,15 @@ def _eval_expr(expr: Expr, env: dict[str, int],
     return value if value is None or -2**63 <= value < 2**64 else None
 
 
-def resolve_discriminators(model: ProgramModel,
-                           spec_set: ThadSet) -> dict[int, dict]:
-    """The discriminator fields of every HAL call event in the entry
-    body: call node id -> ``discriminator_value`` and
-    ``discriminator_unknown``.
+def resolve_discriminators(
+    model: ProgramModel, spec_set: ThadSet,
+    sites: Optional[list[tuple[CfgNode, RoutineSpec]]] = None,
+) -> dict[int, str]:
+    """The resolved discriminators of the HAL calls in the entry body:
+    call node id -> the name of the value its discriminator argument
+    holds on every path, for each call where that is known.  ``sites``
+    is the body's :func:`~thadc.cfg.hal_sites`, found again when not
+    given.
 
     Resolution precedence for a name: the entry body's variables first
     (through the propagated environment), then the platform constants
@@ -446,12 +465,21 @@ def resolve_discriminators(model: ProgramModel,
             rev[value] = cname
 
     body = model.entry_body
-    sites = [(node, _role_arg(node, routine, ParamRole.DISCRIMINATOR))
-             for node, routine in hal_sites(body, spec_set)]
-    relevant = _backward_slice(
-        body.cfg, [arg for _, (_, arg) in sites if arg is not None])
+    if sites is None:
+        sites = hal_sites(body, spec_set)
+    args = _role_args(sites, ParamRole.DISCRIMINATOR)
+    relevant = _backward_slice(body.cfg, args.values())
     # the slice holds every name this pass looks up
     program_vars = relevant.intersection(_owned_names(body))
+
+    # A spec constant used by name resolves without an environment.
+    named = {nid: arg.name for nid, arg in args.items()
+             if isinstance(arg, Var) and arg.name not in program_vars
+             and arg.name in spec_set.constants}
+    for nid in named:
+        del args[nid]
+    if not args:
+        return named
 
     def lookup(name: str) -> Optional[int]:
         if name in program_vars:
@@ -466,34 +494,29 @@ def resolve_discriminators(model: ProgramModel,
             return _eval_expr(node.expr, env, lookup)
         return None  # a call's result
 
-    ins = _must_values(body, assigned_value, relevant)
-    fields: dict[int, dict] = {}
-    for node, (idx, arg) in sites:
-        value_name: Optional[str] = None
-        if idx is not None:
-            if (isinstance(arg, Var) and arg.name not in program_vars
-                    and arg.name in spec_set.constants):
-                value_name = arg.name
-            elif arg is not None:
-                value = _eval_expr(arg, ins[node.id], lookup)
-                if value is not None:
-                    value_name = rev.get(value, str(value))
-        fields[node.id] = {
-            "discriminator_value": value_name,
-            "discriminator_unknown": idx is not None and value_name is None,
-        }
-    return fields
+    def read(node: CfgNode, env: dict) -> Optional[str]:
+        arg = args.get(node.id)
+        value = None if arg is None else _eval_expr(arg, env, lookup)
+        return None if value is None else rev.get(value, str(value))
+
+    values = _must_values(body, assigned_value, relevant, read)
+    values.update(named)
+    return values
 
 
 # ---------------------------------------------------------------------------
 # Descriptor token flow
 # ---------------------------------------------------------------------------
 
-def build_token_flow(model: ProgramModel,
-                     spec_set: ThadSet) -> dict[int, dict]:
-    """The descriptor fields of every HAL call event in the entry body:
-    call node id -> ``descriptor_token``, ``descriptor_unknown`` and
-    ``produced_token``.
+def build_token_flow(
+    model: ProgramModel, spec_set: ThadSet,
+    sites: Optional[list[tuple[CfgNode, RoutineSpec]]] = None,
+) -> tuple[dict[int, str], dict[int, str]]:
+    """The descriptor tokens of the HAL calls in the entry body, as two
+    tables: call node id -> the token its descriptor argument holds on
+    every path, for each call where that is known; and call node id ->
+    the token the call mints, for each call of a descriptor-returning
+    routine.  ``sites`` is as for :func:`resolve_discriminators`.
 
     Every call of a descriptor-returning routine mints one token.  A
     later call's descriptor argument carries that token exactly when the
@@ -501,45 +524,52 @@ def build_token_flow(model: ProgramModel,
     argument's use; otherwise the argument stays unknown.
     """
     body = model.entry_body
-    sites = hal_sites(body, spec_set)
+    if sites is None:
+        sites = hal_sites(body, spec_set)
     produced: dict[int, str] = {}
     for node, routine in sites:
         if routine.returns_descriptor:
             produced[node.id] = f"t{len(produced) + 1}"
-    uses = [(node, _role_arg(node, routine, ParamRole.DESCRIPTOR))
-            for node, routine in sites]
+    uses = {nid: arg for nid, arg
+            in _role_args(sites, ParamRole.DESCRIPTOR).items()
+            if isinstance(arg, Var)}
+    if not uses:
+        return {}, produced
 
     def assigned_token(node: CfgNode, env: dict) -> Optional[str]:
         if node.kind is NodeKind.CALL:
             return produced.get(node.id)
         return env.get(node.expr.name) if isinstance(node.expr, Var) else None
 
-    relevant = _backward_slice(
-        body.cfg, [arg for _, (_, arg) in uses if isinstance(arg, Var)], Var)
-    ins = _must_values(body, assigned_token, relevant)
-    fields: dict[int, dict] = {}
-    for node, (idx, arg) in uses:
-        token: Optional[str] = None
-        if isinstance(arg, Var):
-            token = ins[node.id].get(arg.name)
-        fields[node.id] = {
-            "descriptor_token": token,
-            "descriptor_unknown": idx is not None and token is None,
-            "produced_token": produced.get(node.id),
-        }
-    return fields
+    def read(node: CfgNode, env: dict) -> Optional[str]:
+        arg = uses.get(node.id)
+        return None if arg is None else env.get(arg.name)
+
+    relevant = _backward_slice(body.cfg, uses.values(), Var)
+    return _must_values(body, assigned_token, relevant, read), produced
 
 
 def preprocess(model: ProgramModel, spec_set: ThadSet,
                depth_limit: int = 16) -> ProgramModel:
     """Inline, then resolve arguments and thread tokens in the entry
     body; the checker's input.  A new model whose ``events`` table holds
-    the entry body's HAL call events; ``model`` is left as it was."""
+    the entry body's HAL call events, in node id order; ``model`` is
+    left as it was.  The entry's HAL sites are found once, here."""
     flat = inline_calls(model, depth_limit)
-    discriminators = resolve_discriminators(flat, spec_set)
-    descriptors = build_token_flow(flat, spec_set)
-    nodes = flat.entry_body.cfg.nodes
-    events = {nid: CallEvent(nodes[nid].callee, **fields, **descriptors[nid])
-              for nid, fields in discriminators.items()}
+    sites = hal_sites(flat.entry_body, spec_set)
+    values = resolve_discriminators(flat, spec_set, sites)
+    tokens, produced = build_token_flow(flat, spec_set, sites)
+    roles = {r.name: (r.discriminator_param is not None,
+                      r.descriptor_param is not None)
+             for r in spec_set.routines}
+    events = {}
+    for node, _ in sites:
+        nid = node.id
+        value, token = values.get(nid), tokens.get(nid)
+        has_discriminator, has_descriptor = roles[node.callee]
+        events[nid] = CallEvent(
+            node.callee, value, token, produced.get(nid),
+            discriminator_unknown=has_discriminator and value is None,
+            descriptor_unknown=has_descriptor and token is None)
     return ProgramModel(flat.functions, flat.entry, flat.program, flat.path,
                         events)

@@ -8,6 +8,8 @@ place shows up as a mismatch instead of silently shipping.
 
 from __future__ import annotations
 
+from collections import deque
+
 from thadc.cfg import Cfg, NodeKind, ProgramModel, build_model
 from thadc.minic import parse_source, unroll_loops
 from thadc.model import (
@@ -226,37 +228,47 @@ def prepared(source: str, thad_set: ThadSet | None = None,
 def check_cfg(cfg: Cfg) -> None:
     """Assert the invariants the analyses rely on.  Raises ValueError.
 
-    Every node must be reachable from the entry and able to reach the
-    exit (so meeting over paths sees every node), the entry must have no
-    predecessors, the exit no successors, and non-branch nodes at most
-    one out-edge.  Nodes must be stored in ascending id order, which
-    ``Cfg.call_nodes`` relies on instead of sorting.
+    Successors are node ids.  Every node must be reachable from the
+    entry and able to reach the exit (so meeting over paths sees every
+    node), the entry must have no predecessors, the exit no successors,
+    and non-branch nodes exactly one successor.  Labels appear only on
+    branch nodes, one per successor.  Nodes must be stored in ascending
+    id order, which ``Cfg.call_nodes`` relies on instead of sorting.
     """
     ids = list(cfg.nodes)
     if ids != sorted(ids):
         raise ValueError("nodes are not stored in ascending id order")
-    for src, edges in cfg.succ.items():
-        if src not in cfg.nodes:
-            raise ValueError(f"edge source {src} is not a node")
-        for e in edges:
-            if e.dst not in cfg.nodes:
-                raise ValueError(f"edge target {e.dst} is not a node")
+    if set(cfg.succ) != set(cfg.nodes):
+        raise ValueError("successors are not listed for exactly the nodes")
+    for src, dsts in cfg.succ.items():
+        if not isinstance(dsts, tuple):
+            raise ValueError(f"successors of {src} are not a tuple")
+        for dst in dsts:
+            if type(dst) is not int or dst not in cfg.nodes:
+                raise ValueError(f"successor {dst!r} of {src} is not a node id")
     preds: dict[int, list[int]] = {n: [] for n in cfg.nodes}
-    for src, edges in cfg.succ.items():
-        for e in edges:
-            preds[e.dst].append(src)
+    for src, dsts in cfg.succ.items():
+        for dst in dsts:
+            preds[dst].append(src)
     if preds[cfg.entry]:
         raise ValueError("entry node has predecessors")
-    if cfg.edges(cfg.exit):
+    if cfg.succ[cfg.exit]:
         raise ValueError("exit node has successors")
     for node_id, node in cfg.nodes.items():
-        out = cfg.edges(node_id)
+        out = cfg.succ[node_id]
         if node.kind is NodeKind.BRANCH:
             if len(out) < 2:
                 raise ValueError(f"branch node {node_id} has {len(out)} out-edges")
-        elif node.kind is not NodeKind.EXIT and len(out) != 1:
-            raise ValueError(f"node {node_id} has {len(out)} out-edges")
-    reachable = _closure(cfg.entry, lambda n: [e.dst for e in cfg.edges(n)])
+            if len(node.labels) != len(out) or not all(
+                    isinstance(label, str) for label in node.labels):
+                raise ValueError(f"branch node {node_id} has labels "
+                                 f"{node.labels!r} for {len(out)} out-edges")
+        else:
+            if node.labels:
+                raise ValueError(f"non-branch node {node_id} has labels")
+            if node.kind is not NodeKind.EXIT and len(out) != 1:
+                raise ValueError(f"node {node_id} has {len(out)} out-edges")
+    reachable = _closure(cfg.entry, lambda n: cfg.succ[n])
     if reachable != set(cfg.nodes):
         missing = sorted(set(cfg.nodes) - reachable)
         raise ValueError(f"nodes unreachable from entry: {missing}")
@@ -316,3 +328,26 @@ def plus_chain(n: int) -> str:
     ``+`` is in column 2k + 12."""
     return ("int main(void) {\n    int x = " + "+".join(["1"] * n)
             + ";\n    return x;\n}\n")
+
+
+# ---------------------------------------------------------------------------
+# Dense must-propagation (the reference for ``thadc.cfg.must_forward``)
+# ---------------------------------------------------------------------------
+
+def dense_must_forward(cfg: Cfg, start, transfer, meet) -> dict:
+    """Entry state of every node reached from the entry, one state kept
+    per node on Kildall's worklist.  ``thadc.cfg.must_forward`` keeps
+    states only at merge points and must read the same states."""
+    nodes, succ = cfg.nodes, cfg.succ
+    ins = {cfg.entry: start}
+    work = deque([cfg.entry])
+    while work:
+        nid = work.popleft()
+        out = transfer(nodes[nid], ins[nid])
+        for dst in succ[nid]:
+            cur = ins.get(dst)
+            new = out if cur is None else meet(cur, out)
+            if new is not cur and new != cur:
+                ins[dst] = new
+                work.append(dst)
+    return ins

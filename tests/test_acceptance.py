@@ -53,7 +53,8 @@ EXPECTED_VIA_ALIAS = {
 def checked(source, path="prog.c"):
     """(report, elapsed seconds) for one program against the bundled set."""
     started = time.perf_counter()
-    report = cli.run_check(source, path, SPIDEV, spec_path="spidev.thad")
+    report, note = cli.run_check(source, path, SPIDEV, spec_path="spidev.thad")
+    assert note is None
     return report, time.perf_counter() - started
 
 

@@ -6,6 +6,7 @@ import dataclasses
 import importlib.util
 import sys
 import tracemalloc
+from collections import Counter
 from operator import and_
 from pathlib import Path
 
@@ -13,14 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (NESTED_LOOPS, bound_spidev_set, parse_program, prepared,
-                     spidev_set)
+from helpers import (NESTED_LOOPS, bound_spidev_set, dense_must_forward,
+                     parse_program, prepared, spidev_set)
 from randprog import generate_program
-from thadc import passes
+from thadc import checker, passes
 from thadc.cfg import (
     Cfg,
     CfgNode,
-    Edge,
     NodeKind,
     build_model,
     hal_sites,
@@ -139,14 +139,14 @@ class TestMustForward:
                  6: NodeKind.CALL, 7: NodeKind.EXIT, 8: NodeKind.JOIN}
         succ = {0: (1,), 1: (2, 3), 2: (4,), 3: (4,), 4: (5,), 5: (6, 7),
                 6: (4,), 7: (), 8: (7,)}
-        return Cfg({n: CfgNode(n, k) for n, k in kinds.items()},
-                   {n: tuple(Edge(None, d) for d in ds)
-                    for n, ds in succ.items()}, 0, 7)
+        return Cfg({n: CfgNode(n, k) for n, k in kinds.items()}, succ, 0, 7)
+
+    def transfer(self, node: CfgNode, mask: int) -> int:
+        return mask | self.GEN.get(node.id, 0)
 
     def states(self) -> dict[int, int]:
-        return must_forward(self.cfg(), 0,
-                            lambda node, mask: mask | self.GEN.get(node.id, 0),
-                            and_)
+        return must_forward(self.cfg(), 0, self.transfer, and_,
+                            lambda node, mask: mask)
 
     def test_join_meets_the_masks(self):
         assert self.states()[4] == 0b011 & 0b001
@@ -165,6 +165,137 @@ class TestMustForward:
         states = self.states()
         assert states[5] == states[4]
         assert states[1] == states[0] == 0
+
+
+def merge_points(cfg: Cfg) -> set[int]:
+    """The entry, and every node with more than one in-edge."""
+    indegree = Counter(dst for dsts in cfg.succ.values() for dst in dsts)
+    return {cfg.entry} | {nid for nid, n in indegree.items() if n > 1}
+
+
+def sparse_states(cfg: Cfg, start, transfer, meet):
+    """The state ``must_forward`` reads at every reached node, and the
+    nodes it ever kept a state for: its ``states`` table, looked up in
+    its frame from inside the ``read`` callback."""
+    kept: set[int] = set()
+
+    def read(node, state):
+        kept.update(sys._getframe(1).f_locals["states"])
+        return state
+
+    return must_forward(cfg, start, transfer, meet, read), kept
+
+
+def dense_engine(cfg, start, transfer, meet, read):
+    """``must_forward``'s contract on ``helpers.dense_must_forward``."""
+    states = dense_must_forward(cfg, start, transfer, meet)
+    found = {nid: read(cfg.nodes[nid], state)
+             for nid, state in states.items()}
+    return {nid: value for nid, value in found.items() if value is not None}
+
+
+def looping_draws() -> list[str]:
+    return [generate_program(seed, helpers=True, allow_loops=True)
+            for seed in range(150, 230)]
+
+
+ORDER_SENSITIVE = """
+int main(void) {
+    int fd = open("/dev/spidev0.0", 2);
+    if (c) {
+        if (d) { x = 1; } else { x = 2; }
+        fd = open("/dev/spidev0.1", 2);
+    }
+    read(fd, 0, 1);
+    close(fd);
+    return 0;
+}
+"""
+
+
+class TestSparseMustForward:
+    """``must_forward`` keeps states only at the entry and at merge
+    points, yet reads what the dense reference keeps at every node."""
+
+    def test_hand_built_graph_matches_the_dense_reference(self):
+        graph = TestMustForward()
+        cfg = graph.cfg()
+        states, kept = sparse_states(cfg, 0, graph.transfer, and_)
+        assert states == dense_must_forward(cfg, 0, graph.transfer, and_)
+        assert kept <= merge_points(cfg)
+        assert kept == {0, 4, 7}
+
+    def test_a_chain_walked_again_drops_what_it_read_before(self):
+        # 0 entry -> 1 loop header -> 2 clears the mask -> 3 branch
+        # -> back to 1 | 4 exit.  The header is first walked with the
+        # entry's mask, then again once the back edge has cleared it.
+        kinds = {0: NodeKind.ENTRY, 1: NodeKind.JOIN, 2: NodeKind.ASSIGN,
+                 3: NodeKind.BRANCH, 4: NodeKind.EXIT}
+        succ = {0: (1,), 1: (2,), 2: (3,), 3: (1, 4), 4: ()}
+        cfg = Cfg({n: CfgNode(n, k) for n, k in kinds.items()}, succ, 0, 4)
+
+        def transfer(node, mask):
+            return 0 if node.id == 2 else mask
+
+        walked = []
+        found = must_forward(cfg, 0b1, transfer, and_,
+                             lambda node, mask: walked.append(node.id)
+                             or mask or None)
+        assert walked.count(1) == 2
+        assert found == {0: 0b1}
+        dense = dense_must_forward(cfg, 0b1, transfer, and_)
+        assert found == {nid: mask for nid, mask in dense.items() if mask}
+
+    def test_looping_draws_match_the_dense_reference(self):
+        looped = 0
+        for source in looping_draws():
+            model = prepared(source)
+            cfg = model.entry_body.cfg
+            looped += any(dst <= src for src, dsts in cfg.succ.items()
+                          for dst in dsts)
+            gen = checker._site_table(model, SPIDEV).gen
+
+            def transfer(node, mask):
+                return mask | gen.get(node.id, 0)
+
+            states, kept = sparse_states(cfg, 0, transfer, and_)
+            assert states == dense_must_forward(cfg, 0, transfer, and_)
+            assert kept <= merge_points(cfg)
+            assert {nid: state.mask for nid, state
+                    in dataflow_fixpoint(model, SPIDEV).items()} == states
+        assert looped >= 40
+
+    def test_a_loop_free_graph_is_walked_once(self):
+        # In ORDER_SENSITIVE the else arm reaches the outer merge first,
+        # and the then arm then changes what ``fd`` holds there: a merge
+        # walked before all its in-edges delivered would walk the rest of
+        # the program twice.
+        sources = [ORDER_SENSITIVE] + [generate_program(seed, helpers=True)
+                                       for seed in range(40)]
+        for source in sources:
+            body = passes.inline_calls(parse_program(source)).entry_body
+            reads = Counter()
+
+            def read(node, env):
+                reads[node.id] += 1
+
+            passes._must_values(body, lambda node, env: node.id,
+                                _Everything(), read)
+            assert reads == dict.fromkeys(body.cfg.nodes, 1), source
+
+    def test_resolution_on_looping_draws_matches_the_dense_reference(
+            self, monkeypatch):
+        for source in looping_draws():
+            flat = passes.inline_calls(parse_program(source))
+            for thad_set in (SPIDEV, bound_spidev_set()):
+                sparse = passes.preprocess(flat, thad_set)
+                with monkeypatch.context() as patch:
+                    patch.setattr(passes, "must_forward", dense_engine)
+                    patch.setattr(checker, "must_forward", dense_engine)
+                    dense = passes.preprocess(flat, thad_set)
+                    dense_verdicts = check(dense, thad_set)
+                assert sparse.events == dense.events
+                assert check(sparse, thad_set) == dense_verdicts
 
 
 class TestHalSites:
@@ -198,11 +329,17 @@ class _Everything:
 MUST_VALUES = passes._must_values
 
 
-def unsliced_must_values(body, value, relevant):
+def unsliced_must_values(body, value, relevant, read):
     """The reference for ``passes._must_values``: every variable is
     tracked, and no inlined copy's names end at its tail."""
     return MUST_VALUES(dataclasses.replace(body, dead_after={}), value,
-                       _Everything())
+                       _Everything(), read)
+
+
+def environments(body, value, relevant):
+    """``passes._must_values`` read densely: every reached node's entry
+    environment."""
+    return passes._must_values(body, value, relevant, lambda node, env: env)
 
 
 TWO_COPIES = """
@@ -265,11 +402,11 @@ class TestMustValues:
         """).entry_body
         cfg = body.cfg
         b = next(n.id for n in cfg.nodes.values() if n.var == "b")
-        after = cfg.edges(b)[0].dst
-        sliced = passes._must_values(body, lambda node, env: 1, {"a", "c"})
+        after = cfg.succ[b][0]
+        sliced = environments(body, lambda node, env: 1, {"a", "c"})
         assert sliced[after] is sliced[b]
         assert sliced[after] == {"a": 1}
-        full = passes._must_values(body, lambda node, env: 1, {"a", "b"})
+        full = environments(body, lambda node, env: 1, {"a", "b"})
         assert full[after] is not full[b]
         assert full[after] == {"a": 1, "b": 1}
 
@@ -278,13 +415,12 @@ class TestMustValues:
         cfg = body.cfg
         assert len(body.dead_after) == 2
         # every write gets a known value, so only an end removes a name
-        ins = passes._must_values(body, lambda node, env: node.id,
-                                  _Everything())
+        ins = environments(body, lambda node, env: node.id, _Everything())
         for tail, names in body.dead_after.items():
             assert len({name[name.rindex("__inl"):] for name in names}) == 1
             ended = set(names)
             assert ins[tail].keys() & ended  # live up to the tail
-            after = [e.dst for e in cfg.edges(tail)]
+            after = cfg.succ[tail]
             downstream = [nid for nid in cfg.nodes
                           if any(_reaches(cfg, a, nid) for a in after)]
             assert downstream
@@ -312,6 +448,21 @@ class TestMustValues:
             finally:
                 tracemalloc.stop()
             assert peak < 10 * 2**20, (run.__name__, peak)
+
+    def test_resolution_peaks_on_the_reduced_diamond(self):
+        # With an environment kept per node and a dict per site, the two
+        # passes peaked at about 100 KB and 55 KB here.
+        source = (Path(__file__).resolve().parent / "golden"
+                  / "diamond-reduced.c").read_text()
+        for run in (passes.resolve_discriminators, passes.build_token_flow):
+            model = passes.inline_calls(parse_program(source))
+            tracemalloc.start()
+            try:
+                run(model, bound_spidev_set())
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 48 * 2**10, (run.__name__, peak)
 
     @pytest.mark.parametrize("programs", ["randprog", "wide", "diamond"])
     def test_sliced_runs_equal_the_unsliced_reference(self, programs,
@@ -913,5 +1064,5 @@ def _reaches(cfg, src: int, dst: int) -> bool:
         if n in seen:
             continue
         seen.add(n)
-        work.extend(e.dst for e in cfg.edges(n))
+        work.extend(cfg.succ[n])
     return False

@@ -12,6 +12,7 @@ import jsonschema
 import pytest
 
 from thadc import cli
+from thadc.annotate import MODES
 from thadc.minic import MAX_NESTING
 from thadc.report import exit_code, render_json
 from thadc.specio import bundled_data_path, bundled_spidev
@@ -112,9 +113,10 @@ class TestCheck:
         path = str(CORPUS / "accelerometer-faulty.c")
         code, out, _ = run(["check", path, "--format", "json", "--no-timing",
                             "--unroll", "1"], capsys)
-        report = cli.run_check((CORPUS / "accelerometer-faulty.c").read_text(),
-                               path, bundled_spidev(), spec_path="spidev.thad",
-                               unroll=1)
+        report, note = cli.run_check(
+            (CORPUS / "accelerometer-faulty.c").read_text(), path,
+            bundled_spidev(), spec_path="spidev.thad", unroll=1)
+        assert note is None
         assert render_json(report) == out
         assert exit_code(report) == code == 1
 
@@ -276,6 +278,18 @@ class TestCheck:
         assert err == (f"thadc: unroll oracle skipped: unrolling loops {k} "
                        f"times nests {levels} levels, "
                        f"limit is {MAX_NESTING}\n")
+
+    def test_run_check_returns_the_skip_note(self, capsys):
+        # The library call prints nothing: the note is in its result.
+        source = ('int main(void) {\n    int fd = open("/dev/spidev0.0", 2);\n'
+                  "    while (c) {\n    read(fd, 0, 1);\n    }\n"
+                  "    return 0;\n}\n")
+        report, note = cli.run_check(source, "loop.c", bundled_spidev(),
+                                     spec_path="spidev.thad", unroll=400)
+        assert note == ("unroll oracle skipped: unrolling loops 400 times "
+                        f"nests 402 levels, limit is {MAX_NESTING}")
+        assert "unroll_oracle" not in report
+        assert capsys.readouterr() == ("", "")
 
     def test_nested_loops_unrolled_ten_times_reach_the_oracle(
             self, tmp_path, capsys):
@@ -487,6 +501,16 @@ class TestAnnotate:
         assert code == 0
         assert out == ""
         assert "#include <assert.h>" in target.read_text()
+
+    def test_check_never_imports_annotate(self):
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, thadc.cli; print('thadc.annotate' in sys.modules)"],
+            capture_output=True, text=True, timeout=30)
+        assert result.stdout == "False\n"
+
+    def test_mode_choices_are_the_annotation_modes(self):
+        assert cli._MODES == MODES
 
     def test_empty_spec_wrapper_succeeds(self, tmp_path, capsys):
         spec = tmp_path / "empty.thad"

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 
 from thadc import cli
-from thadc.cfg import Cfg, CfgNode, Edge, FunctionBody, NodeKind
+from thadc.cfg import Cfg, CfgNode, FunctionBody, NodeKind
 from thadc.checker import PathExplosion, hal_traces
 from thadc.minic import (
     MAX_NESTING,
@@ -408,7 +408,7 @@ class TestPathEnumeration:
         nodes.update((i, CfgNode(i, NodeKind.CALL, 1, callee="read"))
                      for i in range(1, n + 1))
         nodes[n + 1] = CfgNode(n + 1, NodeKind.EXIT, 1)
-        succ = {i: (Edge(None, i + 1),) for i in range(n + 1)}
+        succ = {i: (i + 1,) for i in range(n + 1)}
         body = FunctionBody("main", (), (), Cfg(nodes, succ, 0, n + 1))
         events = {i: CallEvent("read", descriptor_token=f"t{i}")
                   for i in range(1, n + 1)}
