@@ -449,8 +449,8 @@ def must_forward(cfg: Cfg, start: State,
     that starts at a kept state, and ``read`` sees it on the way.  The
     one worklist is Kildall's, over merge points whose state changed.
     A merge point is walked once all its in-edges have delivered a
-    state, or, when none is, the one that first got a state; so on a
-    graph without cycles every chain is walked once.  A chain walked
+    state; when no merge point is ready, the one that got a state first
+    is walked.  So on a graph without cycles every chain is walked once.  A chain walked
     again overwrites what was read on it before, so every result comes
     from the node's final state.
 

@@ -326,13 +326,14 @@ def _backward_slice(cfg: Cfg, seeds: Iterable[Expr],
     return relevant
 
 
-R = TypeVar("R")
+Value = TypeVar("Value")
 
 
 def _must_values(
     body: FunctionBody, value: Callable[[CfgNode, dict], Optional[object]],
-    relevant: Collection[str], read: Callable[[CfgNode, dict], Optional[R]],
-) -> dict[int, R]:
+    relevant: Collection[str],
+    read: Callable[[CfgNode, dict], Optional[Value]],
+) -> dict[int, Value]:
     """What ``read(node, env)`` finds at every node of ``body`` reached
     from its entry, kept where it is not None (see
     :func:`~thadc.cfg.must_forward`).  ``env`` maps each variable to the
