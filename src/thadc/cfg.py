@@ -191,9 +191,10 @@ class ProgramModel:
     (from ``#define NAME <int>``) do participate in argument resolution.
 
     ``events`` maps each HAL call node of the entry body to its resolved
-    :class:`~thadc.model.CallEvent`, in node id order.  It is empty on a
+    :class:`~thadc.model.CallEvent`, in node id order, and ``resolved``
+    names the routines whose calls it covers.  Both are empty on a
     lowered model; :func:`thadc.passes.preprocess` returns a new model
-    that fills it.
+    that fills them.
     """
 
     functions: dict[str, FunctionBody]
@@ -201,6 +202,7 @@ class ProgramModel:
     program: Program
     path: str = "<input>"
     events: dict[int, CallEvent] = field(default_factory=dict)
+    resolved: frozenset[str] = frozenset()
 
     @property
     def defines(self) -> dict[str, int]:

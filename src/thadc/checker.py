@@ -56,7 +56,7 @@ from itertools import chain
 from operator import and_, attrgetter
 from typing import Mapping, NamedTuple, Optional, Sequence
 
-from .cfg import Cfg, CfgNode, ProgramModel, hal_sites, must_forward
+from .cfg import Cfg, CfgNode, ProgramModel, must_forward
 from .model import (
     CallEvent,
     RoutineSpec,
@@ -151,18 +151,19 @@ class ThadVerdict:
 
 def _hal_nodes(model: ProgramModel, thad_set: ThadSet) -> list[CfgNode]:
     """Entry-function call nodes of spec routines, in node id order,
-    read off the prepared model's ``events`` table.  Only an empty table
-    makes it scan the entry, to tell a model without HAL calls from one
-    that was never prepared."""
-    nodes, events = model.entry_body.cfg.nodes, model.events
-    if not events:
-        for node, _ in hal_sites(model.entry_body, thad_set):
-            raise ValueError(
-                f"call node {node.id} ({node.callee}) has no resolved event; "
-                "run the preparation passes first"
-            )
+    read off the prepared model's ``events`` table.  The model must have
+    been prepared for every routine the spec declares, or calls of the
+    others would have no event."""
     names = {r.name for r in thad_set.routines}
-    return [nodes[nid] for nid, ev in events.items() if ev.routine in names]
+    missing = names - model.resolved
+    if missing:
+        raise ValueError(
+            f"calls of {', '.join(sorted(missing))} have no resolved "
+            "events; run the preparation passes first"
+        )
+    nodes = model.entry_body.cfg.nodes
+    return [nodes[nid] for nid, ev in model.events.items()
+            if ev.routine in names]
 
 
 def _possibly_matches(pattern, ev: CallEvent) -> bool:

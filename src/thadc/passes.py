@@ -444,13 +444,12 @@ def _eval_expr(expr: Expr, env: dict[str, int],
 
 def resolve_discriminators(
     model: ProgramModel, spec_set: ThadSet,
-    sites: Optional[list[tuple[CfgNode, RoutineSpec]]] = None,
+    sites: list[tuple[CfgNode, RoutineSpec]],
 ) -> dict[int, str]:
     """The resolved discriminators of the HAL calls in the entry body:
     call node id -> the name of the value its discriminator argument
     holds on every path, for each call where that is known.  ``sites``
-    is the body's :func:`~thadc.cfg.hal_sites`, found again when not
-    given.
+    is the body's :func:`~thadc.cfg.hal_sites`.
 
     Resolution precedence for a name: the entry body's variables first
     (through the propagated environment), then the platform constants
@@ -466,8 +465,6 @@ def resolve_discriminators(
             rev[value] = cname
 
     body = model.entry_body
-    if sites is None:
-        sites = hal_sites(body, spec_set)
     args = _role_args(sites, ParamRole.DISCRIMINATOR)
     relevant = _backward_slice(body.cfg, args.values())
     # the slice holds every name this pass looks up
@@ -510,8 +507,7 @@ def resolve_discriminators(
 # ---------------------------------------------------------------------------
 
 def build_token_flow(
-    model: ProgramModel, spec_set: ThadSet,
-    sites: Optional[list[tuple[CfgNode, RoutineSpec]]] = None,
+    model: ProgramModel, sites: list[tuple[CfgNode, RoutineSpec]],
 ) -> tuple[dict[int, str], dict[int, str]]:
     """The descriptor tokens of the HAL calls in the entry body, as two
     tables: call node id -> the token its descriptor argument holds on
@@ -525,8 +521,6 @@ def build_token_flow(
     argument's use; otherwise the argument stays unknown.
     """
     body = model.entry_body
-    if sites is None:
-        sites = hal_sites(body, spec_set)
     produced: dict[int, str] = {}
     for node, routine in sites:
         if routine.returns_descriptor:
@@ -559,7 +553,7 @@ def preprocess(model: ProgramModel, spec_set: ThadSet,
     flat = inline_calls(model, depth_limit)
     sites = hal_sites(flat.entry_body, spec_set)
     values = resolve_discriminators(flat, spec_set, sites)
-    tokens, produced = build_token_flow(flat, spec_set, sites)
+    tokens, produced = build_token_flow(flat, sites)
     roles = {r.name: (r.discriminator_param is not None,
                       r.descriptor_param is not None)
              for r in spec_set.routines}
@@ -573,4 +567,4 @@ def preprocess(model: ProgramModel, spec_set: ThadSet,
             discriminator_unknown=has_discriminator and value is None,
             descriptor_unknown=has_descriptor and token is None)
     return ProgramModel(flat.functions, flat.entry, flat.program, flat.path,
-                        events)
+                        events, frozenset(roles))

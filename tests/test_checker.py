@@ -173,17 +173,31 @@ def merge_points(cfg: Cfg) -> set[int]:
     return {cfg.entry} | {nid for nid, n in indegree.items() if n > 1}
 
 
-def sparse_states(cfg: Cfg, start, transfer, meet):
-    """The state ``must_forward`` reads at every reached node, and the
-    nodes it ever kept a state for: its ``states`` table, looked up in
-    its frame from inside the ``read`` callback."""
-    kept: set[int] = set()
+def into_merges(cfg: Cfg) -> set[int]:
+    """The nodes with an out-edge into a merge point."""
+    merges = merge_points(cfg)
+    return {src for src, dsts in cfg.succ.items() if merges.intersection(dsts)}
 
-    def read(node, state):
-        kept.update(sys._getframe(1).f_locals["states"])
-        return state
 
-    return must_forward(cfg, start, transfer, meet, read), kept
+def met_states(engine, cfg: Cfg, start, transfer, meet):
+    """What ``engine`` (``must_forward`` or a stand-in with its
+    signature) reads at every reached node, namely the state itself,
+    and the nodes whose out-states it ever met.  Each state carries the
+    ids of the nodes whose transfers made it, so a meet tells whose
+    states it merged: an engine that keeps states only at merge points
+    meets only states sent along an edge into one."""
+    met: set[int] = set()
+
+    def tagged_transfer(node, state):
+        return frozenset((node.id,)), transfer(node, state[1])
+
+    def tagged_meet(cur, out):
+        met.update(cur[0], out[0])
+        return cur[0] | out[0], meet(cur[1], out[1])
+
+    found = engine(cfg, (frozenset(), start), tagged_transfer, tagged_meet,
+                   lambda node, state: state[1])
+    return found, met
 
 
 def dense_engine(cfg, start, transfer, meet, read):
@@ -220,10 +234,10 @@ class TestSparseMustForward:
     def test_hand_built_graph_matches_the_dense_reference(self):
         graph = TestMustForward()
         cfg = graph.cfg()
-        states, kept = sparse_states(cfg, 0, graph.transfer, and_)
+        states, met = met_states(must_forward, cfg, 0, graph.transfer, and_)
         assert states == dense_must_forward(cfg, 0, graph.transfer, and_)
-        assert kept <= merge_points(cfg)
-        assert kept == {0, 4, 7}
+        assert set(cfg.merges) == merge_points(cfg) - {0} == {4, 7}
+        assert {2, 3, 6} <= met <= into_merges(cfg)
 
     def test_a_chain_walked_again_drops_what_it_read_before(self):
         # 0 entry -> 1 loop header -> 2 clears the mask -> 3 branch
@@ -247,7 +261,7 @@ class TestSparseMustForward:
         assert found == {nid: mask for nid, mask in dense.items() if mask}
 
     def test_looping_draws_match_the_dense_reference(self):
-        looped = 0
+        looped = dense_meets_elsewhere = 0
         for source in looping_draws():
             model = prepared(source)
             cfg = model.entry_body.cfg
@@ -258,12 +272,15 @@ class TestSparseMustForward:
             def transfer(node, mask):
                 return mask | gen.get(node.id, 0)
 
-            states, kept = sparse_states(cfg, 0, transfer, and_)
+            states, met = met_states(must_forward, cfg, 0, transfer, and_)
             assert states == dense_must_forward(cfg, 0, transfer, and_)
-            assert kept <= merge_points(cfg)
+            assert met <= into_merges(cfg)
+            _, dense_met = met_states(dense_engine, cfg, 0, transfer, and_)
+            dense_meets_elsewhere += not dense_met <= into_merges(cfg)
             assert {nid: state.mask for nid, state
                     in dataflow_fixpoint(model, SPIDEV).items()} == states
         assert looped >= 40
+        assert dense_meets_elsewhere  # the merge check can fail
 
     def test_a_loop_free_graph_is_walked_once(self):
         # In ORDER_SENSITIVE the else arm reaches the outer merge first,
@@ -440,10 +457,12 @@ class TestMustValues:
     def test_chain_resolution_peak_stays_small(self):
         model = passes.inline_calls(parse_program(chain_source(1000)), 2000)
         assert len(model.entry_body.cfg.nodes) > 2000
-        for run in (passes.resolve_discriminators, passes.build_token_flow):
+        sites = hal_sites(model.entry_body, SPIDEV)
+        for run, needs in ((passes.resolve_discriminators, (SPIDEV,)),
+                           (passes.build_token_flow, ())):
             tracemalloc.start()
             try:
-                run(model, SPIDEV)
+                run(model, *needs, sites)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -454,11 +473,14 @@ class TestMustValues:
         # passes peaked at about 100 KB and 55 KB here.
         source = (Path(__file__).resolve().parent / "golden"
                   / "diamond-reduced.c").read_text()
-        for run in (passes.resolve_discriminators, passes.build_token_flow):
+        spec = bound_spidev_set()
+        for run, needs in ((passes.resolve_discriminators, (spec,)),
+                           (passes.build_token_flow, ())):
             model = passes.inline_calls(parse_program(source))
+            sites = hal_sites(model.entry_body, spec)
             tracemalloc.start()
             try:
-                run(model, bound_spidev_set())
+                run(model, *needs, sites)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -692,6 +714,18 @@ class TestVerdicts:
         model = build_model(program)
         with pytest.raises(ValueError, match="preparation"):
             check(model, SPIDEV)
+
+    def test_model_prepared_for_fewer_routines_rejected(self):
+        # Prepared without ``read``, the model has no event for its read
+        # call; checking it against the full set must not drop that call.
+        fewer = ThadSet(routines=(SPIDEV.routine("open"),),
+                        constants=SPIDEV.constants)
+        model = prepared('int main(void) { int fd = open("/d", 0); '
+                         'read(fd, 0, 4); return 0; }', fewer)
+        assert check(model, fewer) == []
+        for run in (check, brute_force_paths):
+            with pytest.raises(ValueError, match="read.*preparation"):
+                run(model, SPIDEV)
 
 
 class TestBoundVerdicts:

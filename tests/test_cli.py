@@ -509,8 +509,16 @@ class TestAnnotate:
             capture_output=True, text=True, timeout=30)
         assert result.stdout == "False\n"
 
-    def test_mode_choices_are_the_annotation_modes(self):
-        assert cli._MODES == MODES
+    def test_unknown_mode_is_a_usage_error(self, tmp_path, capsys):
+        skeleton = tmp_path / "hal.c"
+        skeleton.write_text(HAL_SKELETON)
+        code, out, err = run(
+            ["annotate", str(skeleton), "--mode", "ghost"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "unknown annotation mode 'ghost'" in err
+        assert ", ".join(MODES) in err
+        assert not (tmp_path / "hal.annotated.c").exists()
 
     def test_empty_spec_wrapper_succeeds(self, tmp_path, capsys):
         spec = tmp_path / "empty.thad"
