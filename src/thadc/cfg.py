@@ -6,10 +6,9 @@ flattened), ``ASSIGN`` (one scalar assignment), ``BRANCH`` (a condition
 or switch subject with labeled out-edges) and ``JOIN`` (a merge point,
 used for loop headers and splice seams).  A graph keeps each node's
 successors as a tuple of node ids; a branch node holds one label per
-successor, and :meth:`Cfg.edges` pairs them up for display.  Calls
-nested inside expressions are hoisted onto fresh temporaries during
-lowering; a loop condition's calls are hoisted *inside* the loop so they
-re-execute each iteration.
+successor, in the same order.  Calls nested inside expressions are
+hoisted onto fresh temporaries during lowering; a loop condition's calls
+are hoisted *inside* the loop so they re-execute each iteration.
 
 Statements that follow a ``return`` are dropped during lowering, so by
 construction every node lies on some entry-to-exit walk.  That property
@@ -26,8 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import repeat
-from typing import Callable, Optional, TypeVar
+from typing import Callable, NamedTuple, Optional, TypeVar
 
 from .diagnostics import Diagnostic
 from .minic import (
@@ -56,8 +54,8 @@ from .model import CallEvent, RoutineSpec, ThadSet
 __all__ = [
     "NodeKind",
     "CfgNode",
-    "Edge",
     "Cfg",
+    "InlinedCopy",
     "FunctionBody",
     "ProgramModel",
     "build_model",
@@ -85,6 +83,12 @@ class CfgNode:
             labels, one per successor in the graph's order
     others  no extra fields
 
+    ``copy`` is the inlined copy a node of an inlined entry belongs to,
+    an index into its body's ``copies`` table; it is 0 for the entry's
+    own nodes and for every node of a lowered body.  An inlined node
+    holds its callee node's own ``args``, ``lhs``, ``var`` and ``expr``:
+    the names in them mean that copy's variables.
+
     A HAL call's resolved event is not a node field: it lives in the
     prepared model's ``events`` table.  Nodes are plain slot records,
     built once and never changed once lowered (a branch gets its labels
@@ -93,12 +97,13 @@ class CfgNode:
     """
 
     __slots__ = ("id", "kind", "line", "callee", "args", "lhs", "var",
-                 "expr", "labels")
+                 "expr", "labels", "copy")
 
     def __init__(self, id: int, kind: NodeKind, line: int = 0,
                  callee: Optional[str] = None, args: tuple[Expr, ...] = (),
                  lhs: Optional[str] = None, var: Optional[str] = None,
-                 expr: Optional[Expr] = None, labels: tuple[str, ...] = ()):
+                 expr: Optional[Expr] = None, labels: tuple[str, ...] = (),
+                 copy: int = 0):
         self.id = id
         self.kind = kind
         self.line = line
@@ -108,40 +113,20 @@ class CfgNode:
         self.var = var
         self.expr = expr
         self.labels = labels
+        self.copy = copy
 
     def __repr__(self) -> str:
         return f"CfgNode({self.id}, {self.kind.name}, line {self.line})"
 
 
-class Edge:
-    """An out-edge as :meth:`Cfg.edges` shows it: its branch label (None
-    when unlabeled) and target."""
-
-    __slots__ = ("label", "dst")
-
-    def __init__(self, label: Optional[str], dst: int):
-        self.label = label
-        self.dst = dst
-
-    def __repr__(self) -> str:
-        return f"Edge({self.label!r}, {self.dst})"
-
-
 @dataclass
 class Cfg:
-    """Nodes by id, and each node's successor ids in edge order.  The
-    analyses read ``succ`` directly; only display needs :meth:`edges`."""
+    """Nodes by id, and each node's successor ids in edge order."""
 
     nodes: dict[int, CfgNode]
     succ: dict[int, tuple[int, ...]]
     entry: int
     exit: int
-
-    def edges(self, node_id: int) -> tuple[Edge, ...]:
-        """The node's out-edges with their branch labels."""
-        labels = self.nodes[node_id].labels or repeat(None)
-        return tuple(Edge(label, dst) for label, dst
-                     in zip(labels, self.succ.get(node_id, ())))
 
     @cached_property
     def merges(self) -> dict[int, int]:
@@ -171,15 +156,34 @@ def return_var(function_name: str) -> str:
     return f"__ret_{function_name}"
 
 
+class InlinedCopy(NamedTuple):
+    """One row of an inlined entry's copy table: the lowered body the
+    copy comes from, the copy whose call it expands, and the id of that
+    call's tail, the node that ends the copy.  Row 0 is the entry's own
+    body, with neither.
+
+    In id order, a copy's parameter binds come just before its tail and
+    its function's own nodes after it; the tail itself belongs to the
+    parent copy, in the call's place.  See
+    :func:`thadc.passes.inline_calls`."""
+
+    function: "FunctionBody"
+    parent: Optional[int]
+    tail: Optional[int]
+
+
 @dataclass
 class FunctionBody:
+    """A function's CFG with its parameter and local names.  An inlined
+    entry (see :func:`thadc.passes.inline_calls`) keeps the entry's own
+    names and adds the copy table its nodes' ``copy`` indexes; a lowered
+    body has no table, as all its nodes are its own."""
+
     name: str
     params: tuple[str, ...]
     locals: tuple[str, ...]
     cfg: Cfg
-    # For an inlined entry: each call's tail node id -> the renamed names
-    # its copy owns.  Nothing after the tail reads them.
-    dead_after: dict[int, tuple[str, ...]] = field(default_factory=dict)
+    copies: tuple[InlinedCopy, ...] = ()
 
 
 @dataclass

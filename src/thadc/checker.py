@@ -17,11 +17,13 @@ IFDS view of Reps, Horwitz and Sagiv, POPL 1995), in three steps:
    on a graph where every node lies on an entry-to-exit walk is exactly
    a violating execution.
 3. For each violated key, one forward BFS from the entry that does not
-   pass through the key's completers gives every offender's distance
-   and the node each node was first reached from.  It visits a node's
-   successors lowest (line, node id) first, so those previous-node
-   chains are the lexicographically lowest shortest completion-free
-   paths.  The nearest offender (then lowest line, then node id) is
+   pass through the key's completers gives the distance of its nearest
+   offenders and the node each node was first reached from.  It stops
+   once the layer of the first offender it meets is complete, since no
+   farther offender can be the nearest.  It visits a node's successors
+   lowest (line, node id) first, so those previous-node chains are the
+   lexicographically lowest shortest completion-free paths.  The
+   nearest offender over all keys (then lowest line, then node id) is
    reported with its chain, projected to HAL calls, as the witness.
 
 Precision notes, fixed here:
@@ -289,22 +291,27 @@ def _free_distances(
     order: dict[int, list[int]],
 ) -> tuple[dict[int, int], dict[int, Optional[int]]]:
     """Distance (in edges) from the entry along paths that pass no
-    blocked node before their last one, for every target at least, and
-    the node each node was first reached from (None for the entry).
+    blocked node before their last one, for every node up to the nearest
+    target's distance, and the node each node was first reached from
+    (None for the entry).  Targets farther away may be missing.
 
-    One forward BFS that stops once the last target is reached.  It
-    visits a node's successors lowest (line, node id) first, so every
-    layer is discovered in path order: the previous-node chain of a node
-    is its shortest such path that takes the lowest line, then node id,
-    at the first point of divergence.  ``order`` memoizes each expanded
-    branch's successors in that order; it depends only on the CFG."""
+    One forward BFS, which stops once every node at the nearest target's
+    distance has been discovered.  It visits a node's successors lowest
+    (line, node id) first, so every layer is discovered in path order:
+    the previous-node chain of a node is its shortest such path that
+    takes the lowest line, then node id, at the first point of
+    divergence.  ``order`` memoizes each expanded branch's successors
+    in that order; it depends only on the CFG."""
     nodes, succ = cfg.nodes, cfg.succ
     dist = {cfg.entry: 0}
     prev: dict[int, Optional[int]] = {cfg.entry: None}
     queue = deque([cfg.entry])
-    left = {n.id for n in targets}
-    while queue and left:
+    wanted = {n.id for n in targets}
+    nearest = None  # the distance of the first target discovered
+    while queue:
         nid = queue.popleft()
+        if dist[nid] == nearest:
+            break  # the nearest target's layer is complete
         if nid in blocked:
             continue
         step = dist[nid] + 1
@@ -319,8 +326,9 @@ def _free_distances(
             if dst not in dist:
                 dist[dst] = step
                 prev[dst] = nid
-                left.discard(dst)
                 queue.append(dst)
+                if nearest is None and dst in wanted:
+                    nearest = step
     return dist, prev
 
 
@@ -425,8 +433,9 @@ def _check_one(
                 nid for nid, mask in sites.gen.items() if mask >> bit & 1
             }
             dist, prev = _free_distances(cfg, completers, nodes, order)
-            for node in nodes:
-                assert node.id in dist, "must-analysis promised a free path"
+            reached = [node for node in nodes if node.id in dist]
+            assert reached, "must-analysis promised a free path"
+            for node in reached:
                 ranked.append((dist[node.id], node.line, node.id))
                 chains[node.id] = prev
         offender = min(ranked)[2]

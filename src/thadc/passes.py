@@ -9,9 +9,13 @@ each event once from what the last two return:
     builds a copy of the entry body with the bodies of defined functions
     spliced into their call sites, nested calls included, so the copy
     calls no defined function.  Every inlined copy comes straight from
-    the callee's lowered body; no other function is copied, and an
-    entry that calls no defined function is not copied at all.
-    Recursion and call chains deeper than the limit are rejected first.
+    the callee's lowered body and shares its expressions: nothing is
+    renamed.  Each new node records which inlined copy it belongs to,
+    and a copy table gives each copy its function, its parent copy and
+    its tail, the node that ends it (a call string, in the sense of
+    Sharir and Pnueli).  No other function is copied, and an entry that
+    calls no defined function is not copied at all.  Recursion and call
+    chains deeper than the limit are rejected first.
 
 ``resolve_discriminators``
     computes which integer constant each discriminator argument of the
@@ -27,11 +31,14 @@ each event once from what the last two return:
     way, so a call's descriptor argument maps to the ``open`` that
     produced it exactly when that holds on every path.
 
-Both resolution passes follow only the variables that can reach their
-arguments (a flow-insensitive backward slice), and an inlined copy's
-variables leave their environments at the copy's return.  Environments
-are kept only at merge points (see :func:`~thadc.cfg.must_forward`),
-and at each HAL site a pass reads only the one value it resolves there.
+Both resolution passes key a variable by the copy that owns it and its
+name, through one :class:`AssignmentIndex` per prepared entry, which
+also lists what is assigned to each variable.  They follow only the
+variables that can reach their arguments (a flow-insensitive backward
+slice), and an inlined copy's variables leave their environments at
+the copy's tail.  Environments are kept only at merge points (see
+:func:`~thadc.cfg.must_forward`), and at each HAL site a pass reads only
+the one value it resolves there.
 
 Only the entry body is inlined and resolved: the checker, the path
 oracle and the report read nothing else.  No pass mutates the model it
@@ -46,13 +53,14 @@ from __future__ import annotations
 
 import itertools
 import operator
-from typing import (Callable, Collection, Iterable, Iterator, Mapping,
-                    Optional, TypeVar)
+from typing import (Callable, Collection, Iterable, Iterator, Optional,
+                    TypeVar, Union)
 
 from .cfg import (
     Cfg,
     CfgNode,
     FunctionBody,
+    InlinedCopy,
     NodeKind,
     ProgramModel,
     hal_sites,
@@ -68,6 +76,7 @@ __all__ = [
     "inline_calls",
     "resolve_discriminators",
     "build_token_flow",
+    "AssignmentIndex",
     "preprocess",
 ]
 
@@ -135,49 +144,29 @@ def _call_depths(model: ProgramModel, defined: set[str]) -> dict[str, int]:
     return depths
 
 
-def _rename_expr(expr: Optional[Expr], mapping: Mapping[str, str]) -> Optional[Expr]:
-    if expr is None:
-        return None
-    if isinstance(expr, Var):
-        new = mapping.get(expr.name)
-        return Var(new, expr.line) if new else expr
-    if isinstance(expr, Unary):
-        operand = _rename_expr(expr.operand, mapping)
-        if operand is not expr.operand:
-            return Unary(expr.op, operand, expr.line)
-    elif isinstance(expr, Binary):
-        lhs = _rename_expr(expr.lhs, mapping)
-        rhs = _rename_expr(expr.rhs, mapping)
-        if lhs is not expr.lhs or rhs is not expr.rhs:
-            return Binary(expr.op, lhs, rhs, expr.line)
-    return expr  # unchanged; lowering hoists every call out of expressions
-
-
 def _owned_names(body: FunctionBody) -> Iterator[str]:
     """The function's own variables, some more than once: everything it
     writes (an ASSIGN's ``var``, a CALL's ``lhs``) or declares, plus its
-    synthetic return slot.  An inlined copy renames them, and resolution
-    never reads them as constants.  Free names (platform constants,
-    defines, globals) stay untouched."""
+    synthetic return slot.  In an inlined copy these names mean the
+    copy's own variables, and resolution never reads them as constants.
+    Free names (platform constants, defines, globals) belong to no
+    function."""
     written = (node.var or node.lhs for node in body.cfg.nodes.values())
     return itertools.chain((return_var(body.name),), body.params,
                            body.locals, filter(None, written))
 
 
 class _Copy:
-    """One lowered body being copied into the entry: its renames, the
-    node ids still to copy, and the first and last new node of each
-    copied one (they differ where a call was expanded).  ``ren`` is one
-    flat dict: the caller's renames overlaid with the copy's own.
-    ``call`` is None for the entry itself; an inlined copy holds the
-    caller's copy, the call node's id, the new bind nodes and the new
-    tail node."""
+    """One lowered body being copied into the entry: its row in the copy
+    table, the node ids still to copy, and the first and last new node
+    of each copied one (they differ where a call was expanded).  ``call``
+    is None for the entry itself; an inlined copy holds the caller's
+    copy, the call node's id, the new bind nodes and the new tail node."""
 
-    __slots__ = ("body", "ren", "call", "pending", "head", "tail")
+    __slots__ = ("body", "row", "call", "pending", "head", "tail")
 
-    def __init__(self, body: FunctionBody, ren: dict[str, str],
-                 call=None):
-        self.body, self.ren, self.call = body, ren, call
+    def __init__(self, body: FunctionBody, row: int, call=None):
+        self.body, self.row, self.call = body, row, call
         self.pending = iter(sorted(body.cfg.nodes))
         self.head: dict[int, int] = {}
         self.tail: dict[int, int] = {}
@@ -190,39 +179,36 @@ def _splice_entry(model: ProgramModel) -> FunctionBody:
     functions = model.functions
     nodes: dict[int, CfgNode] = {}
     succ: dict[int, tuple[int, ...]] = {}
-    owned: dict[str, list[str]] = {}  # function -> its names, sorted
-    extra_locals: list[str] = []
-    dead_after: dict[int, tuple[str, ...]] = {}
-    instances = itertools.count(1)
+    copies = [InlinedCopy(model.entry_body, None, None)]
+    slots: dict[str, Var] = {}  # function -> the one read of its return slot
 
     def add(kind: NodeKind, line: int, callee=None, args=(), lhs=None,
-            var=None, expr=None, labels=()) -> int:
+            var=None, expr=None, labels=(), copy=0) -> int:
         node_id = len(nodes)
         nodes[node_id] = CfgNode(node_id, kind, line, callee, args, lhs,
-                                 var, expr, labels)
+                                 var, expr, labels, copy)
         succ[node_id] = ()
         return node_id
 
     def open_call(caller: _Copy, call: CfgNode) -> _Copy:
         """Emit one call's parameter binds and tail; the callee's copy."""
         callee = functions[call.callee]
-        if callee.name not in owned:
-            owned[callee.name] = sorted(set(_owned_names(callee)))
-        instance = next(instances)
-        own = {n: f"{n}__inl{instance}" for n in owned[callee.name]}
-        extra_locals.extend(own.values())
-        binds = [add(NodeKind.ASSIGN, call.line, var=own[param],
-                     expr=_rename_expr(arg, caller.ren))
+        row = len(copies)
+        binds = [add(NodeKind.ASSIGN, call.line, var=param, expr=arg,
+                     copy=row)
                  for param, arg in zip(callee.params, call.args)]
         if call.lhs is None:
-            tail = add(NodeKind.JOIN, call.line)
+            tail = add(NodeKind.JOIN, call.line, copy=caller.row)
         else:
-            tail = add(NodeKind.ASSIGN, call.line,
-                       var=caller.ren.get(call.lhs, call.lhs),
-                       expr=Var(own[return_var(callee.name)], call.line))
-        dead_after[tail] = tuple(own.values())
-        return _Copy(callee, {**caller.ren, **own},
-                     (caller, call.id, binds, tail))
+            slot = slots.get(callee.name)
+            if slot is None:
+                slot = slots[callee.name] = Var(
+                    return_var(callee.name),
+                    callee.cfg.nodes[callee.cfg.entry].line)
+            tail = add(NodeKind.ASSIGN, call.line, var=call.lhs, expr=slot,
+                       copy=caller.row)
+        copies.append(InlinedCopy(callee, caller.row, tail))
+        return _Copy(callee, row, (caller, call.id, binds, tail))
 
     def close(copy: _Copy) -> None:
         """Connect a finished copy's edges.  An inlined copy also chains
@@ -239,11 +225,10 @@ def _splice_entry(model: ProgramModel) -> FunctionBody:
         for cid, src in copy.tail.items():
             succ[src] += tuple([head[dst] for dst in cfg.succ[cid]])
 
-    entry = _Copy(model.entry_body, {})  # the entry keeps its names
+    entry = _Copy(model.entry_body, 0)
     stack = [entry]
     while stack:
         copy = stack[-1]
-        ren = copy.ren
         for cid in copy.pending:
             node = copy.body.cfg.nodes[cid]
             if node.kind is NodeKind.CALL and node.callee in functions:
@@ -252,18 +237,15 @@ def _splice_entry(model: ProgramModel) -> FunctionBody:
             if copy is entry or node.kind not in (NodeKind.ENTRY,
                                                   NodeKind.EXIT):
                 copy.head[cid] = copy.tail[cid] = add(
-                    node.kind, node.line, node.callee,
-                    tuple([_rename_expr(a, ren) for a in node.args]),
-                    ren.get(node.lhs, node.lhs) if node.lhs else None,
-                    ren.get(node.var, node.var) if node.var else None,
-                    _rename_expr(node.expr, ren), node.labels)
+                    node.kind, node.line, node.callee, node.args, node.lhs,
+                    node.var, node.expr, node.labels, copy.row)
         else:
             close(stack.pop())
     body = model.entry_body
     cfg = Cfg(nodes, succ, entry.head[body.cfg.entry],
               entry.head[body.cfg.exit])
-    return FunctionBody(body.name, body.params,
-                        body.locals + tuple(extra_locals), cfg, dead_after)
+    return FunctionBody(body.name, body.params, body.locals, cfg,
+                        tuple(copies))
 
 
 def inline_calls(model: ProgramModel, depth_limit: int = 16) -> ProgramModel:
@@ -274,11 +256,15 @@ def inline_calls(model: ProgramModel, depth_limit: int = 16) -> ProgramModel:
     Each call becomes its parameter binds, then its tail (the assignment
     of the return slot, or a join), then the callee's nodes in id order,
     with nested calls expanded the same way, so node ids follow that
-    order.  Each inlined copy renames the names its callee owns (see
-    :func:`_owned_names`) with a fresh ``__inl<n>`` suffix; any other
-    name follows the nearest enclosing copy that owns it, so a helper
-    reads the variable its caller writes.  The new entry body's
-    ``dead_after`` maps each call's tail to the names its copy owns.
+    order.  Nothing is renamed: every new node holds its lowered node's
+    own ``args``, ``lhs``, ``var`` and ``expr``, and records in ``copy``
+    the inlined copy it belongs to.  The new entry body's ``copies``
+    table gives each copy its function, its parent copy and its call's
+    tail; row 0 is the entry itself.  A node writes in its own copy.  A
+    call's binds belong to the callee's copy and read their arguments in
+    the caller's; its tail takes the call's place in the caller's copy
+    and reads the return slot of the copy that ends there.
+    :class:`AssignmentIndex` says which variable a name in a copy means.
 
     Raises :class:`RecursionDetected` when the call graph is cyclic and
     :class:`DepthLimitExceeded` when some call chain involves more than
@@ -298,31 +284,135 @@ def inline_calls(model: ProgramModel, depth_limit: int = 16) -> ProgramModel:
 
 
 # ---------------------------------------------------------------------------
-# Must-known values (shared by the two resolution passes)
+# Variables and must-known values (shared by the two resolution passes)
 # ---------------------------------------------------------------------------
 
-def _backward_slice(cfg: Cfg, seeds: Iterable[Expr],
-                    follows: type = object) -> set[str]:
-    """The variables the ``seeds`` can depend on, flow-insensitively:
-    the variables they read, and then those read by every assignment to
-    a variable already in the slice whose value is a ``follows`` (any
-    expression by default).  A call's result depends on no variable."""
-    sources: dict[str, list[Expr]] = {}  # variable -> its assigned values
-    for node in cfg.nodes.values():
-        if node.kind is NodeKind.ASSIGN and isinstance(node.expr, follows):
-            sources.setdefault(node.var, []).append(node.expr)
-    relevant: set[str] = set()
+Key = Union[str, tuple[int, str]]
+
+
+class AssignmentIndex:
+    """The variables of an entry body, indexed once for both resolution
+    passes.
+
+    An environment key names one variable.  A name that inlined copy
+    ``c`` owns (see :func:`_owned_names`) has the key ``(c, name)``;
+    every other name is its own key: the entry's own variables, and free
+    names (platform constants, defines, globals).  A name read in copy
+    ``c`` belongs to the nearest copy, from ``c`` up its parents, whose
+    function owns it, so a helper reads the variable its caller writes;
+    :meth:`key` remembers each such walk.  A write needs no walk: a node
+    writes in its own copy, whose function owns every name it writes.
+
+    The index is built from the copy table and each function's lowered
+    body, not from the flat entry: copy ``c`` assigns ``(c, name)``
+    where its function's body assigns ``name``, in its parameter binds,
+    and in the tails of its calls whose result is ``name``.
+    ``ends`` maps the tail of each inlined copy to the copy; nothing
+    after the tail reads the copy's variables.  A lowered body is its
+    own copy 0 and has no tails.
+    """
+
+    def __init__(self, body: FunctionBody):
+        self.copies = body.copies or (InlinedCopy(body, None, None),)
+        self._nodes = body.cfg.nodes
+        # function -> its names, and each name's assigned values
+        functions: dict[str, tuple[frozenset[str], dict[str, list]]] = {}
+        for row in self.copies:
+            fn = row.function
+            if fn.name not in functions:
+                assigns: dict[str, list[Expr]] = {}
+                for node in fn.cfg.nodes.values():
+                    if node.kind is NodeKind.ASSIGN:
+                        assigns.setdefault(node.var, []).append(node.expr)
+                functions[fn.name] = frozenset(_owned_names(fn)), assigns
+        # per copy, its function's entry of ``functions``
+        self._owned, self._assigns = zip(
+            *[functions[row.function.name] for row in self.copies])
+        self._names = frozenset().union(*self._owned)
+        self._walks: dict[tuple[int, str], Key] = {}
+        self.ends = {row.tail: c for c, row in enumerate(self.copies) if c}
+        self._results: dict[Key, list[int]] = {}  # key -> tail node ids
+        for tail in self.ends:
+            node = self._nodes[tail]
+            if node.var is not None:
+                key = self.key(node.copy, node.var)
+                self._results.setdefault(key, []).append(tail)
+
+    def reads_in(self, node: CfgNode) -> int:
+        """The copy ``node`` reads its names in: its own, except where a
+        call's copy starts and ends.  A parameter bind reads its
+        argument in the caller's copy, and a tail reads the return slot
+        in the copy that ends there."""
+        ended = self.ends.get(node.id)
+        if ended is not None:
+            return ended
+        c = node.copy
+        if c and node.id < self.copies[c].tail:
+            return self.copies[c].parent
+        return c
+
+    def key(self, copy: int, name: str) -> Key:
+        """The key of ``name`` read in ``copy``."""
+        if not copy:
+            return name
+        if name in self._owned[copy]:
+            return copy, name
+        if name not in self._names:
+            return name
+        key = self._walks.get((copy, name))
+        if key is None:
+            owner = copy
+            while owner and name not in self._owned[owner]:
+                owner = self.copies[owner].parent
+            key = self._walks[copy, name] = (owner, name) if owner else name
+        return key
+
+    def sources(self, key: Key) -> Iterator[tuple[Expr, int]]:
+        """The values assigned to ``key``, each with the copy it is
+        read in; a call's result is no value."""
+        copy, name = key if isinstance(key, tuple) else (0, key)
+        for expr in self._assigns[copy].get(name, ()):
+            yield expr, copy
+        if copy:
+            row = self.copies[copy]
+            if name in row.function.params:
+                nodes, nid = self._nodes, row.tail - 1
+                while nodes[nid].copy == copy:  # the binds, before the tail
+                    if nodes[nid].var == name:
+                        yield nodes[nid].expr, row.parent
+                    nid -= 1
+        for tail in self._results.get(key, ()):
+            yield self._nodes[tail].expr, self.ends[tail]
+
+    def free(self, key: Key) -> bool:
+        """Is ``key`` a free name, one that resolution may read as a
+        constant?"""
+        return isinstance(key, str) and key not in self._owned[0]
+
+
+def _backward_slice(index: AssignmentIndex,
+                    seeds: Iterable[tuple[Expr, int]],
+                    follows: type = object) -> set[Key]:
+    """The variables the ``seeds``, each an expression and the copy it
+    is read in, can depend on, flow-insensitively: the variables they
+    read, and then those read by every assignment to a variable already
+    in the slice whose value is a ``follows`` (any expression by
+    default).  A call's result depends on no variable."""
+    relevant: set[Key] = set()
     work = list(seeds)
     while work:
-        expr = work.pop()
+        expr, copy = work.pop()
         if isinstance(expr, Var):
-            if expr.name not in relevant:
-                relevant.add(expr.name)
-                work += sources.get(expr.name, ())
+            key = index.key(copy, expr.name) if copy else expr.name
+            if key not in relevant:
+                relevant.add(key)
+                for source in index.sources(key):
+                    if isinstance(source[0], follows):
+                        work.append(source)
         elif isinstance(expr, Unary):
-            work.append(expr.operand)
+            work.append((expr.operand, copy))
         elif isinstance(expr, Binary):
-            work += (expr.lhs, expr.rhs)
+            work += ((expr.lhs, copy), (expr.rhs, copy))
     return relevant
 
 
@@ -330,40 +420,47 @@ Value = TypeVar("Value")
 
 
 def _must_values(
-    body: FunctionBody, value: Callable[[CfgNode, dict], Optional[object]],
-    relevant: Collection[str],
+    body: FunctionBody, index: AssignmentIndex,
+    value: Callable[[CfgNode, dict], Optional[object]],
+    relevant: Collection[Key],
     read: Callable[[CfgNode, dict], Optional[Value]],
 ) -> dict[int, Value]:
     """What ``read(node, env)`` finds at every node of ``body`` reached
     from its entry, kept where it is not None (see
-    :func:`~thadc.cfg.must_forward`).  ``env`` maps each variable to the
-    value it holds on every path to the node.  A node writes at most one
-    variable, an ASSIGN its ``var`` and a CALL its ``lhs``, and
-    ``value(node, env)`` gives the new value, or None for unknown.
+    :func:`~thadc.cfg.must_forward`).  ``env`` maps the key of each
+    variable (see :class:`AssignmentIndex`) to the value it holds on
+    every path to the node.  A node writes at most one variable, an
+    ASSIGN its ``var`` and a CALL its ``lhs``, and ``value(node, env)``
+    gives the new value, or None for unknown.
 
     Only the ``relevant`` variables are tracked: a write to any other
     leaves the environment as it is, so ``relevant`` must hold every
-    variable that ``value`` or ``read`` reads.  An inlined copy's names
-    leave the environment after its tail's own write (see
-    ``FunctionBody.dead_after``).  Only a write or an end that changes
-    an environment copies it."""
-    dead_after = body.dead_after
+    variable that ``value`` or ``read`` reads.  An inlined copy's
+    variables leave the environment after its tail's own write (see
+    ``index.ends``).  Only a write or an end that changes an environment
+    copies it."""
+    ends = index.ends
 
     def transfer(node: CfgNode, env: dict) -> dict:
-        var = node.var or node.lhs
-        if var in relevant:
-            new = value(node, env)
-            if env.get(var) != new:
+        key = node.var or node.lhs
+        if key is not None:
+            if node.copy:  # a node writes in its own copy
+                key = (node.copy, key)
+            if key in relevant:
+                new = value(node, env)
+                if env.get(key) != new:
+                    env = dict(env)
+                    if new is None:
+                        del env[key]
+                    else:
+                        env[key] = new
+        ended = ends.get(node.id)
+        if ended is not None:
+            dead = [k for k in env if isinstance(k, tuple) and k[0] == ended]
+            if dead:
                 env = dict(env)
-                if new is None:
-                    del env[var]
-                else:
-                    env[var] = new
-        dead = dead_after.get(node.id)
-        if dead and not env.keys().isdisjoint(dead):
-            env = dict(env)
-            for name in dead:
-                env.pop(name, None)
+                for k in dead:
+                    del env[k]
         return env
 
     def meet(env: dict, other: dict) -> dict:
@@ -377,7 +474,8 @@ def _role_args(sites: list[tuple[CfgNode, RoutineSpec]],
                role: ParamRole) -> dict[int, Expr]:
     """Call node id -> the call's argument for its routine's parameter
     with ``role``, for each site whose routine has one and whose call
-    passes an argument there."""
+    passes an argument there.  A call reads its arguments in its own
+    copy: it is never a bind or a tail."""
     where: dict[str, Optional[int]] = {}  # routine -> the parameter index
     args: dict[int, Expr] = {}
     for node, routine in sites:
@@ -419,22 +517,24 @@ _BINARY: dict[str, Callable[[int, int], Optional[int]]] = {
 }
 
 
-def _eval_expr(expr: Expr, env: dict[str, int],
-               lookup: Callable[[str], Optional[int]]) -> Optional[int]:
-    """The value of ``expr``, or None when it is unknown.  A value no
-    64-bit C integer holds is unknown too, which also keeps every
-    intermediate result small."""
+def _eval_expr(expr: Expr, copy: int, env: dict,
+               value_of: Callable[[int, str, dict], Optional[int]],
+               ) -> Optional[int]:
+    """The value of ``expr`` read in ``copy`` under ``env``, or None when
+    it is unknown; ``value_of(copy, name, env)`` gives the value of a
+    name it reads.  A value no 64-bit C integer holds is unknown too,
+    which also keeps every intermediate result small."""
     if isinstance(expr, Num):
         value = expr.value
     elif isinstance(expr, Var):
-        value = env[expr.name] if expr.name in env else lookup(expr.name)
+        value = value_of(copy, expr.name, env)
     elif isinstance(expr, Unary):
-        v = _eval_expr(expr.operand, env, lookup)
+        v = _eval_expr(expr.operand, copy, env, value_of)
         op = None if v is None else _UNARY.get(expr.op)
         value = None if op is None else op(v)
     elif isinstance(expr, Binary):
-        a = _eval_expr(expr.lhs, env, lookup)
-        b = _eval_expr(expr.rhs, env, lookup)
+        a = _eval_expr(expr.lhs, copy, env, value_of)
+        b = _eval_expr(expr.rhs, copy, env, value_of)
         op = None if a is None or b is None else _BINARY.get(expr.op)
         value = None if op is None else op(a, b)
     else:  # a string literal or a call
@@ -444,12 +544,13 @@ def _eval_expr(expr: Expr, env: dict[str, int],
 
 def resolve_discriminators(
     model: ProgramModel, spec_set: ThadSet,
-    sites: list[tuple[CfgNode, RoutineSpec]],
+    sites: list[tuple[CfgNode, RoutineSpec]], index: AssignmentIndex,
 ) -> dict[int, str]:
     """The resolved discriminators of the HAL calls in the entry body:
     call node id -> the name of the value its discriminator argument
     holds on every path, for each call where that is known.  ``sites``
-    is the body's :func:`~thadc.cfg.hal_sites`.
+    is the body's :func:`~thadc.cfg.hal_sites` and ``index`` its
+    :class:`AssignmentIndex`.
 
     Resolution precedence for a name: the entry body's variables first
     (through the propagated environment), then the platform constants
@@ -464,40 +565,47 @@ def resolve_discriminators(
         if value not in rev or cname < rev[value]:
             rev[value] = cname
 
-    body = model.entry_body
+    nodes = model.entry_body.cfg.nodes
     args = _role_args(sites, ParamRole.DISCRIMINATOR)
-    relevant = _backward_slice(body.cfg, args.values())
-    # the slice holds every name this pass looks up
-    program_vars = relevant.intersection(_owned_names(body))
-
     # A spec constant used by name resolves without an environment.
-    named = {nid: arg.name for nid, arg in args.items()
-             if isinstance(arg, Var) and arg.name not in program_vars
-             and arg.name in spec_set.constants}
+    named = {}
+    for nid, arg in args.items():
+        if isinstance(arg, Var):
+            key = index.key(nodes[nid].copy, arg.name)
+            if index.free(key) and key in spec_set.constants:
+                named[nid] = key
     for nid in named:
         del args[nid]
     if not args:
         return named
+    relevant = _backward_slice(
+        index, ((arg, nodes[nid].copy) for nid, arg in args.items()))
 
-    def lookup(name: str) -> Optional[int]:
-        if name in program_vars:
+    def lookup(key: Key) -> Optional[int]:
+        if not index.free(key):
             return None  # a real variable; only the env may know it
-        value = spec_set.constants.get(name)
+        value = spec_set.constants.get(key)
         if value is not None:
             return value
-        return model.defines.get(name)
+        return model.defines.get(key)
+
+    def value_of(copy: int, name: str, env: dict) -> Optional[int]:
+        key = index.key(copy, name) if copy else name
+        return env[key] if key in env else lookup(key)
 
     def assigned_value(node: CfgNode, env: dict) -> Optional[int]:
         if node.kind is NodeKind.ASSIGN:
-            return _eval_expr(node.expr, env, lookup)
+            return _eval_expr(node.expr, index.reads_in(node), env, value_of)
         return None  # a call's result
 
     def read(node: CfgNode, env: dict) -> Optional[str]:
         arg = args.get(node.id)
-        value = None if arg is None else _eval_expr(arg, env, lookup)
+        value = None if arg is None else _eval_expr(arg, node.copy, env,
+                                                    value_of)
         return None if value is None else rev.get(value, str(value))
 
-    values = _must_values(body, assigned_value, relevant, read)
+    values = _must_values(model.entry_body, index, assigned_value, relevant,
+                          read)
     values.update(named)
     return values
 
@@ -508,19 +616,20 @@ def resolve_discriminators(
 
 def build_token_flow(
     model: ProgramModel, sites: list[tuple[CfgNode, RoutineSpec]],
+    index: AssignmentIndex,
 ) -> tuple[dict[int, str], dict[int, str]]:
     """The descriptor tokens of the HAL calls in the entry body, as two
     tables: call node id -> the token its descriptor argument holds on
     every path, for each call where that is known; and call node id ->
     the token the call mints, for each call of a descriptor-returning
-    routine.  ``sites`` is as for :func:`resolve_discriminators`.
+    routine.  ``sites`` and ``index`` are as for
+    :func:`resolve_discriminators`.
 
     Every call of a descriptor-returning routine mints one token.  A
     later call's descriptor argument carries that token exactly when the
     argument variable must hold that call's result on every path to the
     argument's use; otherwise the argument stays unknown.
     """
-    body = model.entry_body
     produced: dict[int, str] = {}
     for node, routine in sites:
         if routine.returns_descriptor:
@@ -534,14 +643,21 @@ def build_token_flow(
     def assigned_token(node: CfgNode, env: dict) -> Optional[str]:
         if node.kind is NodeKind.CALL:
             return produced.get(node.id)
-        return env.get(node.expr.name) if isinstance(node.expr, Var) else None
+        expr = node.expr
+        if not isinstance(expr, Var):
+            return None
+        return env.get(index.key(index.reads_in(node), expr.name))
 
     def read(node: CfgNode, env: dict) -> Optional[str]:
         arg = uses.get(node.id)
-        return None if arg is None else env.get(arg.name)
+        return None if arg is None else env.get(index.key(node.copy,
+                                                          arg.name))
 
-    relevant = _backward_slice(body.cfg, uses.values(), Var)
-    return _must_values(body, assigned_token, relevant, read), produced
+    nodes = model.entry_body.cfg.nodes
+    relevant = _backward_slice(
+        index, ((arg, nodes[nid].copy) for nid, arg in uses.items()), Var)
+    return _must_values(model.entry_body, index, assigned_token, relevant,
+                        read), produced
 
 
 def preprocess(model: ProgramModel, spec_set: ThadSet,
@@ -549,11 +665,13 @@ def preprocess(model: ProgramModel, spec_set: ThadSet,
     """Inline, then resolve arguments and thread tokens in the entry
     body; the checker's input.  A new model whose ``events`` table holds
     the entry body's HAL call events, in node id order; ``model`` is
-    left as it was.  The entry's HAL sites are found once, here."""
+    left as it was.  The entry's HAL sites and its
+    :class:`AssignmentIndex` are built once, here."""
     flat = inline_calls(model, depth_limit)
     sites = hal_sites(flat.entry_body, spec_set)
-    values = resolve_discriminators(flat, spec_set, sites)
-    tokens, produced = build_token_flow(flat, sites)
+    index = AssignmentIndex(flat.entry_body)
+    values = resolve_discriminators(flat, spec_set, sites, index)
+    tokens, produced = build_token_flow(flat, sites, index)
     roles = {r.name: (r.discriminator_param is not None,
                       r.descriptor_param is not None)
              for r in spec_set.routines}

@@ -9,6 +9,8 @@ place shows up as a mismatch instead of silently shipping.
 from __future__ import annotations
 
 from collections import deque
+from itertools import repeat
+from typing import Optional
 
 from thadc.cfg import Cfg, NodeKind, ProgramModel, build_model
 from thadc.minic import parse_source, unroll_loops
@@ -222,8 +224,30 @@ def prepared(source: str, thad_set: ThadSet | None = None,
 
 
 # ---------------------------------------------------------------------------
-# CFG invariants
+# CFG invariants and labeled edges
 # ---------------------------------------------------------------------------
+
+class Edge:
+    """An out-edge as :func:`edges` shows it: its branch label (None
+    when unlabeled) and target."""
+
+    __slots__ = ("label", "dst")
+
+    def __init__(self, label: Optional[str], dst: int):
+        self.label = label
+        self.dst = dst
+
+    def __repr__(self) -> str:
+        return f"Edge({self.label!r}, {self.dst})"
+
+
+def edges(cfg: Cfg, node_id: int) -> tuple[Edge, ...]:
+    """The node's out-edges with their branch labels, in the graph's
+    successor order."""
+    labels = cfg.nodes[node_id].labels or repeat(None)
+    return tuple(Edge(label, dst) for label, dst
+                 in zip(labels, cfg.succ.get(node_id, ())))
+
 
 def check_cfg(cfg: Cfg) -> None:
     """Assert the invariants the analyses rely on.  Raises ValueError.

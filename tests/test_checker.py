@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
-import dataclasses
+import copy
+import gc
 import importlib.util
+import random
 import sys
 import tracemalloc
-from collections import Counter
+from collections import Counter, deque
 from operator import and_
 from pathlib import Path
 
@@ -296,8 +298,9 @@ class TestSparseMustForward:
             def read(node, env):
                 reads[node.id] += 1
 
-            passes._must_values(body, lambda node, env: node.id,
-                                _Everything(), read)
+            passes._must_values(body, passes.AssignmentIndex(body),
+                                lambda node, env: node.id, _Everything(),
+                                read)
             assert reads == dict.fromkeys(body.cfg.nodes, 1), source
 
     def test_resolution_on_looping_draws_matches_the_dense_reference(
@@ -346,17 +349,19 @@ class _Everything:
 MUST_VALUES = passes._must_values
 
 
-def unsliced_must_values(body, value, relevant, read):
+def unsliced_must_values(body, index, value, relevant, read):
     """The reference for ``passes._must_values``: every variable is
-    tracked, and no inlined copy's names end at its tail."""
-    return MUST_VALUES(dataclasses.replace(body, dead_after={}), value,
-                       _Everything(), read)
+    tracked, and no inlined copy's variables end at its tail."""
+    unended = copy.copy(index)
+    unended.ends = {}
+    return MUST_VALUES(body, unended, value, _Everything(), read)
 
 
 def environments(body, value, relevant):
     """``passes._must_values`` read densely: every reached node's entry
     environment."""
-    return passes._must_values(body, value, relevant, lambda node, env: env)
+    return passes._must_values(body, passes.AssignmentIndex(body), value,
+                               relevant, lambda node, env: env)
 
 
 TWO_COPIES = """
@@ -370,6 +375,36 @@ int main(void) {
     int a = send(fd, WR_MODE32);
     int b = send(fd, a);
     ioctl(fd, b, 0);
+    close(fd);
+    return 0;
+}
+"""
+
+
+# ``poll`` loops over a read of ``mode``, which it does not own: each
+# inlined copy reads the ``mode`` of its nearest caller that owns one.
+CALLER_VARIABLE_LOOP = """
+int poll(int fd) {
+    int n = 0;
+    while (n < limit) {
+        ioctl(fd, mode, 0);
+        n = n + 1;
+    }
+    return n;
+}
+int configure(int fd) {
+    int mode = WR_MODE32;
+    poll(fd);
+    mode = WR_LSB_FIRST;
+    return poll(fd);
+}
+int main(void) {
+    int fd = open("/dev/spidev0.0", 2);
+    int mode = RD_MODE;
+    poll(fd);
+    int n = configure(fd);
+    ioctl(fd, mode, 0);
+    read(fd, 0, n);
     close(fd);
     return 0;
 }
@@ -430,12 +465,16 @@ class TestMustValues:
     def test_names_of_a_copy_end_at_its_tail(self):
         body = passes.inline_calls(parse_program(TWO_COPIES)).entry_body
         cfg = body.cfg
-        assert len(body.dead_after) == 2
+        assert [row.function.name for row in body.copies] == [
+            "main", "send", "send"]
         # every write gets a known value, so only an end removes a name
         ins = environments(body, lambda node, env: node.id, _Everything())
-        for tail, names in body.dead_after.items():
-            assert len({name[name.rindex("__inl"):] for name in names}) == 1
-            ended = set(names)
+        for c, row in enumerate(body.copies[1:], 1):
+            ended = {k for env in ins.values() for k in env
+                     if isinstance(k, tuple) and k[0] == c}
+            assert {name for _, name in ended} == {
+                "fd", "req", "r", "__ret_send"}
+            tail = row.tail
             assert ins[tail].keys() & ended  # live up to the tail
             after = cfg.succ[tail]
             downstream = [nid for nid in cfg.nodes
@@ -462,7 +501,8 @@ class TestMustValues:
                            (passes.build_token_flow, ())):
             tracemalloc.start()
             try:
-                run(model, *needs, sites)
+                index = passes.AssignmentIndex(model.entry_body)
+                run(model, *needs, sites, index)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -480,7 +520,8 @@ class TestMustValues:
             sites = hal_sites(model.entry_body, spec)
             tracemalloc.start()
             try:
-                run(model, *needs, sites)
+                index = passes.AssignmentIndex(model.entry_body)
+                run(model, *needs, sites, index)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -490,9 +531,9 @@ class TestMustValues:
     def test_sliced_runs_equal_the_unsliced_reference(self, programs,
                                                       monkeypatch):
         if programs == "randprog":
-            sources = [generate_program(seed, helpers=True,
-                                        allow_loops=seed >= 150)
-                       for seed in range(300)]
+            sources = [CALLER_VARIABLE_LOOP] + [
+                generate_program(seed, helpers=True, allow_loops=seed >= 150)
+                for seed in range(300)]
         else:
             cases = getattr(benchmark_generator(monkeypatch),
                             f"{programs}_cases")
@@ -509,6 +550,101 @@ class TestMustValues:
                 assert sliced.events == reference.events
                 assert (check(sliced, thad_set)
                         == check(reference, thad_set))
+
+
+def full_free_distances(cfg, blocked, targets, order):
+    """The reference for ``checker._free_distances``: the same search,
+    run until every target is reached rather than stopped at the
+    nearest.  Every target must be reached, as the must-analysis
+    promises each offender a completion-free path."""
+    nodes, succ = cfg.nodes, cfg.succ
+    dist = {cfg.entry: 0}
+    prev = {cfg.entry: None}
+    queue = deque([cfg.entry])
+    left = {n.id for n in targets}
+    while queue and left:
+        nid = queue.popleft()
+        if nid in blocked:
+            continue
+        dsts = succ[nid]
+        if len(dsts) > 1:
+            dsts = sorted(set(dsts), key=lambda n: (nodes[n].line, n))
+        for dst in dsts:
+            if dst not in dist:
+                dist[dst] = dist[nid] + 1
+                prev[dst] = nid
+                left.discard(dst)
+                queue.append(dst)
+    assert not left, "must-analysis promised a free path"
+    return dist, prev
+
+
+class TestInlinedCopies:
+    """The flat entry shares its callees' expressions, and the copy
+    table says which variable a name means."""
+
+    def test_inlined_nodes_hold_their_callees_expressions(self):
+        sources = [TWO_COPIES, CALLER_VARIABLE_LOOP, chain_source(5)] + [
+            generate_program(seed, helpers=True, allow_loops=seed % 2 == 1)
+            for seed in range(40)]
+        shared = 0
+        for source in sources:
+            model = parse_program(source)
+            body = passes.inline_calls(model).entry_body
+            if body is model.entry_body:
+                continue
+            nodes, ends = body.cfg.nodes, {}
+            for c, row in enumerate(body.copies[1:], 1):
+                ends[row.tail] = c
+            for c, row in enumerate(body.copies):
+                start = -1 if row.tail is None else row.tail
+                own = [node for nid, node in nodes.items()
+                       if node.copy == c and nid > start and nid not in ends]
+                lowered = [node for node in row.function.cfg.nodes.values()
+                           if not (node.kind is NodeKind.CALL
+                                   and node.callee in model.functions)
+                           and (c == 0 or node.kind not in (
+                               NodeKind.ENTRY, NodeKind.EXIT))]
+                assert len(own) == len(lowered), (source, c)
+                for new, old in zip(own, lowered):
+                    assert (new.kind, new.line, new.callee) == (
+                        old.kind, old.line, old.callee)
+                    assert new.args is old.args and new.expr is old.expr
+                    assert new.var is old.var and new.lhs is old.lhs
+                    shared += c > 0 and (new.expr is not None
+                                         or bool(new.args))
+                if c:  # the binds hold the caller's argument objects
+                    args = {id(arg) for node in
+                            body.copies[row.parent].function.cfg.nodes.values()
+                            for arg in node.args}
+                    binds = [node for nid, node in nodes.items()
+                             if node.copy == c and nid < row.tail]
+                    assert all(id(node.expr) in args for node in binds)
+        assert shared > 200, shared
+
+    def test_a_looping_helper_reads_its_callers_variable(self):
+        model = prepared(CALLER_VARIABLE_LOOP)
+        requests = [model.events[node.id].discriminator_value
+                    for node in model.entry_body.cfg.call_nodes()
+                    if node.callee == "ioctl"]
+        assert requests == ["RD_MODE", "WR_MODE32", "WR_LSB_FIRST", "RD_MODE"]
+
+    def test_flat_entry_heap_on_a_depth_8_diamond(self, monkeypatch):
+        # With each inlined copy's names renamed, this flat entry held
+        # 3.0 MB; sharing the callees' expressions brings it to 1.9 MB.
+        gen = benchmark_generator(monkeypatch)
+        source, _ = gen.diamond_program(random.Random(1), 8, 3)
+        model = parse_program(source)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            flat = passes.inline_calls(model)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(flat.entry_body.cfg.nodes) > 7000
+        assert held < 2.5 * 2**20, held
 
 
 class TestDataflow:
@@ -877,6 +1013,35 @@ class TestWitness:
         first_read = call_node(model, "read", 0)
         assert vs["d24"].witness.steps[-1].node_id == first_read.id
 
+    def test_early_stop_matches_the_full_search(self, monkeypatch):
+        stopped = checker._free_distances
+        searches = cut = 0
+
+        def both(cfg, blocked, targets, order):
+            nonlocal searches, cut
+            early = stopped(cfg, blocked, targets, order)
+            full = full_free_distances(cfg, blocked, targets, order)
+            nearest = min(full[0][node.id] for node in targets)
+            for node in targets:
+                if full[0][node.id] == nearest:
+                    assert early[0][node.id] == nearest
+                    assert witness_chain(early[1], node.id) == (
+                        witness_chain(full[1], node.id))
+            searches += 1
+            cut += len(early[0]) < len(full[0])
+            return full
+
+        sources = looping_draws() + [generate_program(seed, helpers=True)
+                                     for seed in range(5000, 5100)]
+        for source in sources:
+            for thad_set in (SPIDEV, bound_spidev_set()):
+                model = prepared(source, thad_set)
+                verdicts = check(model, thad_set)
+                with monkeypatch.context() as patch:
+                    patch.setattr(checker, "_free_distances", both)
+                    assert check(model, thad_set) == verdicts
+        assert searches >= 100 and cut >= 10, (searches, cut)
+
     def test_witnesses_fail_reference_semantics(self):
         sources = [
             "int main(void) { read(0, 0, 4); return 0; }",
@@ -1087,6 +1252,15 @@ def test_witness_steps_are_connected():
         steps = v.witness.steps
         for a, b in zip(steps, steps[1:]):
             assert _reaches(cfg, a.node_id, b.node_id)
+
+
+def witness_chain(prev, node):
+    """The previous-node chain from the entry to ``node``."""
+    chain = []
+    while node is not None:
+        chain.append(node)
+        node = prev[node]
+    return chain[::-1]
 
 
 def _reaches(cfg, src: int, dst: int) -> bool:

@@ -36,6 +36,7 @@ from thadc.passes import (
 from helpers import (
     SPIDEV_CONSTANTS,
     check_cfg,
+    edges,
     nested_ifs,
     nested_parens,
     parse_program,
@@ -355,7 +356,7 @@ class TestCfgShape:
         cfg = model.entry_body.cfg
         branches = [n for n in cfg.nodes.values() if n.kind is NodeKind.BRANCH]
         assert len(branches) == 1
-        labels = {e.label for e in cfg.edges(branches[0].id)}
+        labels = {e.label for e in edges(cfg, branches[0].id)}
         assert labels == {"then", "else"}
 
 
@@ -370,7 +371,7 @@ class TestPathEnumeration:
             if prefix[-1] == cfg.exit:
                 yield prefix
                 return
-            for e in cfg.edges(prefix[-1]):
+            for e in edges(cfg, prefix[-1]):
                 yield from walk(prefix + [e.dst])
         return list(walk([cfg.entry]))
 

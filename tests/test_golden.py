@@ -48,7 +48,7 @@ from thadc.passes import preprocess
 from thadc.report import build_report, render_json, render_text
 from thadc.specio import bundled_data_path, bundled_spidev
 
-from helpers import bound_spidev_set
+from helpers import bound_spidev_set, edges
 from randprog import generate_program
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -103,9 +103,9 @@ def entry_cfg_text(model) -> str:
     cfg = model.entry_body.cfg
     lines = [f"entry {cfg.entry} exit {cfg.exit}"]
     for nid, node in cfg.nodes.items():
-        edges = " ".join(f"{e.label}:{e.dst}" for e in cfg.edges(nid))
+        out = " ".join(f"{e.label}:{e.dst}" for e in edges(cfg, nid))
         lines.append(f"{nid} {node.kind.value} {node.line} {node.callee} "
-                     f"{model.events.get(nid)!r} -> {edges}")
+                     f"{model.events.get(nid)!r} -> {out}")
     return "\n".join(lines) + "\n"
 
 
