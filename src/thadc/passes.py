@@ -440,6 +440,11 @@ def _must_values(
     ``index.ends``).  Only a write or an end that changes an environment
     copies it."""
     ends = index.ends
+    owned: dict[int, list[Key]] = {}  # copy -> its relevant variables
+    if ends:
+        for key in relevant:
+            if isinstance(key, tuple):
+                owned.setdefault(key[0], []).append(key)
 
     def transfer(node: CfgNode, env: dict) -> dict:
         key = node.var or node.lhs
@@ -454,13 +459,11 @@ def _must_values(
                         del env[key]
                     else:
                         env[key] = new
-        ended = ends.get(node.id)
-        if ended is not None:
-            dead = [k for k in env if isinstance(k, tuple) and k[0] == ended]
-            if dead:
-                env = dict(env)
-                for k in dead:
-                    del env[k]
+        dead = owned.get(ends.get(node.id))
+        if dead and not env.keys().isdisjoint(dead):
+            env = dict(env)
+            for key in dead:
+                env.pop(key, None)
         return env
 
     def meet(env: dict, other: dict) -> dict:

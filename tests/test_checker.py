@@ -299,7 +299,7 @@ class TestSparseMustForward:
                 reads[node.id] += 1
 
             passes._must_values(body, passes.AssignmentIndex(body),
-                                lambda node, env: node.id, _Everything(),
+                                lambda node, env: node.id, every_key(body),
                                 read)
             assert reads == dict.fromkeys(body.cfg.nodes, 1), source
 
@@ -339,11 +339,16 @@ class TestHalSites:
                    for node, routine in sites)
 
 
-class _Everything:
-    """A relevance set that holds every variable name."""
-
-    def __contains__(self, name) -> bool:
-        return True
+def every_key(body):
+    """The key of every variable that some node of ``body`` writes, each
+    in its own copy: as relevant variables, every variable is tracked,
+    since one that is never written never enters an environment."""
+    keys = set()
+    for node in body.cfg.nodes.values():
+        name = node.var or node.lhs
+        if name is not None:
+            keys.add((node.copy, name) if node.copy else name)
+    return keys
 
 
 MUST_VALUES = passes._must_values
@@ -354,7 +359,7 @@ def unsliced_must_values(body, index, value, relevant, read):
     tracked, and no inlined copy's variables end at its tail."""
     unended = copy.copy(index)
     unended.ends = {}
-    return MUST_VALUES(body, unended, value, _Everything(), read)
+    return MUST_VALUES(body, unended, value, every_key(body), read)
 
 
 def environments(body, value, relevant):
@@ -468,7 +473,7 @@ class TestMustValues:
         assert [row.function.name for row in body.copies] == [
             "main", "send", "send"]
         # every write gets a known value, so only an end removes a name
-        ins = environments(body, lambda node, env: node.id, _Everything())
+        ins = environments(body, lambda node, env: node.id, every_key(body))
         for c, row in enumerate(body.copies[1:], 1):
             ended = {k for env in ins.values() for k in env
                      if isinstance(k, tuple) and k[0] == c}
