@@ -4,8 +4,10 @@ Each function body lowers to a graph of small nodes: parameter-less
 ``ENTRY``/``EXIT`` markers, ``CALL`` (one direct call, arguments already
 flattened), ``ASSIGN`` (one scalar assignment), ``BRANCH`` (a condition
 or switch subject with labeled out-edges) and ``JOIN`` (a merge point,
-used for loop headers and splice seams).  A graph keeps each node's
-successors as a tuple of node ids; a branch node holds one label per
+used for loop headers and splice seams).  Node ids are dense: a graph
+numbers its nodes 0..n-1 in the order it builds them, and keeps the
+nodes and each node's successors in two lists indexed by id, the
+successors as a tuple of node ids.  A branch node holds one label per
 successor, in the same order.  Calls nested inside expressions are
 hoisted onto fresh temporaries during lowering; a loop condition's calls
 are hoisted *inside* the loop so they re-execute each iteration.
@@ -93,7 +95,8 @@ class CfgNode:
     prepared model's ``events`` table.  Nodes are plain slot records,
     built once and never changed once lowered (a branch gets its labels
     as lowering connects its edges); they compare by identity, and every
-    table keys them by ``id``.
+    table keys them by id: the graph's own lists by position, every
+    other table by the int.
     """
 
     __slots__ = ("id", "kind", "line", "callee", "args", "lhs", "var",
@@ -121,10 +124,12 @@ class CfgNode:
 
 @dataclass
 class Cfg:
-    """Nodes by id, and each node's successor ids in edge order."""
+    """Two lists indexed by node id: the nodes, and each node's
+    successor ids in edge order.  Ids are 0..n-1, so ``nodes[i].id == i``
+    and both lists have one entry per node."""
 
-    nodes: dict[int, CfgNode]
-    succ: dict[int, tuple[int, ...]]
+    nodes: list[CfgNode]
+    succ: list[tuple[int, ...]]
     entry: int
     exit: int
 
@@ -133,10 +138,10 @@ class Cfg:
         """Node id -> number of in-edges, for the nodes where states
         meet: those with more than one in-edge, and the entry if any
         edge enters it.  Counted once per graph, in a list indexed by
-        node id (ids are small ints); a graph is never changed once
+        node id like the graph's own; a graph is never changed once
         built."""
-        counts = [0] * (max(self.nodes) + 1)
-        for dsts in self.succ.values():
+        counts = [0] * len(self.nodes)
+        for dsts in self.succ:
             for dst in dsts:
                 counts[dst] += 1
         merges = {nid: n for nid, n in enumerate(counts) if n > 1}
@@ -145,10 +150,8 @@ class Cfg:
         return merges
 
     def call_nodes(self) -> list[CfgNode]:
-        """The CALL nodes in id order: both builders add nodes in
-        ascending id order, so no sort is needed."""
-        return [node for node in self.nodes.values()
-                if node.kind is NodeKind.CALL]
+        """The CALL nodes in id order."""
+        return [node for node in self.nodes if node.kind is NodeKind.CALL]
 
 
 def return_var(function_name: str) -> str:
@@ -224,9 +227,8 @@ class ProgramModel:
 class _FunctionLowering:
     def __init__(self, fn: FunctionDef):
         self.fn = fn
-        self.nodes: dict[int, CfgNode] = {}
-        self.succ: dict[int, tuple[int, ...]] = {}
-        self.next_id = 0
+        self.nodes: list[CfgNode] = []
+        self.succ: list[tuple[int, ...]] = []
         self.next_temp = 0
         self.locals: list[str] = []
         self.entry = self._raw(NodeKind.ENTRY, fn.line)
@@ -237,10 +239,9 @@ class _FunctionLowering:
     # -- graph primitives ---------------------------------------------------
 
     def _raw(self, kind: NodeKind, line: int, **fields) -> int:
-        node_id = self.next_id
-        self.next_id += 1
-        self.nodes[node_id] = CfgNode(node_id, kind, line, **fields)
-        self.succ[node_id] = ()
+        node_id = len(self.nodes)
+        self.nodes.append(CfgNode(node_id, kind, line, **fields))
+        self.succ.append(())
         return node_id
 
     def _connect(self, src: int, label: Optional[str], dst: int) -> None:

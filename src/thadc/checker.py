@@ -246,25 +246,24 @@ def _uses_alias(pattern: RoutineSpec, ev: CallEvent,
 # Fixpoint
 # ---------------------------------------------------------------------------
 
-class _States(dict):
-    """Node id -> :class:`MonitorState`, plus the site table the states
-    were computed from, so that :func:`check` matches each site once."""
-
-    __slots__ = ("sites",)
-
-
 def dataflow_fixpoint(
-    model: ProgramModel, thad_set: ThadSet
+    model: ProgramModel, thad_set: ThadSet,
+    sites: Optional[_SiteTable] = None,
 ) -> dict[int, MonitorState]:
-    """Entry state of every node of the must-completed monitor analysis.
+    """Entry state of every node of the must-completed monitor analysis,
+    for every node reached from the entry: node id -> state.
 
     All monitor keys are decided at once on :func:`~thadc.cfg.must_forward`:
     a state is one ``int`` with a bit per key, gen is ``|`` and the merge
     is ``&``.  The state at a node describes the moment before the node
     acts, so a call's own completion is not visible to the assertion
-    evaluated at that same call.
+    evaluated at that same call.  ``sites`` is the model's site table
+    for ``thad_set``, built here when not given; :func:`check` builds it
+    once for the fixpoint and the verdicts.  The result is
+    :func:`~thadc.cfg.must_forward`'s own table, not a copy.
     """
-    sites = _site_table(model, thad_set)
+    if sites is None:
+        sites = _site_table(model, thad_set)
     gen = sites.gen
     keys = list(sites.bits)
     shared: dict[int, MonitorState] = {}  # one state per distinct mask
@@ -275,11 +274,9 @@ def dataflow_fixpoint(
             found = shared[mask] = MonitorState(mask, keys)
         return found
 
-    states = _States(must_forward(
-        model.entry_body.cfg, 0,
-        lambda node, mask: mask | gen.get(node.id, 0), and_, state))
-    states.sites = sites
-    return states
+    return must_forward(model.entry_body.cfg, 0,
+                        lambda node, mask: mask | gen.get(node.id, 0), and_,
+                        state)
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +361,10 @@ def check(model: ProgramModel, thad_set: ThadSet) -> list[ThadVerdict]:
     threaded); see the module docstring for the exact semantics of the
     three verdicts and the relevance rules.
     """
-    states = dataflow_fixpoint(model, thad_set)
+    sites = _site_table(model, thad_set)
+    states = dataflow_fixpoint(model, thad_set, sites)
     order: dict[int, list[int]] = {}  # see _free_distances
-    verdicts = [_check_one(model, thad_set, thad, states, order)
+    verdicts = [_check_one(model, thad, sites, states, order)
                 for thad in thad_set.thads]
     verdicts.sort(key=lambda v: natural_key(v.thad_id))
     return verdicts
@@ -374,12 +372,11 @@ def check(model: ProgramModel, thad_set: ThadSet) -> list[ThadVerdict]:
 
 def _check_one(
     model: ProgramModel,
-    thad_set: ThadSet,
     thad: Thad,
-    states: _States,
+    sites: _SiteTable,
+    states: Mapping[int, MonitorState],
     order: dict[int, list[int]],
 ) -> ThadVerdict:
-    sites = states.sites
     row = sites.rows[thad.id]
 
     if not row.dependent and not row.possible:
@@ -483,12 +480,12 @@ def hal_traces(model: ProgramModel, bound: int = 1_000_000
     """
     cfg, events = model.entry_body.cfg, model.events
     succ, exit_id = cfg.succ, cfg.exit
-    readers = Counter(chain.from_iterable(succ.values()))
+    readers = Counter(chain.from_iterable(succ))
     # A node's set exists from when it finishes until its last reader
     # finishes, and no edge into it is followed after that.
     suffixes: dict[int, set[tuple[CallEvent, ...]]] = {}
     on_stack = {cfg.entry}
-    stack = [(cfg.entry, iter(succ.get(cfg.entry, ())))]
+    stack = [(cfg.entry, iter(succ[cfg.entry]))]
     while stack:
         nid, pending = stack[-1]
         for dst in pending:
@@ -497,12 +494,12 @@ def hal_traces(model: ProgramModel, bound: int = 1_000_000
                                  "unroll its loops first")
             if dst not in suffixes:
                 on_stack.add(dst)
-                stack.append((dst, iter(succ.get(dst, ()))))
+                stack.append((dst, iter(succ[dst])))
                 break
         else:  # every successor is finished: nid finishes
             stack.pop()
             on_stack.remove(nid)
-            dsts = succ.get(nid, ())
+            dsts = succ[nid]
             if nid == exit_id:
                 out = {()}
             elif len(dsts) == 1:

@@ -3,7 +3,10 @@
 The checker wants a single flat CFG for the entry function and a table
 of ready-made :class:`~thadc.model.CallEvent` values, one per HAL call
 node of it.  :func:`preprocess` gets there in three passes and builds
-each event once from what the last two return:
+each event from what the last two return.  Sites with equal events share
+one event object, as in the hash-consing of Filliatre and Conchon
+("Type-safe modular hash-consing", ML Workshop 2006): a firmware calls
+the same few routines with the same few values at many sites.
 
 ``inline_calls``
     builds a copy of the entry body with the bodies of defined functions
@@ -151,23 +154,24 @@ def _owned_names(body: FunctionBody) -> Iterator[str]:
     copy's own variables, and resolution never reads them as constants.
     Free names (platform constants, defines, globals) belong to no
     function."""
-    written = (node.var or node.lhs for node in body.cfg.nodes.values())
+    written = (node.var or node.lhs for node in body.cfg.nodes)
     return itertools.chain((return_var(body.name),), body.params,
                            body.locals, filter(None, written))
 
 
 class _Copy:
     """One lowered body being copied into the entry: its row in the copy
-    table, the node ids still to copy, and the first and last new node
-    of each copied one (they differ where a call was expanded).  ``call``
-    is None for the entry itself; an inlined copy holds the caller's
-    copy, the call node's id, the new bind nodes and the new tail node."""
+    table, its nodes still to copy, in id order, and the first and last
+    new node of each copied one (they differ where a call was expanded).
+    ``call`` is None for the entry itself; an inlined copy holds the
+    caller's copy, the call node's id, the new bind nodes and the new
+    tail node."""
 
     __slots__ = ("body", "row", "call", "pending", "head", "tail")
 
     def __init__(self, body: FunctionBody, row: int, call=None):
         self.body, self.row, self.call = body, row, call
-        self.pending = iter(sorted(body.cfg.nodes))
+        self.pending = iter(body.cfg.nodes)
         self.head: dict[int, int] = {}
         self.tail: dict[int, int] = {}
 
@@ -177,17 +181,17 @@ def _splice_entry(model: ProgramModel) -> FunctionBody:
     expanded in place, straight from the lowered bodies; see
     :func:`inline_calls`.  Keeps its own stack of open copies."""
     functions = model.functions
-    nodes: dict[int, CfgNode] = {}
-    succ: dict[int, tuple[int, ...]] = {}
+    nodes: list[CfgNode] = []
+    succ: list[tuple[int, ...]] = []
     copies = [InlinedCopy(model.entry_body, None, None)]
     slots: dict[str, Var] = {}  # function -> the one read of its return slot
 
     def add(kind: NodeKind, line: int, callee=None, args=(), lhs=None,
             var=None, expr=None, labels=(), copy=0) -> int:
         node_id = len(nodes)
-        nodes[node_id] = CfgNode(node_id, kind, line, callee, args, lhs,
-                                 var, expr, labels, copy)
-        succ[node_id] = ()
+        nodes.append(CfgNode(node_id, kind, line, callee, args, lhs, var,
+                             expr, labels, copy))
+        succ.append(())
         return node_id
 
     def open_call(caller: _Copy, call: CfgNode) -> _Copy:
@@ -229,14 +233,13 @@ def _splice_entry(model: ProgramModel) -> FunctionBody:
     stack = [entry]
     while stack:
         copy = stack[-1]
-        for cid in copy.pending:
-            node = copy.body.cfg.nodes[cid]
+        for node in copy.pending:
             if node.kind is NodeKind.CALL and node.callee in functions:
                 stack.append(open_call(copy, node))
                 break
             if copy is entry or node.kind not in (NodeKind.ENTRY,
                                                   NodeKind.EXIT):
-                copy.head[cid] = copy.tail[cid] = add(
+                copy.head[node.id] = copy.tail[node.id] = add(
                     node.kind, node.line, node.callee, node.args, node.lhs,
                     node.var, node.expr, node.labels, copy.row)
         else:
@@ -321,7 +324,7 @@ class AssignmentIndex:
             fn = row.function
             if fn.name not in functions:
                 assigns: dict[str, list[Expr]] = {}
-                for node in fn.cfg.nodes.values():
+                for node in fn.cfg.nodes:
                     if node.kind is NodeKind.ASSIGN:
                         assigns.setdefault(node.var, []).append(node.expr)
                 functions[fn.name] = frozenset(_owned_names(fn)), assigns
@@ -667,9 +670,9 @@ def preprocess(model: ProgramModel, spec_set: ThadSet,
                depth_limit: int = 16) -> ProgramModel:
     """Inline, then resolve arguments and thread tokens in the entry
     body; the checker's input.  A new model whose ``events`` table holds
-    the entry body's HAL call events, in node id order; ``model`` is
-    left as it was.  The entry's HAL sites and its
-    :class:`AssignmentIndex` are built once, here."""
+    the entry body's HAL call events, in node id order, one object per
+    distinct event; ``model`` is left as it was.  The entry's HAL sites
+    and its :class:`AssignmentIndex` are built once, here."""
     flat = inline_calls(model, depth_limit)
     sites = hal_sites(flat.entry_body, spec_set)
     index = AssignmentIndex(flat.entry_body)
@@ -678,14 +681,16 @@ def preprocess(model: ProgramModel, spec_set: ThadSet,
     roles = {r.name: (r.discriminator_param is not None,
                       r.descriptor_param is not None)
              for r in spec_set.routines}
-    events = {}
+    events: dict[int, CallEvent] = {}
+    shared: dict[CallEvent, CallEvent] = {}  # each distinct event once
     for node, _ in sites:
         nid = node.id
         value, token = values.get(nid), tokens.get(nid)
         has_discriminator, has_descriptor = roles[node.callee]
-        events[nid] = CallEvent(
+        event = CallEvent(
             node.callee, value, token, produced.get(nid),
             discriminator_unknown=has_discriminator and value is None,
             descriptor_unknown=has_descriptor and token is None)
+        events[nid] = shared.setdefault(event, event)
     return ProgramModel(flat.functions, flat.entry, flat.program, flat.path,
                         events, frozenset(roles))

@@ -246,39 +246,45 @@ def edges(cfg: Cfg, node_id: int) -> tuple[Edge, ...]:
     successor order."""
     labels = cfg.nodes[node_id].labels or repeat(None)
     return tuple(Edge(label, dst) for label, dst
-                 in zip(labels, cfg.succ.get(node_id, ())))
+                 in zip(labels, cfg.succ[node_id]))
+
+
+def check_well_formed(cfg: Cfg) -> None:
+    """Assert the dense-id layout every pass indexes by: ``nodes`` and
+    ``succ`` are lists with one entry per node, node ``i`` sits at index
+    ``i``, and every successor is an index into them."""
+    assert isinstance(cfg.nodes, list) and isinstance(cfg.succ, list)
+    assert len(cfg.succ) == len(cfg.nodes)
+    for i, node in enumerate(cfg.nodes):
+        assert node.id == i, (i, node)
+    n = len(cfg.nodes)
+    for src, dsts in enumerate(cfg.succ):
+        assert isinstance(dsts, tuple), (src, dsts)
+        for dst in dsts:
+            assert type(dst) is int and 0 <= dst < n, (src, dst)
+    assert 0 <= cfg.entry < n and 0 <= cfg.exit < n
 
 
 def check_cfg(cfg: Cfg) -> None:
     """Assert the invariants the analyses rely on.  Raises ValueError.
 
-    Successors are node ids.  Every node must be reachable from the
-    entry and able to reach the exit (so meeting over paths sees every
-    node), the entry must have no predecessors, the exit no successors,
-    and non-branch nodes exactly one successor.  Labels appear only on
-    branch nodes, one per successor.  Nodes must be stored in ascending
-    id order, which ``Cfg.call_nodes`` relies on instead of sorting.
+    The graph must be well formed (see :func:`check_well_formed`).
+    Every node must be reachable from the entry and able to reach the
+    exit (so meeting over paths sees every node), the entry must have
+    no predecessors, the exit no successors, and non-branch nodes
+    exactly one successor.  Labels appear only on branch nodes, one per
+    successor.
     """
-    ids = list(cfg.nodes)
-    if ids != sorted(ids):
-        raise ValueError("nodes are not stored in ascending id order")
-    if set(cfg.succ) != set(cfg.nodes):
-        raise ValueError("successors are not listed for exactly the nodes")
-    for src, dsts in cfg.succ.items():
-        if not isinstance(dsts, tuple):
-            raise ValueError(f"successors of {src} are not a tuple")
-        for dst in dsts:
-            if type(dst) is not int or dst not in cfg.nodes:
-                raise ValueError(f"successor {dst!r} of {src} is not a node id")
-    preds: dict[int, list[int]] = {n: [] for n in cfg.nodes}
-    for src, dsts in cfg.succ.items():
+    check_well_formed(cfg)
+    preds: list[list[int]] = [[] for _ in cfg.nodes]
+    for src, dsts in enumerate(cfg.succ):
         for dst in dsts:
             preds[dst].append(src)
     if preds[cfg.entry]:
         raise ValueError("entry node has predecessors")
     if cfg.succ[cfg.exit]:
         raise ValueError("exit node has successors")
-    for node_id, node in cfg.nodes.items():
+    for node_id, node in enumerate(cfg.nodes):
         out = cfg.succ[node_id]
         if node.kind is NodeKind.BRANCH:
             if len(out) < 2:
@@ -292,13 +298,14 @@ def check_cfg(cfg: Cfg) -> None:
                 raise ValueError(f"non-branch node {node_id} has labels")
             if node.kind is not NodeKind.EXIT and len(out) != 1:
                 raise ValueError(f"node {node_id} has {len(out)} out-edges")
+    ids = set(range(len(cfg.nodes)))
     reachable = _closure(cfg.entry, lambda n: cfg.succ[n])
-    if reachable != set(cfg.nodes):
-        missing = sorted(set(cfg.nodes) - reachable)
+    if reachable != ids:
+        missing = sorted(ids - reachable)
         raise ValueError(f"nodes unreachable from entry: {missing}")
     coreachable = _closure(cfg.exit, lambda n: list(preds[n]))
-    if coreachable != set(cfg.nodes):
-        missing = sorted(set(cfg.nodes) - coreachable)
+    if coreachable != ids:
+        missing = sorted(ids - coreachable)
         raise ValueError(f"nodes that cannot reach exit: {missing}")
 
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from helpers import (NESTED_LOOPS, bound_spidev_set, dense_must_forward,
                      parse_program, prepared, spidev_set)
 from randprog import generate_program
-from thadc import checker, passes
+from thadc import checker, cli, passes
 from thadc.cfg import (
     Cfg,
     CfgNode,
@@ -38,6 +38,7 @@ from thadc.checker import (
     hal_traces,
 )
 from thadc.minic import parse_source
+from thadc.specio import bundled_data_path, load_spec
 from thadc.model import (
     BindingSource,
     DescriptorBinding,
@@ -136,12 +137,11 @@ class TestMustForward:
     GEN = {2: 0b011, 3: 0b001, 6: 0b100}
 
     def cfg(self) -> Cfg:
-        kinds = {0: NodeKind.ENTRY, 1: NodeKind.BRANCH, 2: NodeKind.CALL,
-                 3: NodeKind.CALL, 4: NodeKind.JOIN, 5: NodeKind.BRANCH,
-                 6: NodeKind.CALL, 7: NodeKind.EXIT, 8: NodeKind.JOIN}
-        succ = {0: (1,), 1: (2, 3), 2: (4,), 3: (4,), 4: (5,), 5: (6, 7),
-                6: (4,), 7: (), 8: (7,)}
-        return Cfg({n: CfgNode(n, k) for n, k in kinds.items()}, succ, 0, 7)
+        kinds = [NodeKind.ENTRY, NodeKind.BRANCH, NodeKind.CALL,
+                 NodeKind.CALL, NodeKind.JOIN, NodeKind.BRANCH,
+                 NodeKind.CALL, NodeKind.EXIT, NodeKind.JOIN]
+        succ = [(1,), (2, 3), (4,), (4,), (5,), (6, 7), (4,), (), (7,)]
+        return Cfg([CfgNode(n, k) for n, k in enumerate(kinds)], succ, 0, 7)
 
     def transfer(self, node: CfgNode, mask: int) -> int:
         return mask | self.GEN.get(node.id, 0)
@@ -171,14 +171,15 @@ class TestMustForward:
 
 def merge_points(cfg: Cfg) -> set[int]:
     """The entry, and every node with more than one in-edge."""
-    indegree = Counter(dst for dsts in cfg.succ.values() for dst in dsts)
+    indegree = Counter(dst for dsts in cfg.succ for dst in dsts)
     return {cfg.entry} | {nid for nid, n in indegree.items() if n > 1}
 
 
 def into_merges(cfg: Cfg) -> set[int]:
     """The nodes with an out-edge into a merge point."""
     merges = merge_points(cfg)
-    return {src for src, dsts in cfg.succ.items() if merges.intersection(dsts)}
+    return {src for src, dsts in enumerate(cfg.succ)
+            if merges.intersection(dsts)}
 
 
 def met_states(engine, cfg: Cfg, start, transfer, meet):
@@ -245,10 +246,10 @@ class TestSparseMustForward:
         # 0 entry -> 1 loop header -> 2 clears the mask -> 3 branch
         # -> back to 1 | 4 exit.  The header is first walked with the
         # entry's mask, then again once the back edge has cleared it.
-        kinds = {0: NodeKind.ENTRY, 1: NodeKind.JOIN, 2: NodeKind.ASSIGN,
-                 3: NodeKind.BRANCH, 4: NodeKind.EXIT}
-        succ = {0: (1,), 1: (2,), 2: (3,), 3: (1, 4), 4: ()}
-        cfg = Cfg({n: CfgNode(n, k) for n, k in kinds.items()}, succ, 0, 4)
+        kinds = [NodeKind.ENTRY, NodeKind.JOIN, NodeKind.ASSIGN,
+                 NodeKind.BRANCH, NodeKind.EXIT]
+        succ = [(1,), (2,), (3,), (1, 4), ()]
+        cfg = Cfg([CfgNode(n, k) for n, k in enumerate(kinds)], succ, 0, 4)
 
         def transfer(node, mask):
             return 0 if node.id == 2 else mask
@@ -267,7 +268,7 @@ class TestSparseMustForward:
         for source in looping_draws():
             model = prepared(source)
             cfg = model.entry_body.cfg
-            looped += any(dst <= src for src, dsts in cfg.succ.items()
+            looped += any(dst <= src for src, dsts in enumerate(cfg.succ)
                           for dst in dsts)
             gen = checker._site_table(model, SPIDEV).gen
 
@@ -301,7 +302,8 @@ class TestSparseMustForward:
             passes._must_values(body, passes.AssignmentIndex(body),
                                 lambda node, env: node.id, every_key(body),
                                 read)
-            assert reads == dict.fromkeys(body.cfg.nodes, 1), source
+            assert reads == dict.fromkeys(range(len(body.cfg.nodes)), 1), \
+                source
 
     def test_resolution_on_looping_draws_matches_the_dense_reference(
             self, monkeypatch):
@@ -344,7 +346,7 @@ def every_key(body):
     in its own copy: as relevant variables, every variable is tracked,
     since one that is never written never enters an environment."""
     keys = set()
-    for node in body.cfg.nodes.values():
+    for node in body.cfg.nodes:
         name = node.var or node.lhs
         if name is not None:
             keys.add((node.copy, name) if node.copy else name)
@@ -458,7 +460,7 @@ class TestMustValues:
         }
         """).entry_body
         cfg = body.cfg
-        b = next(n.id for n in cfg.nodes.values() if n.var == "b")
+        b = next(n.id for n in cfg.nodes if n.var == "b")
         after = cfg.succ[b][0]
         sliced = environments(body, lambda node, env: 1, {"a", "c"})
         assert sliced[after] is sliced[b]
@@ -482,7 +484,7 @@ class TestMustValues:
             tail = row.tail
             assert ins[tail].keys() & ended  # live up to the tail
             after = cfg.succ[tail]
-            downstream = [nid for nid in cfg.nodes
+            downstream = [nid for nid in range(len(cfg.nodes))
                           if any(_reaches(cfg, a, nid) for a in after)]
             assert downstream
             for nid in downstream:
@@ -603,9 +605,9 @@ class TestInlinedCopies:
                 ends[row.tail] = c
             for c, row in enumerate(body.copies):
                 start = -1 if row.tail is None else row.tail
-                own = [node for nid, node in nodes.items()
+                own = [node for nid, node in enumerate(nodes)
                        if node.copy == c and nid > start and nid not in ends]
-                lowered = [node for node in row.function.cfg.nodes.values()
+                lowered = [node for node in row.function.cfg.nodes
                            if not (node.kind is NodeKind.CALL
                                    and node.callee in model.functions)
                            and (c == 0 or node.kind not in (
@@ -620,9 +622,9 @@ class TestInlinedCopies:
                                          or bool(new.args))
                 if c:  # the binds hold the caller's argument objects
                     args = {id(arg) for node in
-                            body.copies[row.parent].function.cfg.nodes.values()
+                            body.copies[row.parent].function.cfg.nodes
                             for arg in node.args}
-                    binds = [node for nid, node in nodes.items()
+                    binds = [node for nid, node in enumerate(nodes)
                              if node.copy == c and nid < row.tail]
                     assert all(id(node.expr) in args for node in binds)
         assert shared > 200, shared
@@ -636,7 +638,9 @@ class TestInlinedCopies:
 
     def test_flat_entry_heap_on_a_depth_8_diamond(self, monkeypatch):
         # With each inlined copy's names renamed, this flat entry held
-        # 3.0 MB; sharing the callees' expressions brings it to 1.9 MB.
+        # 3.0 MB; sharing the callees' expressions brought it to 1.9 MB,
+        # and keeping nodes and successors in lists indexed by id to
+        # 1.5 MB.
         gen = benchmark_generator(monkeypatch)
         source, _ = gen.diamond_program(random.Random(1), 8, 3)
         model = parse_program(source)
@@ -649,7 +653,36 @@ class TestInlinedCopies:
         finally:
             tracemalloc.stop()
         assert len(flat.entry_body.cfg.nodes) > 7000
-        assert held < 2.5 * 2**20, held
+        assert held < 1.7 * 2**20, held
+
+    def test_check_heap_peak_on_a_depth_8_diamond(self, monkeypatch):
+        # One whole check of the benchmark's bound spec, after a first
+        # one has warmed the process up.  With id-keyed dicts for nodes
+        # and successors, an event object per site and a copy of the
+        # fixpoint's states, it peaked at 3.2 MB; without them, at 2.6 MB.
+        gen = benchmark_generator(monkeypatch)
+        source, _ = gen.diamond_program(random.Random(1), 8, 3)
+        consts = bundled_data_path("spidev-linux.consts")
+        spec = load_spec(gen.BOUND_SPEC.read_text(), consts.read_text(),
+                         str(gen.BOUND_SPEC), str(consts))
+        first, _ = cli.run_check(source, "d8.c", spec, spec_path="bound")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            report, _ = cli.run_check(source, "d8.c", spec, spec_path="bound")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report == first
+        assert peak < 2.9 * 2**20, peak
+
+    def test_equal_events_are_one_object(self, monkeypatch):
+        gen = benchmark_generator(monkeypatch)
+        source, _ = gen.diamond_program(random.Random(1), 6, 2)
+        events = prepared(source, bound_spidev_set()).events
+        distinct = set(events.values())
+        assert len(events) > 10 * len(distinct)
+        assert len({id(e) for e in events.values()}) == len(distinct)
 
 
 class TestDataflow:
@@ -688,7 +721,7 @@ class TestDataflow:
     def test_all_nodes_reachable(self):
         model = prepared(STRAIGHT_OK)
         states = dataflow_fixpoint(model, SPIDEV)
-        assert set(states) == set(model.entry_body.cfg.nodes)
+        assert set(states) == set(range(len(model.entry_body.cfg.nodes)))
 
 
 class TestVerdicts:

@@ -3,8 +3,10 @@
 import importlib
 import importlib.util
 import json
+import math
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -20,6 +22,16 @@ from thadc.specio import bundled_data_path, bundled_spidev
 from helpers import NESTED_LOOPS, nested_ifs, nested_parens, plus_chain
 
 CORPUS = bundled_data_path("corpus")
+REPO = Path(__file__).resolve().parents[1]
+
+# The shapes of check the benchmark traces: one with a violation, and
+# one against its bound spec with its constants.
+TRACED_CHECKS = {
+    "violated": [str(CORPUS / "accelerometer-faulty.c")],
+    "bound": [str(REPO / "tests" / "golden" / "diamond-reduced.c"),
+              "--spec", str(REPO / "perfbench" / "bound.thad"),
+              "--consts", str(bundled_data_path("spidev-linux.consts"))],
+}
 
 HAL_SKELETON = """\
 int open(const char *path, int oflag) {
@@ -56,6 +68,17 @@ dep g1: read requires open
 """
 
 TINY_CONSTS = "UNUSED = 1\n"
+
+
+def benchmark_tracing(monkeypatch):
+    """``perfbench/tracing.py``, loaded by file path for the length of
+    one test: the tests import nothing else from the benchmark."""
+    spec = importlib.util.spec_from_file_location(
+        "tracing", REPO / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    return tracing
 
 
 def run(argv, capsys):
@@ -126,11 +149,7 @@ class TestCheck:
         # is wrapped but never called reads 0 there rather than failing.
         # So each name must still exist and be called through the module
         # attribute by one check with a violation.
-        tracing_py = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-        spec = importlib.util.spec_from_file_location("tracing", tracing_py)
-        tracing = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, tracing)
-        spec.loader.exec_module(tracing)
+        tracing = benchmark_tracing(monkeypatch)
         calls = Counter()
         for module_name, attr in tracing.WRAPPED:
             module = importlib.import_module(module_name)
@@ -145,6 +164,34 @@ class TestCheck:
                           "--format", "json", "--no-timing"], capsys)
         assert code == 1
         assert sorted(set(tracing.WRAPPED) - set(calls)) == []
+
+    @pytest.mark.parametrize("memory", [False, True], ids=["time", "heap"])
+    @pytest.mark.parametrize("checked", sorted(TRACED_CHECKS))
+    def test_traced_benchmark_values_are_whole(self, checked, memory,
+                                               monkeypatch, capsys):
+        # A traced benchmark run prints the median of these values as a
+        # strict JSON line.  A metric that goes missing (a wrapped name
+        # gone, a layer not called, a count not filled in) or a value
+        # that is not finite leaves that line unusable.
+        tracing = benchmark_tracing(monkeypatch)
+        tracer = tracing.Tracer(memory=memory)
+        argv = ["check", *TRACED_CHECKS[checked], "--format", "json",
+                "--no-timing"]
+        if memory:
+            tracemalloc.start()
+        try:
+            tracer.install()
+            code, values = tracer.run_check(lambda: cli.main(argv))
+        finally:
+            tracer.restore()
+            if memory:
+                tracemalloc.stop()
+        assert code == run(argv, capsys)[0]
+        metrics = tracing.MEMORY_METRICS if memory else tracing.TIME_METRICS
+        assert sorted({*metrics, *tracing.COUNT_METRICS} - set(values)) == []
+        assert all(math.isfinite(value) for value in values.values()), values
+        json.dumps(values, allow_nan=False)
+        assert tracer.absent == set()
 
     def test_json_reports_timing_by_default(self, capsys):
         code, out, _ = run(

@@ -36,6 +36,7 @@ from thadc.passes import (
 from helpers import (
     SPIDEV_CONSTANTS,
     check_cfg,
+    check_well_formed,
     edges,
     nested_ifs,
     nested_parens,
@@ -344,6 +345,19 @@ class TestCfgShape:
         for body in model.functions.values():
             check_cfg(body.cfg)
 
+    def test_ids_are_dense_in_lowered_and_inlined_bodies(self):
+        # Every pass indexes nodes and successors by id, so each builder
+        # must number its nodes 0..n-1 and keep them in that order.
+        inlined = 0
+        for seed in range(40):
+            model = parse_program(generate_program(
+                seed, helpers=True, allow_loops=seed % 2 == 1))
+            flat = inline_calls(model).entry_body
+            inlined += flat is not model.entry_body
+            for body in (*model.functions.values(), flat):
+                check_well_formed(body.cfg)
+        assert inlined > 20
+
     def test_loop_detection(self):
         looped = parse_program("int main(void) { while (c) { x = 1; } return 0; }")
         straight = parse_program("int main(void) { if (c) { x = 1; } return 0; }")
@@ -354,7 +368,7 @@ class TestCfgShape:
     def test_branch_edges_labeled(self):
         model = parse_program("int main(void) { if (c) { x = 1; } return x; }")
         cfg = model.entry_body.cfg
-        branches = [n for n in cfg.nodes.values() if n.kind is NodeKind.BRANCH]
+        branches = [n for n in cfg.nodes if n.kind is NodeKind.BRANCH]
         assert len(branches) == 1
         labels = {e.label for e in edges(cfg, branches[0].id)}
         assert labels == {"then", "else"}
@@ -405,11 +419,11 @@ class TestPathEnumeration:
 
     def test_long_straight_line_needs_no_recursion(self, monkeypatch):
         n = 5000
-        nodes = {0: CfgNode(0, NodeKind.ENTRY, 1)}
-        nodes.update((i, CfgNode(i, NodeKind.CALL, 1, callee="read"))
-                     for i in range(1, n + 1))
-        nodes[n + 1] = CfgNode(n + 1, NodeKind.EXIT, 1)
-        succ = {i: (i + 1,) for i in range(n + 1)}
+        nodes = [CfgNode(0, NodeKind.ENTRY, 1)]
+        nodes += [CfgNode(i, NodeKind.CALL, 1, callee="read")
+                  for i in range(1, n + 1)]
+        nodes.append(CfgNode(n + 1, NodeKind.EXIT, 1))
+        succ = [(i + 1,) for i in range(n + 1)] + [()]
         body = FunctionBody("main", (), (), Cfg(nodes, succ, 0, n + 1))
         events = {i: CallEvent("read", descriptor_token=f"t{i}")
                   for i in range(1, n + 1)}

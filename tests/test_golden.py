@@ -102,7 +102,7 @@ def entry_cfg_text(model) -> str:
     """The entry CFG without variable spellings, one line per node."""
     cfg = model.entry_body.cfg
     lines = [f"entry {cfg.entry} exit {cfg.exit}"]
-    for nid, node in cfg.nodes.items():
+    for nid, node in enumerate(cfg.nodes):
         out = " ".join(f"{e.label}:{e.dst}" for e in edges(cfg, nid))
         lines.append(f"{nid} {node.kind.value} {node.line} {node.callee} "
                      f"{model.events.get(nid)!r} -> {out}")
