@@ -8,12 +8,26 @@ place shows up as a mismatch instead of silently shipping.
 
 from __future__ import annotations
 
+import importlib.util
+import re
+import sys
 from collections import deque
 from itertools import repeat
+from pathlib import Path
+from types import ModuleType
 from typing import Optional
 
 from thadc.cfg import Cfg, NodeKind, ProgramModel, build_model
-from thadc.minic import parse_source, unroll_loops
+from thadc.diagnostics import Diagnostic
+from thadc.minic import (
+    _UNTERMINATED,
+    Token,
+    _char_value,
+    _directive,
+    c_int_value,
+    parse_source,
+    unroll_loops,
+)
 from thadc.model import (
     BindingSource,
     CallEvent,
@@ -382,3 +396,99 @@ def dense_must_forward(cfg: Cfg, start, transfer, meet) -> dict:
                 ins[dst] = new
                 work.append(dst)
     return ins
+
+
+# ---------------------------------------------------------------------------
+# The benchmark's input generator
+# ---------------------------------------------------------------------------
+
+def benchmark_generator() -> ModuleType:
+    """``perfbench/gen.py``, loaded by file path: the tests import nothing
+    else from the benchmark.  The module sits in ``sys.modules`` only
+    while it runs, which its dataclasses need."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+# ---------------------------------------------------------------------------
+# The reference lexer (the reference for ``thadc.minic.tokenize``)
+# ---------------------------------------------------------------------------
+
+# One alternative per token kind, tried in order at each position.  A
+# directive is a ``#`` preceded only by blanks on its line; OPEN is the
+# start of a comment or literal the alternatives above could not close;
+# NUM leaves the integer suffix out of its group.
+_TOKEN_RE = re.compile(r"""
+    (?P<DIRECTIVE>^[ \t]*\#[^\n]*)
+  | (?P<NEWLINE>\n)
+  | (?P<SPACE>[ \t\r]+|//[^\n]*)
+  | (?P<COMMENT>/\*[\s\S]*?\*/)
+  | (?P<STR>"(?:\\[\s\S]|[^"\\])*")
+  | (?P<CHAR>'(?:\\[^\n]|[^'\\\n])*')
+  | (?P<OPEN>/\*|["'])
+  | (?P<NUM>0[xX][0-9a-fA-F]*|[0-9]+)[uUlL]*
+  | (?P<IDENT>[^\W\d]\w*)
+  | (?P<PUNCT>\.\.\.|[-+*/%|&^=!<>]=|&&|\|\||<<|>>|\+\+|--|->
+             |[-+*/%<>=!&|^~(){}\[\];,.?:])
+  | (?P<BAD>.)
+""", re.MULTILINE | re.VERBOSE)
+
+
+def reference_tokenize(text: str
+                       ) -> tuple[list[Token], dict[str, int], list[Diagnostic]]:
+    """``thadc.minic.tokenize`` as it was before it matched one token per
+    regex match: one match per token kind, blanks and ``//`` comments
+    included, each dispatched on its group name."""
+    tokens: list[Token] = []
+    defines: dict[str, int] = {}
+    diags: list[Diagnostic] = []
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        value = m.group(kind)
+        col = m.start() - line_start + 1
+        if kind == "SPACE":
+            continue
+        if kind == "NEWLINE":
+            line, line_start = line + 1, m.end()
+        elif kind == "IDENT" or kind == "PUNCT":
+            tokens.append(Token(kind, value, line, col))
+        elif kind == "NUM":
+            if c_int_value(value) is None:
+                diags.append(Diagnostic(line, col,
+                                        f"invalid integer literal {value!r}"))
+            tokens.append(Token(kind, value, line, col))
+        elif kind == "STR" or kind == "COMMENT":
+            if kind == "STR":
+                tokens.append(Token(kind, value[1:-1], line, col))
+            newlines = value.count("\n")
+            if newlines:
+                line += newlines
+                line_start = m.start() + value.rindex("\n") + 1
+        elif kind == "CHAR":
+            code = _char_value(value[1:-1])
+            if code is None:
+                diags.append(Diagnostic(
+                    line, col,
+                    f"character literal {value} must hold exactly one character"))
+            tokens.append(Token("NUM", value if code is None else str(code),
+                                line, col))
+        elif kind == "DIRECTIVE":
+            hash_col = col + len(value) - len(value.lstrip(" \t"))
+            _directive(value, line, hash_col, defines, diags)
+        elif kind == "OPEN":
+            diags.append(Diagnostic(line, col,
+                                    f"unterminated {_UNTERMINATED[value]}"))
+            break
+        else:
+            diags.append(Diagnostic(line, col, f"unexpected character {value!r}"))
+    tokens.append(Token("EOF", "", text.count("\n") + 1,
+                        len(text) - text.rfind("\n")))
+    return tokens, defines, diags

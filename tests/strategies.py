@@ -97,6 +97,9 @@ _C_FRAGMENTS = [
     "#include <x.h>\n", "#pragma once\n", "\n", "\r\n", " ", "\t", "+", "-",
     "*", "/", "&", "!", "~", "<<", "&&", "||", "==", "+=", "++", "...",
     "@", "\\", "sizeof", "int", "const char *",
+    # blanks before a directive, a mid-line hash, a comment the file ends
+    # in, a lone carriage return and a comment across lines
+    "   #define K 1\n", "\t#", "// x", "\r", "/* a\nb */",
 ]
 
 c_ish_text = st.lists(

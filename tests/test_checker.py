@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import copy
 import gc
-import importlib.util
 import random
-import sys
 import tracemalloc
 from collections import Counter, deque
 from operator import and_
@@ -16,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (NESTED_LOOPS, bound_spidev_set, dense_must_forward,
-                     parse_program, prepared, spidev_set)
+from helpers import (NESTED_LOOPS, benchmark_generator, bound_spidev_set,
+                     dense_must_forward, parse_program, prepared, spidev_set)
 from randprog import generate_program
 from thadc import checker, cli, passes
 from thadc.cfg import (
@@ -435,17 +433,6 @@ def chain_source(n: int) -> str:
     """
 
 
-def benchmark_generator(monkeypatch):
-    """``perfbench/gen.py``, loaded by file path for the length of one
-    test: the tests import nothing else from the benchmark."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestMustValues:
     """The environment engine of both resolution passes: only relevant
     variables are tracked, and an inlined copy's names end at its tail."""
@@ -542,7 +529,7 @@ class TestMustValues:
                 generate_program(seed, helpers=True, allow_loops=seed >= 150)
                 for seed in range(300)]
         else:
-            cases = getattr(benchmark_generator(monkeypatch),
+            cases = getattr(benchmark_generator(),
                             f"{programs}_cases")
             sources = [case.source for seed in (1, 101)
                        for case in cases(seed)]
@@ -636,12 +623,12 @@ class TestInlinedCopies:
                     if node.callee == "ioctl"]
         assert requests == ["RD_MODE", "WR_MODE32", "WR_LSB_FIRST", "RD_MODE"]
 
-    def test_flat_entry_heap_on_a_depth_8_diamond(self, monkeypatch):
+    def test_flat_entry_heap_on_a_depth_8_diamond(self):
         # With each inlined copy's names renamed, this flat entry held
         # 3.0 MB; sharing the callees' expressions brought it to 1.9 MB,
         # and keeping nodes and successors in lists indexed by id to
         # 1.5 MB.
-        gen = benchmark_generator(monkeypatch)
+        gen = benchmark_generator()
         source, _ = gen.diamond_program(random.Random(1), 8, 3)
         model = parse_program(source)
         gc.collect()
@@ -655,12 +642,12 @@ class TestInlinedCopies:
         assert len(flat.entry_body.cfg.nodes) > 7000
         assert held < 1.7 * 2**20, held
 
-    def test_check_heap_peak_on_a_depth_8_diamond(self, monkeypatch):
+    def test_check_heap_peak_on_a_depth_8_diamond(self):
         # One whole check of the benchmark's bound spec, after a first
         # one has warmed the process up.  With id-keyed dicts for nodes
         # and successors, an event object per site and a copy of the
         # fixpoint's states, it peaked at 3.2 MB; without them, at 2.6 MB.
-        gen = benchmark_generator(monkeypatch)
+        gen = benchmark_generator()
         source, _ = gen.diamond_program(random.Random(1), 8, 3)
         consts = bundled_data_path("spidev-linux.consts")
         spec = load_spec(gen.BOUND_SPEC.read_text(), consts.read_text(),
@@ -676,8 +663,8 @@ class TestInlinedCopies:
         assert report == first
         assert peak < 2.9 * 2**20, peak
 
-    def test_equal_events_are_one_object(self, monkeypatch):
-        gen = benchmark_generator(monkeypatch)
+    def test_equal_events_are_one_object(self):
+        gen = benchmark_generator()
         source, _ = gen.diamond_program(random.Random(1), 6, 2)
         events = prepared(source, bound_spidev_set()).events
         distinct = set(events.values())

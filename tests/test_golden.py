@@ -19,6 +19,13 @@ bytes alone miss a changed node that no witness passes through, and
 most of these programs call helper functions, so the file pins what
 inlining builds.
 
+``golden/ast.sha256`` holds one SHA-256 per program of
+``repr(parse_source(...))``: the syntax tree, positions included, that
+the front end builds.  Besides the programs below it covers the
+benchmark's ``wide`` and ``diamond`` cases for seeds 1 and 101, which
+``perfbench/gen.py`` builds afresh, so a change of that generator changes
+those entries.
+
 The programs are the corpus, seeded ``randprog`` draws (single ``main``
 or with helper functions), and one reduced ``wide`` and ``diamond``
 program from the benchmark's generator, stored under ``golden/``.  The
@@ -48,7 +55,7 @@ from thadc.passes import preprocess
 from thadc.report import build_report, render_json, render_text
 from thadc.specio import bundled_data_path, bundled_spidev
 
-from helpers import bound_spidev_set, edges
+from helpers import benchmark_generator, bound_spidev_set, edges
 from randprog import generate_program
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -56,6 +63,7 @@ SHA_FILE = GOLDEN / "reports.sha256"
 CFG_FILE = GOLDEN / "entry_cfg.sha256"
 TEXT_FILE = GOLDEN / "text.sha256"
 UNROLL_FILE = GOLDEN / "unroll.sha256"
+AST_FILE = GOLDEN / "ast.sha256"
 SETS = {"bundled": bundled_spidev(), "bound": bound_spidev_set()}
 
 # (name prefix, first seed, count, generate_program keyword arguments)
@@ -96,6 +104,19 @@ def programs() -> dict[str, str]:
     for name in REDUCED:
         out[name] = (GOLDEN / name).read_text(encoding="utf-8")
     return out
+
+
+def syntax_trees() -> dict[str, str]:
+    """Program name -> ``repr`` of its syntax tree, for :func:`programs`
+    and the benchmark's ``wide`` and ``diamond`` cases for seeds 1 and
+    101."""
+    sources = programs()
+    gen = benchmark_generator()
+    for seed in (1, 101):
+        for case in [*gen.wide_cases(seed), *gen.diamond_cases(seed)]:
+            sources[f"seed{seed}-{case.name}"] = case.source
+    return {name: repr(parse_source(source, name))
+            for name, source in sources.items()}
 
 
 def entry_cfg_text(model) -> str:
@@ -212,6 +233,11 @@ def test_entry_cfgs_match_golden():
     assert not different, f"{len(different)} entry CFGs changed: {different[:10]}"
 
 
+def test_syntax_trees_match_golden():
+    different = changed(syntax_trees(), read_digests(AST_FILE))
+    assert not different, f"{len(different)} syntax trees changed: {different[:10]}"
+
+
 def test_one_lowered_model_serves_both_specs():
     # No pass changes the model it is given, so one lowered model,
     # prepared for the bundled spec and then for the bound one, gives
@@ -233,14 +259,17 @@ def test_one_lowered_model_serves_both_specs():
 def main() -> None:
     reports, texts, cfgs = outputs()
     runs = cli_outputs()
+    trees = syntax_trees()
     write_digests(SHA_FILE, reports)
     write_digests(TEXT_FILE, texts)
     write_digests(UNROLL_FILE, runs)
     write_digests(CFG_FILE, cfgs)
+    write_digests(AST_FILE, trees)
     for name in FULL:
         (GOLDEN / f"{name}.json").write_text(reports[name])
     print(f"wrote {len(reports)} report, {len(texts)} text report, "
-          f"{len(runs)} CLI run and {len(cfgs)} entry CFG digests")
+          f"{len(runs)} CLI run, {len(cfgs)} entry CFG and {len(trees)} "
+          "syntax tree digests")
 
 
 if __name__ == "__main__":
