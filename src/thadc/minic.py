@@ -232,23 +232,26 @@ _TYPE_WORDS = {
     "uint8_t", "uint16_t", "uint32_t", "uint64_t",
 }
 
-# One alternative per token kind, tried in order at each position.  A
-# directive is a ``#`` preceded only by blanks on its line; OPEN is the
-# start of a comment or literal the alternatives above could not close;
-# NUM leaves the integer suffix out of its group.
+# One match per token, newline or directive.  A directive is a ``#``
+# preceded only by blanks on its line.  Any other match first skips the
+# blanks and the ``//`` comment before its token; NUM leaves the integer
+# suffix out of its group, PUNCT leaves a ``/*`` to COMMENT, and OPEN is
+# the start of a comment or literal the alternatives above could not
+# close.  BAD takes any other character, and END the end of the text.
 _TOKEN_RE = re.compile(r"""
     (?P<DIRECTIVE>^[ \t]*\#[^\n]*)
-  | (?P<NEWLINE>\n)
-  | (?P<SPACE>[ \t\r]+|//[^\n]*)
-  | (?P<COMMENT>/\*[\s\S]*?\*/)
-  | (?P<STR>"(?:\\[\s\S]|[^"\\])*")
-  | (?P<CHAR>'(?:\\[^\n]|[^'\\\n])*')
-  | (?P<OPEN>/\*|["'])
-  | (?P<NUM>0[xX][0-9a-fA-F]*|[0-9]+)[uUlL]*
-  | (?P<IDENT>[^\W\d]\w*)
-  | (?P<PUNCT>\.\.\.|[-+*/%|&^=!<>]=|&&|\|\||<<|>>|\+\+|--|->
-             |[-+*/%<>=!&|^~(){}\[\];,.?:])
-  | (?P<BAD>.)
+  | [ \t\r]*(?://[^\n]*)?
+    (?:(?P<IDENT>[^\W\d]\w*)
+     | (?P<PUNCT>\.\.\.|[-+*/%|&^=!<>]=|&&|\|\||<<|>>|\+\+|--|->
+                |[-+*%<>=!&|^~(){}\[\];,.?:]|/(?!\*))
+     | (?P<NEWLINE>\n)
+     | (?P<NUM>0[xX][0-9a-fA-F]*|[0-9]+)[uUlL]*
+     | (?P<STR>"(?:\\[\s\S]|[^"\\])*")
+     | (?P<COMMENT>/\*[\s\S]*?\*/)
+     | (?P<CHAR>'(?:\\[^\n]|[^'\\\n])*')
+     | (?P<OPEN>/\*|["'])
+     | (?P<BAD>.)
+     | (?P<END>\Z))
 """, re.MULTILINE | re.VERBOSE)
 
 _INT_RE = re.compile(r"(0[xX][0-9a-fA-F]+|0[0-7]*|[1-9][0-9]*)[uUlL]*")
@@ -313,41 +316,56 @@ def tokenize(text: str) -> tuple[list[Token], dict[str, int], list[Diagnostic]]:
     The token list ends with an EOF token.  A malformed literal still
     yields its token, so one mistake gives one diagnostic; an unterminated
     comment, string or character literal ends the scan.
+
+    Each regex match is one token, one newline or one directive: blanks
+    and ``//`` comments are skipped as the prefix of the match that
+    follows them, so the loop below sees no match it drops.  The prefix,
+    ``[ \t\r]*(?://[^\n]*)?``, has no nested quantifier, and after it
+    one alternative always matches (``BAD`` takes any character but a
+    newline, ``NEWLINE`` a newline and ``END`` the end of the text), so the
+    engine never backtracks into it: the scan takes time linear in the
+    text.  The pattern uses neither atomic groups nor possessive
+    quantifiers, which Python has only from 3.11 on.
     """
     tokens: list[Token] = []
+    append = tokens.append
+    new = tuple.__new__  # Token(...) without the call of its __new__
     defines: dict[str, int] = {}
     diags: list[Diagnostic] = []
     line, line_start = 1, 0
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        value = m.group(kind)
-        col = m.start() - line_start + 1
-        if kind == "SPACE":
+        if kind == "IDENT" or kind == "PUNCT":
+            start = m.start(kind)
+            append(new(Token, (kind, m[kind], line, start - line_start + 1)))
             continue
         if kind == "NEWLINE":
             line, line_start = line + 1, m.end()
-        elif kind == "IDENT" or kind == "PUNCT":
-            tokens.append(Token(kind, value, line, col))
-        elif kind == "NUM":
+            continue
+        if kind == "END":
+            break
+        value = m[kind]
+        start = m.start(kind)
+        col = start - line_start + 1
+        if kind == "NUM":
             if c_int_value(value) is None:
                 diags.append(Diagnostic(line, col,
                                         f"invalid integer literal {value!r}"))
-            tokens.append(Token(kind, value, line, col))
+            append(Token(kind, value, line, col))
         elif kind == "STR" or kind == "COMMENT":
             if kind == "STR":
-                tokens.append(Token(kind, value[1:-1], line, col))
+                append(Token(kind, value[1:-1], line, col))
             newlines = value.count("\n")
             if newlines:
                 line += newlines
-                line_start = m.start() + value.rindex("\n") + 1
+                line_start = start + value.rindex("\n") + 1
         elif kind == "CHAR":
             code = _char_value(value[1:-1])
             if code is None:
                 diags.append(Diagnostic(
                     line, col,
                     f"character literal {value} must hold exactly one character"))
-            tokens.append(Token("NUM", value if code is None else str(code),
-                                line, col))
+            append(Token("NUM", value if code is None else str(code), line, col))
         elif kind == "DIRECTIVE":
             hash_col = col + len(value) - len(value.lstrip(" \t"))
             _directive(value, line, hash_col, defines, diags)
@@ -357,8 +375,7 @@ def tokenize(text: str) -> tuple[list[Token], dict[str, int], list[Diagnostic]]:
             break
         else:
             diags.append(Diagnostic(line, col, f"unexpected character {value!r}"))
-    tokens.append(Token("EOF", "", text.count("\n") + 1,
-                        len(text) - text.rfind("\n")))
+    append(Token("EOF", "", text.count("\n") + 1, len(text) - text.rfind("\n")))
     return tokens, defines, diags
 
 
@@ -377,8 +394,15 @@ _T = TypeVar("_T")
 
 
 class _Parser:
+    """Recursive descent over a token list that ends in EOF.
+
+    The parser keeps its own copy of the list with one more EOF token at
+    the end, so ``peek(1)`` on the last token needs no bound check; the
+    cursor never moves past the first EOF.
+    """
+
     def __init__(self, tokens: list[Token], defines: dict[str, int]):
-        self.tokens = tokens
+        self.tokens = [*tokens, tokens[-1]]
         self.pos = 0
         self.defines = defines
         self.diags: list[Diagnostic] = []
@@ -388,48 +412,51 @@ class _Parser:
     # -- token helpers ------------------------------------------------------
 
     def peek(self, offset: int = 0) -> Token:
-        i = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[i]
+        return self.tokens[self.pos + offset]
 
     def next(self) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != "EOF":
             self.pos += 1
         return tok
 
     def at(self, text: str) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return tok.text == text and tok.kind in ("PUNCT", "IDENT")
 
     def accept(self, text: str) -> bool:
-        if self.at(text):
-            self.next()
+        tok = self.tokens[self.pos]
+        if tok.text == text and tok.kind in ("PUNCT", "IDENT"):
+            self.pos += 1
             return True
         return False
 
     def expect(self, text: str) -> Token:
-        tok = self.peek()
-        if not self.accept(text):
-            raise _Reject(tok, f"expected {text!r}, found {tok.text!r}")
-        return tok
+        tok = self.tokens[self.pos]
+        if tok.text == text and tok.kind in ("PUNCT", "IDENT"):
+            self.pos += 1
+            return tok
+        raise _Reject(tok, f"expected {text!r}, found {tok.text!r}")
 
     def error(self, tok: Token, message: str, code: str = "syntax") -> None:
         self.diags.append(Diagnostic(tok.line, tok.col, message, code))
 
-    def _check_depth(self, tok: Token, levels: int) -> None:
-        if levels > MAX_NESTING:
-            raise _Reject(tok, f"nesting deeper than {MAX_NESTING} levels is "
-                               "outside the accepted subset",
-                          "unsupported-construct")
+    @staticmethod
+    def _too_deep(tok: Token) -> _Reject:
+        return _Reject(tok, f"nesting deeper than {MAX_NESTING} levels is "
+                            "outside the accepted subset",
+                       "unsupported-construct")
 
     def _deeper(self, tok: Token, parse: Callable[[], _T]) -> _T:
         """Run ``parse`` one nesting level further down."""
-        self._check_depth(tok, self.depth + 1)
-        self.depth += 1
+        depth = self.depth
+        if depth >= MAX_NESTING:
+            raise self._too_deep(tok)
+        self.depth = depth + 1
         try:
             return parse()
         finally:
-            self.depth -= 1
+            self.depth = depth
 
     # -- types --------------------------------------------------------------
 
@@ -545,7 +572,11 @@ class _Parser:
     def parse_block(self) -> Block:
         open_tok = self.expect("{")
         stmts: list[Stmt] = []
-        while not self.at("}") and self.peek().kind != "EOF":
+        tokens = self.tokens
+        while True:
+            tok = tokens[self.pos]
+            if tok.text == "}" and tok.kind == "PUNCT" or tok.kind == "EOF":
+                break
             stmt = self.parse_stmt()
             if stmt is not None:
                 stmts.append(stmt)
@@ -553,10 +584,11 @@ class _Parser:
         return Block(tuple(stmts), open_tok.line)
 
     def parse_stmt(self) -> Optional[Stmt]:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         depth = self.depth
         try:
-            self._check_depth(tok, depth + 1)
+            if depth >= MAX_NESTING:
+                raise self._too_deep(tok)
             self.depth = depth + 1
             return self._stmt_inner(tok)
         except _Reject as r:
@@ -747,18 +779,23 @@ class _Parser:
         """Precedence climbing: operands joined by binary operators of
         precedence ``min_prec`` or higher.  Leaves the height of the
         returned tree in ``self.height``."""
-        lhs = self._parse_unary()
+        tokens = self.tokens
+        if tokens[self.pos].kind == "PUNCT":
+            lhs = self._parse_unary()
+        else:  # no prefix operator
+            lhs = self._parse_primary()
         height = self.height
         while True:
-            op = self.peek()
+            op = tokens[self.pos]
             prec = _PRECEDENCE.get(op.text, 0) if op.kind == "PUNCT" else 0
             if prec < min_prec:
                 self.height = height
                 return lhs
-            self.next()
+            self.pos += 1
             rhs = self.parse_expr(prec + 1)
             height = max(height, self.height) + 1
-            self._check_depth(op, self.depth + height)
+            if self.depth + height > MAX_NESTING:
+                raise self._too_deep(op)
             lhs = Binary(op.text, lhs, rhs, op.line)
 
     def _parse_unary(self) -> Expr:
@@ -779,18 +816,20 @@ class _Parser:
     def _parse_primary(self) -> Expr:
         tok = self.next()
         self.height = 0
-        if tok.kind == "NUM":
-            # None only for a literal the lexer has already reported
-            return Num(c_int_value(tok.text), tok.line)
-        if tok.kind == "STR":
-            return Str(tok.text, tok.line)
-        if tok.kind == "IDENT":
+        kind = tok.kind
+        if kind == "IDENT":
             if tok.text == "sizeof":
                 raise _Reject(tok, "sizeof is outside the accepted subset",
                               "unsupported-construct")
-            if self.at("("):
+            after = self.tokens[self.pos]
+            if after.text == "(" and after.kind == "PUNCT":
                 return self._parse_call(tok)
             return Var(tok.text, tok.line)
+        if kind == "NUM":
+            # None only for a literal the lexer has already reported
+            return Num(c_int_value(tok.text), tok.line)
+        if kind == "STR":
+            return Str(tok.text, tok.line)
         if tok.text == "(":
             if self.at_type():
                 self.parse_type()  # a cast changes nothing the analyses see
@@ -808,11 +847,19 @@ class _Parser:
         args: list[Expr] = []
         height = 0
         if not self.at(")"):
-            while True:
-                args.append(self._deeper(name_tok, self.parse_expr))
-                height = max(height, self.height)
-                if not self.accept(","):
-                    break
+            # every argument is one level down
+            depth = self.depth
+            if depth >= MAX_NESTING:
+                raise self._too_deep(name_tok)
+            self.depth = depth + 1
+            try:
+                while True:
+                    args.append(self.parse_expr())
+                    height = max(height, self.height)
+                    if not self.accept(","):
+                        break
+            finally:
+                self.depth = depth
         self.expect(")")
         self.height = height + 1
         return CallExpr(name_tok.text, tuple(args), name_tok.line)
