@@ -489,7 +489,8 @@ class _Parser:
                     tok, f"{tok.text} is outside the accepted subset",
                     "unsupported-construct",
                 )
-                self._skip_past(";", "}")
+                if self._skip_past(";", "}") == "}":
+                    self.accept(";")  # the end of "struct s { ... };"
                 continue
             while self.peek().kind == "IDENT" and self.peek().text in (
                 "extern", "static", "inline",
@@ -554,18 +555,25 @@ class _Parser:
             name_tok.text, tuple(params), body, return_type, varargs, name_tok.line
         )
 
-    def _skip_past(self, *stops: str) -> None:
+    def _skip_past(self, *stops: str) -> str:
+        """Skip to just past the first of ``stops`` outside braces, or
+        past the brace that closes the braces skipped, and return the stop
+        skipped last ("" at the end of the file).  A string literal stops
+        nothing."""
         depth = 0
-        while self.peek().kind != "EOF":
+        while self.tokens[self.pos].kind != "EOF":
             tok = self.next()
+            if tok.kind == "STR":
+                continue
             if tok.text == "{":
                 depth += 1
             elif tok.text == "}":
                 depth -= 1
                 if depth <= 0 and "}" in stops:
-                    return
+                    return "}"
             elif tok.text in stops and depth == 0:
-                return
+                return tok.text
+        return ""
 
     # -- statements ----------------------------------------------------------
 

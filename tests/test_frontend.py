@@ -189,6 +189,33 @@ class TestLexerDiagnostics:
         assert program.defines == {"N": 3}
 
 
+class TestErrorRecovery:
+    """One mistake gives one diagnostic: after a rejected statement or
+    declaration the parser resumes where the next one starts."""
+
+    @staticmethod
+    def diagnostics(source: str) -> list[tuple[int, int, str]]:
+        with pytest.raises(MiniCError) as exc:
+            parse_source(source, "t.c")
+        return [(d.line, d.column, d.message) for d in exc.value.diagnostics]
+
+    def test_a_string_literal_does_not_end_the_skipped_statement(self):
+        source = ('int main(void) { x = sizeof("}"); read(fd, 0, 1); '
+                  "return 0; }")
+        assert self.diagnostics(source) == [
+            (1, 22, "sizeof is outside the accepted subset")]
+
+    @pytest.mark.parametrize("declaration", [
+        "struct s { int y; };", "union u { int a; char b; };",
+        "enum e { A, B };", "typedef int t;",
+    ])
+    def test_an_unsupported_declaration_is_skipped_whole(self, declaration):
+        keyword = declaration.split()[0]
+        source = f"{declaration} int main(void) {{ return 0; }}"
+        assert self.diagnostics(source) == [
+            (1, 1, f"{keyword} is outside the accepted subset")]
+
+
 class TestLiterals:
     @pytest.mark.parametrize("text, value", [
         ("0", 0), ("42", 42), ("0644", 420), ("0x1F", 31), ("0XffUL", 255),
