@@ -852,25 +852,23 @@ class _Parser:
 
     def _parse_call(self, name_tok: Token) -> CallExpr:
         self.expect("(")
-        args: list[Expr] = []
+        args: tuple[Expr, ...] = ()
         height = 0
         if not self.at(")"):
-            # every argument is one level down
-            depth = self.depth
-            if depth >= MAX_NESTING:
-                raise self._too_deep(name_tok)
-            self.depth = depth + 1
-            try:
-                while True:
-                    args.append(self.parse_expr())
-                    height = max(height, self.height)
-                    if not self.accept(","):
-                        break
-            finally:
-                self.depth = depth
+            args, height = self._deeper(name_tok, self._parse_args)
         self.expect(")")
         self.height = height + 1
-        return CallExpr(name_tok.text, tuple(args), name_tok.line)
+        return CallExpr(name_tok.text, args, name_tok.line)
+
+    def _parse_args(self) -> tuple[tuple[Expr, ...], int]:
+        """A call's arguments, and the height of the tallest."""
+        args: list[Expr] = []
+        height = 0
+        while True:
+            args.append(self.parse_expr())
+            height = max(height, self.height)
+            if not self.accept(","):
+                return tuple(args), height
 
 
 class _Reject(Exception):

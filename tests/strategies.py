@@ -97,8 +97,8 @@ _C_FRAGMENTS = [
     "#include <x.h>\n", "#pragma once\n", "\n", "\r\n", " ", "\t", "+", "-",
     "*", "/", "&", "!", "~", "<<", "&&", "||", "==", "+=", "++", "...",
     "@", "\\", "sizeof", "int", "const char *",
-    # blanks before a directive, a mid-line hash, a comment the file ends
-    # in, a lone carriage return and a comment across lines
+    # blanks before a directive, a mid-line hash, a // comment without its
+    # newline, a lone carriage return and a comment across lines
     "   #define K 1\n", "\t#", "// x", "\r", "/* a\nb */",
 ]
 

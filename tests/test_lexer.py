@@ -48,8 +48,8 @@ EDGE_STRINGS = [
 
 def fixed_sources() -> list[str]:
     """The corpus, the programs under ``golden/``, the benchmark's ``wide``
-    and ``diamond`` cases for seeds 1, 53 and 101, the edge strings and
-    1,000 ``randprog`` draws."""
+    and ``diamond`` cases for seeds 1, 53 and 101, and 1,000 ``randprog``
+    draws."""
     corpus = bundled_data_path("corpus")
     sources = [corpus.joinpath(name).read_text(encoding="utf-8")
                for name in sorted(p.name for p in corpus.iterdir())
@@ -60,7 +60,6 @@ def fixed_sources() -> list[str]:
     for seed in (1, 53, 101):
         sources += [case.source for case in gen.wide_cases(seed)]
         sources += [case.source for case in gen.diamond_cases(seed)]
-    sources += EDGE_STRINGS
     sources += [generate_program(seed, helpers=seed % 2 == 1,
                                  allow_loops=seed % 3 == 0)
                 for seed in range(1000)]
