@@ -329,7 +329,11 @@ def tokenize(text: str) -> tuple[list[Token], dict[str, int], list[Diagnostic]]:
     """
     tokens: list[Token] = []
     append = tokens.append
-    new = tuple.__new__  # Token(...) without the call of its __new__
+    # new(Token, fields) is Token(*fields) without the Python-level
+    # __new__ a NamedTuple gets, about 10 ms of 75 on the 15 seed-53
+    # ``wide`` programs.  It holds because a NamedTuple cannot override
+    # __new__ and every field is given here.
+    new = tuple.__new__
     defines: dict[str, int] = {}
     diags: list[Diagnostic] = []
     line, line_start = 1, 0
@@ -351,10 +355,10 @@ def tokenize(text: str) -> tuple[list[Token], dict[str, int], list[Diagnostic]]:
             if c_int_value(value) is None:
                 diags.append(Diagnostic(line, col,
                                         f"invalid integer literal {value!r}"))
-            append(Token(kind, value, line, col))
+            append(new(Token, (kind, value, line, col)))
         elif kind == "STR" or kind == "COMMENT":
             if kind == "STR":
-                append(Token(kind, value[1:-1], line, col))
+                append(new(Token, (kind, value[1:-1], line, col)))
             newlines = value.count("\n")
             if newlines:
                 line += newlines
@@ -365,7 +369,8 @@ def tokenize(text: str) -> tuple[list[Token], dict[str, int], list[Diagnostic]]:
                 diags.append(Diagnostic(
                     line, col,
                     f"character literal {value} must hold exactly one character"))
-            append(Token("NUM", value if code is None else str(code), line, col))
+            append(new(Token, ("NUM", value if code is None else str(code),
+                               line, col)))
         elif kind == "DIRECTIVE":
             hash_col = col + len(value) - len(value.lstrip(" \t"))
             _directive(value, line, hash_col, defines, diags)
@@ -375,7 +380,8 @@ def tokenize(text: str) -> tuple[list[Token], dict[str, int], list[Diagnostic]]:
             break
         else:
             diags.append(Diagnostic(line, col, f"unexpected character {value!r}"))
-    append(Token("EOF", "", text.count("\n") + 1, len(text) - text.rfind("\n")))
+    append(new(Token, ("EOF", "", text.count("\n") + 1,
+                       len(text) - text.rfind("\n"))))
     return tokens, defines, diags
 
 
@@ -441,17 +447,16 @@ class _Parser:
     def error(self, tok: Token, message: str, code: str = "syntax") -> None:
         self.diags.append(Diagnostic(tok.line, tok.col, message, code))
 
-    @staticmethod
-    def _too_deep(tok: Token) -> _Reject:
-        return _Reject(tok, f"nesting deeper than {MAX_NESTING} levels is "
-                            "outside the accepted subset",
-                       "unsupported-construct")
+    def _check_depth(self, tok: Token, levels: int) -> None:
+        if levels > MAX_NESTING:
+            raise _Reject(tok, f"nesting deeper than {MAX_NESTING} levels is "
+                               "outside the accepted subset",
+                          "unsupported-construct")
 
     def _deeper(self, tok: Token, parse: Callable[[], _T]) -> _T:
         """Run ``parse`` one nesting level further down."""
         depth = self.depth
-        if depth >= MAX_NESTING:
-            raise self._too_deep(tok)
+        self._check_depth(tok, depth + 1)
         self.depth = depth + 1
         try:
             return parse()
@@ -595,8 +600,7 @@ class _Parser:
         tok = self.tokens[self.pos]
         depth = self.depth
         try:
-            if depth >= MAX_NESTING:
-                raise self._too_deep(tok)
+            self._check_depth(tok, depth + 1)
             self.depth = depth + 1
             return self._stmt_inner(tok)
         except _Reject as r:
@@ -788,10 +792,7 @@ class _Parser:
         precedence ``min_prec`` or higher.  Leaves the height of the
         returned tree in ``self.height``."""
         tokens = self.tokens
-        if tokens[self.pos].kind == "PUNCT":
-            lhs = self._parse_unary()
-        else:  # no prefix operator
-            lhs = self._parse_primary()
+        lhs = self._parse_unary()
         height = self.height
         while True:
             op = tokens[self.pos]
@@ -802,8 +803,7 @@ class _Parser:
             self.pos += 1
             rhs = self.parse_expr(prec + 1)
             height = max(height, self.height) + 1
-            if self.depth + height > MAX_NESTING:
-                raise self._too_deep(op)
+            self._check_depth(op, self.depth + height)
             lhs = Binary(op.text, lhs, rhs, op.line)
 
     def _parse_unary(self) -> Expr:
@@ -852,23 +852,17 @@ class _Parser:
 
     def _parse_call(self, name_tok: Token) -> CallExpr:
         self.expect("(")
-        args: tuple[Expr, ...] = ()
-        height = 0
-        if not self.at(")"):
-            args, height = self._deeper(name_tok, self._parse_args)
-        self.expect(")")
-        self.height = height + 1
-        return CallExpr(name_tok.text, args, name_tok.line)
-
-    def _parse_args(self) -> tuple[tuple[Expr, ...], int]:
-        """A call's arguments, and the height of the tallest."""
         args: list[Expr] = []
         height = 0
-        while True:
-            args.append(self.parse_expr())
-            height = max(height, self.height)
-            if not self.accept(","):
-                return tuple(args), height
+        if not self.at(")"):
+            while True:
+                args.append(self._deeper(name_tok, self.parse_expr))
+                height = max(height, self.height)
+                if not self.accept(","):
+                    break
+        self.expect(")")
+        self.height = height + 1
+        return CallExpr(name_tok.text, tuple(args), name_tok.line)
 
 
 class _Reject(Exception):
