@@ -504,10 +504,13 @@ class TestMustValues:
 
     def test_resolution_peaks_on_the_reduced_diamond(self):
         # With an environment kept per node and a dict per site, the two
-        # passes peaked at about 100 KB and 55 KB here.  Each pass runs once
-        # unmeasured first: a first run's peak also holds what the
-        # interpreter allocates once, and read 41 to 56 KB depending on
-        # what ran before it in the process; a second run's reads 40 KB.
+        # passes peaked at about 100 KB and 55 KB here.  tracemalloc counts
+        # only the tuples, lists and dicts the interpreter's free lists do
+        # not supply, and a full collection empties those lists: one just
+        # before this test, which some full test runs have, made the first
+        # pass read 55 KB instead of 41 KB.  So each pass first runs on a
+        # copy of its own after a full collection; the measured model
+        # still builds its own merge counts and index.
         source = (Path(__file__).resolve().parent / "golden"
                   / "diamond-reduced.c").read_text()
         spec = bound_spidev_set()
@@ -515,7 +518,11 @@ class TestMustValues:
                            (passes.build_token_flow, ())):
             model = passes.inline_calls(parse_program(source))
             sites = hal_sites(model.entry_body, spec)
-            run(model, *needs, sites, passes.AssignmentIndex(model.entry_body))
+            gc.collect()
+            spare = passes.inline_calls(parse_program(source))
+            run(spare, *needs, hal_sites(spare.entry_body, spec),
+                passes.AssignmentIndex(spare.entry_body))
+            del spare
             tracemalloc.start()
             try:
                 index = passes.AssignmentIndex(model.entry_body)
