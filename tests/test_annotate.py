@@ -181,6 +181,178 @@ ssize_t read(int fd, void *buf, size_t nbyte) {
 """
 
 
+READ_ONLY_SKELETON = "int read(int fd, void *buf, size_t n) {\n    return 0;\n}\n"
+
+VALUE_GUARD_SKELETON = OPEN_IOCTL_SKELETON.replace("request == MSG",
+                                                   "request == 1075866368")
+
+NO_GUARD_SKELETON = """\
+int open(const char *path, int oflag, ...) {
+    return 0;
+}
+
+int ioctl(int fd, int request, ...) {
+    return 0;
+}
+"""
+
+TWO_RETURNS_SKELETON = """\
+int open(const char *path, int oflag, ...) {
+    if (oflag) {
+        return 0;
+    }
+    return 1;
+}
+
+ssize_t read(int fd, void *buf, size_t nbyte) {
+    return 0;
+}
+"""
+
+NO_RETURN_SKELETON = """\
+void open(const char *path) {
+    int x = 0;
+}
+
+ssize_t read(int fd, void *buf, size_t nbyte) {
+    return 0;
+}
+"""
+
+BOUND_SKELETON = """\
+int open(const char *path) {
+    int ret = 7;
+    return ret;
+}
+
+int read(int fd, int buf) {
+    return 0;
+}
+"""
+
+BOUND_LITERAL_RETURN_SKELETON = """\
+int open(const char *path) {
+    return 7;
+}
+
+int read(int fd, int buf) {
+    return 0;
+}
+"""
+
+SHARED_LINE_RETURN_SKELETON = """\
+int open(const char *path, int oflag) {
+    if (oflag) return 0;
+    return 1;
+}
+
+ssize_t read(int fd, void *buf, size_t nbyte) {
+    return 0;
+}
+"""
+
+SAME_LINE_BODY_SKELETON = """\
+int open(const char *path) { return 0;
+}
+
+ssize_t read(int fd, void *buf, size_t nbyte) {
+    return 0;
+}
+"""
+
+UNTERMINATED_SKELETON = """\
+ssize_t read(int fd, void *buf, size_t nbyte) {
+    return 0;
+}
+
+int open(const char *path) {
+    if (path) {
+        return 0;
+    }
+"""
+
+# Everything the scan must see through: comments and strings holding
+# braces and returns, directives, prototypes, initializers, a helper
+# defined before the routines, guards by name and by value, a nested
+# block and every spidev routine.
+MIXED_SKELETON = """\
+/* int read(int fd) { return 0; } */
+#include <fcntl.h>
+static const char *banner = "open() { return 1; }";
+int helper(int x);
+int open(const char *path, int oflag, ...);
+int table[2] = { 1, 2 };
+
+static int helper(int x) {
+    return x;
+}
+
+int open(const char *path, int oflag, ...) {
+    int fd = helper(oflag);
+    if (fd == 0) {
+        return fd;
+    }
+    // return 2;
+    return fd;
+}
+
+int ioctl(int fd, int request, ...) {
+    if (request == WR_MODE32) {
+        return 0;
+    }
+    if (request == 0x80046b05) {
+    }
+    return fd;
+}
+
+ssize_t read(int fd, void *buf, size_t nbyte) {
+    {
+        return nbyte;
+    }
+}
+
+ssize_t write(int fd, const void *buf, size_t nbyte) {
+    return nbyte;
+}
+
+int close(int fd) {
+    return 0;
+}
+"""
+
+# A guard below the body's top level is not an entry guard.
+NESTED_GUARD_SKELETON = """\
+int open(const char *path, int oflag, ...) {
+    return 0;
+}
+
+int ioctl(int fd, int request, ...) {
+    if (fd) {
+        if (request == MSG) {
+        }
+    }
+    return 0;
+}
+"""
+
+SKELETONS = {
+    "open-ioctl": OPEN_IOCTL_SKELETON,
+    "multi": MULTI_SKELETON,
+    "read-only": READ_ONLY_SKELETON,
+    "value-guard": VALUE_GUARD_SKELETON,
+    "no-guard": NO_GUARD_SKELETON,
+    "two-returns": TWO_RETURNS_SKELETON,
+    "no-return": NO_RETURN_SKELETON,
+    "bound": BOUND_SKELETON,
+    "bound-literal-return": BOUND_LITERAL_RETURN_SKELETON,
+    "shared-line-return": SHARED_LINE_RETURN_SKELETON,
+    "same-line-body": SAME_LINE_BODY_SKELETON,
+    "unterminated": UNTERMINATED_SKELETON,
+    "mixed": MIXED_SKELETON,
+    "nested-guard": NESTED_GUARD_SKELETON,
+}
+
+
 class TestInjection:
     def test_single_dependency_matches_reference_shape(self):
         out = emit_annotated_source(
@@ -215,29 +387,20 @@ class TestInjection:
         assert exc.value.routine == "read"
 
     def test_missing_dependency_routine(self):
-        src = "int read(int fd, void *buf, size_t n) {\n    return 0;\n}\n"
+        src = READ_ONLY_SKELETON
         with pytest.raises(MissingRoutine) as exc:
             emit_annotated_source(plan_annotations(subset("d1")), src, "acsl")
         assert exc.value.routine == "open"
 
     def test_guard_reuse_by_constant_value(self):
-        src = OPEN_IOCTL_SKELETON.replace("request == MSG",
-                                          "request == 1075866368")
+        src = VALUE_GUARD_SKELETON
         out = emit_annotated_source(plan_annotations(subset("d3")), src, "acsl")
         lines = out.split("\n")
         guard_at = lines.index("    if (request == 1075866368) {")
         assert lines[guard_at + 1] == "        /*@ assert (state_d3 == 1); */"
 
     def test_fresh_guard_block_when_none_matches(self):
-        src = """\
-int open(const char *path, int oflag, ...) {
-    return 0;
-}
-
-int ioctl(int fd, int request, ...) {
-    return 0;
-}
-"""
+        src = NO_GUARD_SKELETON
         out = emit_annotated_source(plan_annotations(subset("d3")), src, "acsl")
         assert "    if (request == MSG) {\n" \
                "        /*@ assert (state_d3 == 1); */\n" \
@@ -245,15 +408,7 @@ int ioctl(int fd, int request, ...) {
         assert_insertion_only(src, out)
 
     def test_same_guard_dependencies_share_one_block(self):
-        src = """\
-int open(const char *path, int oflag, ...) {
-    return 0;
-}
-
-int ioctl(int fd, int request, ...) {
-    return 0;
-}
-"""
+        src = NO_GUARD_SKELETON
         out = emit_annotated_source(
             plan_annotations(subset("d3", "d17", "d26")), src, "acsl"
         )
@@ -271,32 +426,13 @@ int ioctl(int fd, int request, ...) {
         assert_insertion_only(MULTI_SKELETON, out)
 
     def test_update_before_every_return(self):
-        src = """\
-int open(const char *path, int oflag, ...) {
-    if (oflag) {
-        return 0;
-    }
-    return 1;
-}
-
-ssize_t read(int fd, void *buf, size_t nbyte) {
-    return 0;
-}
-"""
+        src = TWO_RETURNS_SKELETON
         out = emit_annotated_source(plan_annotations(subset("d1")), src, "acsl")
         assert out.count("/*@ ghost state_d1 = 1; */") == 2
         assert_insertion_only(src, out)
 
     def test_routine_without_return_updates_at_end(self):
-        src = """\
-void open(const char *path) {
-    int x = 0;
-}
-
-ssize_t read(int fd, void *buf, size_t nbyte) {
-    return 0;
-}
-"""
+        src = NO_RETURN_SKELETON
         out = emit_annotated_source(plan_annotations(subset("d1")), src, "acsl")
         lines = out.split("\n")
         idx = lines.index("    /*@ ghost state_d1 = 1; */")
@@ -304,16 +440,7 @@ ssize_t read(int fd, void *buf, size_t nbyte) {
         assert lines[idx + 1] == "}"
 
     def test_bound_injection(self):
-        src = """\
-int open(const char *path) {
-    int ret = 7;
-    return ret;
-}
-
-int read(int fd, int buf) {
-    return 0;
-}
-"""
+        src = BOUND_SKELETON
         out = emit_annotated_source(
             plan_annotations(bound_read_set()), src, "acsl"
         )
@@ -322,30 +449,13 @@ int read(int fd, int buf) {
         assert "    /*@ assert (state_b1 == 1 && fd == fd_b1); */" in out
 
     def test_bound_injection_needs_plain_return_variable(self):
-        src = """\
-int open(const char *path) {
-    return 7;
-}
-
-int read(int fd, int buf) {
-    return 0;
-}
-"""
+        src = BOUND_LITERAL_RETURN_SKELETON
         with pytest.raises(AnnotationError, match="plain"):
             emit_annotated_source(plan_annotations(bound_read_set()), src,
                                   "acsl")
 
     def test_shared_line_return_rejected(self):
-        src = """\
-int open(const char *path, int oflag) {
-    if (oflag) return 0;
-    return 1;
-}
-
-ssize_t read(int fd, void *buf, size_t nbyte) {
-    return 0;
-}
-"""
+        src = SHARED_LINE_RETURN_SKELETON
         with pytest.raises(AnnotationError, match="shares its line"):
             emit_annotated_source(plan_annotations(subset("d1")), src, "acsl")
 
