@@ -9,14 +9,17 @@ dependent pattern is constrained.  A descriptor binding adds a second
 ghost ``fd_<id>`` recording which descriptor the completed dependency
 involved, and an equality conjunct in the assertion.
 
-Two emission targets:
+Both emitters read the dependencies straight from the :class:`ThadSet`,
+in set order, and share three pieces: the ghost declarations, one
+dependency's assertion and one dependency's updates.
 
 - :func:`emit_annotated_source` injects the instrumentation into an
   existing HAL implementation source as whole inserted lines, so
-  deleting those lines restores the input byte-for-byte.  Updates are
-  inserted unguarded before each return, matching the conventional
-  hand-written shape; the standalone wrapper applies the precise
-  guarded semantics instead.
+  deleting those lines restores the input byte-for-byte.  One walk over
+  the source's tokens finds each routine's body, its returns and its
+  entry guards.  Updates are inserted unguarded before each return,
+  matching the conventional hand-written shape; the standalone wrapper
+  applies the precise guarded semantics instead.
 - :func:`emit_wrapper` produces a self-contained forwarding wrapper,
   one function per declared routine, with guards applied exactly:
   a guard comparison expands to the disjunction of every constant that
@@ -32,28 +35,40 @@ ints and ``assert(...)`` calls plus one ``#include <assert.h>``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Literal, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 from .minic import Token, c_int_value, tokenize
-from .model import BindingSource, ParamRole, ThadSet, resolve_constant
+from .model import BindingSource, ParamRole, Thad, ThadSet, resolve_constant
 
 __all__ = [
     "AnnotationError",
     "MissingRoutine",
-    "GuardSpec",
-    "GhostDecl",
-    "GhostUpdate",
-    "GhostAssert",
-    "AnnotationPlan",
-    "plan_annotations",
     "emit_annotated_source",
     "emit_wrapper",
     "MODES",
 ]
 
-MODES = ("acsl", "assert")
+# The format strings of each mode: the include line the instrumentation
+# needs, if any, the declarations of a state flag and of a descriptor
+# ghost, a ghost assignment, and an assertion of a condition.
+_FORMATS = {
+    "acsl": {
+        "include": None,
+        "state": "/*@ ghost int {} = 0; */",
+        "fd": "/*@ ghost int {}; */",
+        "assign": "/*@ ghost {} = {}; */",
+        "check": "/*@ assert ({}); */",
+    },
+    "assert": {
+        "include": "#include <assert.h>",
+        "state": "int {} = 0;",
+        "fd": "int {};",
+        "assign": "{} = {};",
+        "check": "assert({});",
+    },
+}
 
-Mode = Literal["acsl", "assert"]
+MODES = tuple(_FORMATS)
 
 
 class AnnotationError(Exception):
@@ -67,183 +82,57 @@ class MissingRoutine(AnnotationError):
 
 
 # ---------------------------------------------------------------------------
-# Plan
+# What each dependency contributes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GuardSpec:
-    """A discriminator comparison, e.g. ``request == MSG``."""
-
-    param: str
-    const: str
-    value: Optional[int] = None  # platform encoding, when known
-
-    def text(self) -> str:
-        return f"{self.param} == {self.const}"
-
-
-@dataclass(frozen=True)
-class GhostDecl:
-    thad_id: str
-    name: str
-    kind: Literal["state", "fd"]  # state flags init to 0, fd ghosts undefined
-
-
-@dataclass(frozen=True)
-class GhostUpdate:
-    """Ghost assignments placed before every return of ``routine``.
-
-    ``guard`` carries the dependency pattern's constraint; the in-place
-    emitter ignores it while the wrapper emitter enforces it.  A bound
-    dependency also records the completed call's descriptor:  from the
-    parameter ``fd_from_param``, or from the returned value when that
-    field is None.
-    """
-
-    thad_id: str
-    routine: str
-    guard: Optional[GuardSpec]
-    state_ghost: str
-    fd_ghost: Optional[str] = None
-    fd_from_param: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class GhostAssert:
-    """One assertion at the entry of ``routine``, optionally guarded."""
-
-    thad_id: str
-    routine: str
-    guard: Optional[GuardSpec]
-    state_ghost: str
-    fd_ghost: Optional[str] = None
-    fd_param: Optional[str] = None
-
-    def conditions(self) -> tuple[str, ...]:
-        out = (f"{self.state_ghost} == 1",)
-        if self.fd_ghost is not None:
-            out += (f"{self.fd_param} == {self.fd_ghost}",)
-        return out
-
-
-@dataclass(frozen=True)
-class AnnotationPlan:
-    ghost_decls: tuple[GhostDecl, ...]
-    updates: tuple[GhostUpdate, ...]
-    asserts: tuple[GhostAssert, ...]
-
-    def __post_init__(self) -> None:
-        names = [d.name for d in self.ghost_decls]
-        if len(set(names)) != len(names):
-            raise ValueError("ghost names must be unique")
-        state_ids = [d.thad_id for d in self.ghost_decls if d.kind == "state"]
-        if sorted(state_ids) != sorted(u.thad_id for u in self.updates):
-            raise ValueError("one state ghost and one update per dependency")
-        if sorted(state_ids) != sorted(a.thad_id for a in self.asserts):
-            raise ValueError("one state ghost and one assert per dependency")
-
-    def routines(self) -> list[str]:
-        """Routine names the plan touches, in first-use order."""
-        seen: dict[str, None] = {}
-        for item in (*self.asserts, *self.updates):
-            seen.setdefault(item.routine)
-        return list(seen)
-
-
-def _guard_of(pattern, constants) -> Optional[GuardSpec]:
-    if pattern.discriminator_constraint is None:
-        return None
-    param, const = pattern.discriminator_constraint
-    return GuardSpec(param, const, constants.get(const))
-
-
-def plan_annotations(thad_set: ThadSet) -> AnnotationPlan:
-    """The instrumentation plan for a dependency set, in set order."""
-    decls: list[GhostDecl] = []
-    updates: list[GhostUpdate] = []
-    asserts: list[GhostAssert] = []
-    for thad in thad_set.thads:
-        state = f"state_{thad.id}"
-        fd_ghost = f"fd_{thad.id}" if thad.binding is not None else None
-        decls.append(GhostDecl(thad.id, state, "state"))
-        if fd_ghost is not None:
-            decls.append(GhostDecl(thad.id, fd_ghost, "fd"))
-        fd_from_param = None
-        if thad.binding is not None and thad.binding.source is BindingSource.PARAM:
-            fd_from_param = thad.dependency.descriptor_param
-        updates.append(
-            GhostUpdate(
-                thad.id,
-                thad.dependency.name,
-                _guard_of(thad.dependency, thad_set.constants),
-                state,
-                fd_ghost=fd_ghost,
-                fd_from_param=fd_from_param,
-            )
-        )
-        asserts.append(
-            GhostAssert(
-                thad.id,
-                thad.dependent.name,
-                _guard_of(thad.dependent, thad_set.constants),
-                state,
-                fd_ghost=fd_ghost,
-                fd_param=(
-                    thad.binding.target_param if thad.binding is not None else None
-                ),
-            )
-        )
-    return AnnotationPlan(tuple(decls), tuple(updates), tuple(asserts))
-
-
-# ---------------------------------------------------------------------------
-# Rendering
-# ---------------------------------------------------------------------------
-
-class _Acsl:
-    include: Optional[str] = None
-
-    @staticmethod
-    def decl(d: GhostDecl) -> str:
-        if d.kind == "state":
-            return f"/*@ ghost int {d.name} = 0; */"
-        return f"/*@ ghost int {d.name}; */"
-
-    @staticmethod
-    def assign(name: str, value: str) -> str:
-        return f"/*@ ghost {name} = {value}; */"
-
-    @staticmethod
-    def check(conditions: Sequence[str]) -> str:
-        return f"/*@ assert ({' && '.join(conditions)}); */"
-
-
-class _Assert:
-    include: Optional[str] = "#include <assert.h>"
-
-    @staticmethod
-    def decl(d: GhostDecl) -> str:
-        if d.kind == "state":
-            return f"int {d.name} = 0;"
-        return f"int {d.name};"
-
-    @staticmethod
-    def assign(name: str, value: str) -> str:
-        return f"{name} = {value};"
-
-    @staticmethod
-    def check(conditions: Sequence[str]) -> str:
-        return f"assert({' && '.join(conditions)});"
-
-
-_RENDER = {"acsl": _Acsl, "assert": _Assert}
-
-
-def _renderer(mode: str):
+def _formats(mode: str) -> dict[str, Optional[str]]:
     try:
-        return _RENDER[mode]
+        return _FORMATS[mode]
     except KeyError:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+
+
+def _declarations(thad_set: ThadSet, fmt) -> list[str]:
+    """Each dependency's ghost declarations, in set order."""
+    lines = []
+    for thad in thad_set.thads:
+        lines.append(fmt["state"].format(f"state_{thad.id}"))
+        if thad.binding is not None:
+            lines.append(fmt["fd"].format(f"fd_{thad.id}"))
+    return lines
+
+
+def _check(thad: Thad, fmt) -> str:
+    """The assertion at the entry of the dependent routine."""
+    condition = f"state_{thad.id} == 1"
+    if thad.binding is not None:
+        condition += f" && {thad.binding.target_param} == fd_{thad.id}"
+    return fmt["check"].format(condition)
+
+
+def _updates(thad: Thad, fmt, returned: Optional[str]) -> list[str]:
+    """The ghost assignments before a return of the dependency routine
+    that returns the variable ``returned`` (None: not a plain variable)."""
+    lines = [fmt["assign"].format(f"state_{thad.id}", "1")]
+    if thad.binding is not None:
+        source = returned
+        if thad.binding.source is BindingSource.PARAM:
+            source = thad.dependency.descriptor_param
+        if source is None:
+            raise AnnotationError(
+                f"cannot record the descriptor for {thad.id}: a return in "
+                f"{thad.dependency.name} does not return a plain variable"
+            )
+        lines.append(fmt["assign"].format(f"fd_{thad.id}", source))
+    return lines
+
+
+def _gather(items, key) -> dict:
+    """Group items by key, one group per key, ordered by first use."""
+    groups: dict[object, list] = {}
+    for item in items:
+        groups.setdefault(key(item), []).append(item)
+    return groups
 
 
 # ---------------------------------------------------------------------------
@@ -270,23 +159,15 @@ class _GuardSite:
 class _RoutineShape:
     name: str
     brace_line: int       # line holding the body's opening brace
-    close_line: int
     body_indent: str
+    close_line: int = 0
     returns: list[_ReturnSite] = field(default_factory=list)
     guards: list[_GuardSite] = field(default_factory=list)
-
-
-def _lex(source: str) -> list[Token]:
-    return tokenize(source)[0][:-1]  # without the EOF token
 
 
 def _line_indent(lines: list[str], lineno: int) -> str:
     text = lines[lineno - 1]
     return text[: len(text) - len(text.lstrip())]
-
-
-def _only_token_on_line_start(lines: list[str], tok: Token) -> bool:
-    return lines[tok.line - 1][: tok.col - 1].strip() == ""
 
 
 def _line_ends_after(lines: list[str], tok: Token, width: int) -> bool:
@@ -296,14 +177,15 @@ def _line_ends_after(lines: list[str], tok: Token, width: int) -> bool:
 def _scan_routines(source: str, wanted: set[str]) -> dict[str, _RoutineShape]:
     """Locate each wanted routine's body, returns, and entry guards.
 
-    Works on the token stream (comments and strings already out of the
-    way) while reporting positions in source lines.  Only shapes this
+    One walk over the token stream (comments and strings already out of
+    the way) that reports positions in source lines.  Only shapes this
     injector can instrument are accepted: the body's opening brace ends
     its line, and every return starts its own line.
     """
     lines = source.split("\n")
-    tokens = _lex(source)
+    tokens = tokenize(source)[0][:-1]  # without the EOF token
     shapes: dict[str, _RoutineShape] = {}
+    shape: Optional[_RoutineShape] = None  # the wanted body being walked
     depth = 0
     i = 0
     while i < len(tokens):
@@ -312,65 +194,26 @@ def _scan_routines(source: str, wanted: set[str]) -> dict[str, _RoutineShape]:
             depth += 1
         elif tok.text == "}":
             depth -= 1
-        elif (
-            depth == 0
-            and tok.kind == "IDENT"
-            and i + 1 < len(tokens)
-            and tokens[i + 1].text == "("
-        ):
-            j = _match_paren(tokens, i + 1)
-            if j is not None and j + 1 < len(tokens) and tokens[j + 1].text == "{":
-                if tok.text in wanted:
-                    shape, i = _scan_body(tok.text, tokens, j + 1, lines)
-                    shapes[tok.text] = shape
-                    continue
-                depth += 1
-                i = j + 2
-                continue
-        i += 1
-    return shapes
-
-
-def _match_paren(tokens: list[Token], open_idx: int) -> Optional[int]:
-    depth = 0
-    for j in range(open_idx, len(tokens)):
-        if tokens[j].text == "(":
-            depth += 1
-        elif tokens[j].text == ")":
-            depth -= 1
-            if depth == 0:
-                return j
-    return None
-
-
-def _scan_body(
-    name: str, tokens: list[Token], brace_idx: int, lines: list[str]
-) -> tuple[_RoutineShape, int]:
-    brace = tokens[brace_idx]
-    if not _line_ends_after(lines, brace, 1):
-        raise AnnotationError(
-            f"line {brace.line}: the body of {name} must start on the line "
-            "after its opening brace"
-        )
-    shape = _RoutineShape(
-        name,
-        brace_line=brace.line,
-        close_line=0,
-        body_indent=_line_indent(lines, brace.line) + "    ",
-    )
-    depth = 1
-    i = brace_idx + 1
-    while i < len(tokens):
-        tok = tokens[i]
-        if tok.text == "{":
-            depth += 1
-        elif tok.text == "}":
-            depth -= 1
-            if depth == 0:
+            if shape is not None and depth == 0:
                 shape.close_line = tok.line
-                return shape, i + 1
+                shapes[shape.name] = shape
+                shape = None
+        elif shape is None:
+            if (
+                depth == 0
+                and tok.kind == "IDENT"
+                and i + 1 < len(tokens)
+                and tokens[i + 1].text == "("
+            ):
+                j = _match_paren(tokens, i + 1)
+                if j is not None and j + 1 < len(tokens) and tokens[j + 1].text == "{":
+                    if tok.text in wanted:
+                        shape = _open_body(tok.text, tokens[j + 1], lines)
+                    depth += 1
+                    i = j + 2
+                    continue
         elif tok.kind == "IDENT" and tok.text == "return":
-            if not _only_token_on_line_start(lines, tok):
+            if lines[tok.line - 1][: tok.col - 1].strip() != "":
                 raise AnnotationError(
                     f"line {tok.line}: cannot instrument a return that "
                     "shares its line with other code"
@@ -390,7 +233,31 @@ def _scan_body(
             if guard is not None:
                 shape.guards.append(guard)
         i += 1
-    raise AnnotationError(f"unterminated body of {name}")
+    if shape is not None:
+        raise AnnotationError(f"unterminated body of {shape.name}")
+    return shapes
+
+
+def _match_paren(tokens: list[Token], open_idx: int) -> Optional[int]:
+    depth = 0
+    for j in range(open_idx, len(tokens)):
+        if tokens[j].text == "(":
+            depth += 1
+        elif tokens[j].text == ")":
+            depth -= 1
+            if depth == 0:
+                return j
+    return None
+
+
+def _open_body(name: str, brace: Token, lines: list[str]) -> _RoutineShape:
+    if not _line_ends_after(lines, brace, 1):
+        raise AnnotationError(
+            f"line {brace.line}: the body of {name} must start on the line "
+            "after its opening brace"
+        )
+    return _RoutineShape(name, brace.line,
+                         _line_indent(lines, brace.line) + "    ")
 
 
 def _match_guard(
@@ -427,18 +294,22 @@ def _match_guard(
 # In-place injection
 # ---------------------------------------------------------------------------
 
-def _guard_matches(site: _GuardSite, guard: GuardSpec) -> bool:
-    if site.param != guard.param:
+def _guard_matches(site: _GuardSite, guard: tuple[str, str],
+                   thad_set: ThadSet) -> bool:
+    param, const = guard
+    if site.param != param:
         return False
-    if site.const_text == guard.const:
+    if site.const_text == const:
         return True
-    return site.const_value is not None and site.const_value == guard.value
+    return (site.const_value is not None
+            and site.const_value == thad_set.constants.get(const))
 
 
 def emit_annotated_source(
-    plan: AnnotationPlan, hal_source: str, mode: Mode = "acsl"
+    thad_set: ThadSet, source: str, mode: str = "acsl"
 ) -> str:
-    """Inject the plan into a HAL implementation as whole new lines.
+    """Inject the set's instrumentation into a HAL implementation as
+    whole new lines.
 
     Ghost declarations go to the top of the file; assertions become the
     first statements of the dependent routine, inside an existing
@@ -451,69 +322,58 @@ def emit_annotated_source(
     The output contains the input lines unchanged and in order:
     deleting every inserted line restores the input byte-for-byte.
     """
-    render = _renderer(mode)
-    shapes = _scan_routines(hal_source, set(plan.routines()))
-    for name in plan.routines():
+    fmt = _formats(mode)
+    asserts = _gather(thad_set.thads, lambda t: t.dependent.name)
+    updates = _gather(thad_set.thads, lambda t: t.dependency.name)
+    routines = list(dict.fromkeys([*asserts, *updates]))
+    shapes = _scan_routines(source, set(routines))
+    for name in routines:
         if name not in shapes:
             raise MissingRoutine(name)
 
-    lines = hal_source.split("\n")
+    lines = source.split("\n")
     # inserted text keyed by the 1-based source line it must precede
     inserts: dict[int, list[str]] = {}
 
     def put(before_line: int, text_lines: Iterable[str]) -> None:
         inserts.setdefault(before_line, []).extend(text_lines)
 
-    top: list[str] = []
-    if render.include is not None:
-        top.append(render.include)
-    top.extend(render.decl(d) for d in plan.ghost_decls)
+    top = [] if fmt["include"] is None else [fmt["include"]]
+    top.extend(_declarations(thad_set, fmt))
     if top:
         top.append("")
         put(1, top)
 
-    for routine, group in _gather(plan.asserts, key=lambda a: a.routine):
+    for routine, thads in asserts.items():
         shape = shapes[routine]
         entry = shape.brace_line + 1
-        for guard, sub in _gather(group, key=lambda a: a.guard):
+        by_guard = _gather(thads, lambda t: t.dependent.discriminator_constraint)
+        for guard, group in by_guard.items():
+            checks = [_check(thad, fmt) for thad in group]
             if guard is None:
-                put(entry, (shape.body_indent + render.check(a.conditions())
-                            for a in sub))
+                put(entry, (shape.body_indent + c for c in checks))
                 continue
             site = next(
-                (g for g in shape.guards if _guard_matches(g, guard)), None
+                (g for g in shape.guards if _guard_matches(g, guard, thad_set)),
+                None,
             )
             if site is not None:
-                put(site.brace_line + 1,
-                    (site.indent + render.check(a.conditions()) for a in sub))
+                put(site.brace_line + 1, (site.indent + c for c in checks))
             else:
-                block = [shape.body_indent + f"if ({guard.text()}) {{"]
-                block.extend(
-                    shape.body_indent + "    " + render.check(a.conditions())
-                    for a in sub
-                )
+                param, const = guard
+                block = [shape.body_indent + f"if ({param} == {const}) {{"]
+                block.extend(shape.body_indent + "    " + c for c in checks)
                 block.append(shape.body_indent + "}")
                 put(entry, block)
 
-    for routine, group in _gather(plan.updates, key=lambda u: u.routine):
+    for routine, thads in updates.items():
         shape = shapes[routine]
         sites = shape.returns or [
             _ReturnSite(shape.close_line, shape.body_indent, None)
         ]
         for site in sites:
-            stmts: list[str] = []
-            for u in group:
-                stmts.append(site.indent + render.assign(u.state_ghost, "1"))
-                if u.fd_ghost is not None:
-                    source = u.fd_from_param or site.value_ident
-                    if source is None:
-                        raise AnnotationError(
-                            f"cannot record the descriptor for {u.thad_id}: "
-                            f"a return in {routine} does not return a plain "
-                            "variable"
-                        )
-                    stmts.append(site.indent + render.assign(u.fd_ghost, source))
-            put(site.line, stmts)
+            put(site.line, (site.indent + text for thad in thads
+                            for text in _updates(thad, fmt, site.value_ident)))
 
     out: list[str] = []
     for lineno, text in enumerate(lines, start=1):
@@ -522,21 +382,13 @@ def emit_annotated_source(
     return "\n".join(out)
 
 
-def _gather(items, key):
-    """Group items by key, one group per key, ordered by first use."""
-    groups: dict[object, list] = {}
-    for item in items:
-        groups.setdefault(key(item), []).append(item)
-    return list(groups.items())
-
-
 # ---------------------------------------------------------------------------
 # Standalone wrapper
 # ---------------------------------------------------------------------------
 
 _PARAM_TYPES = {
-    ParamRole.DESCRIPTOR: "int",
-    ParamRole.DISCRIMINATOR: "int",
+    ParamRole.DESCRIPTOR: "int ",
+    ParamRole.DISCRIMINATOR: "int ",
     ParamRole.OPAQUE: "void *",
 }
 
@@ -550,17 +402,33 @@ def _matching_constants(const: str, thad_set: ThadSet) -> list[str]:
     return out
 
 
-def _wrapper_guard(guard: Optional[GuardSpec], thad_set: ThadSet) -> Optional[str]:
-    if guard is None:
-        return None
-    names = _matching_constants(guard.const, thad_set)
-    if not names:
-        return "0"
-    return " || ".join(f"{guard.param} == {n}" for n in names)
+def _guard_groups(
+    thads: Iterable[Thad],
+    side: Callable[[Thad], object],
+    thad_set: ThadSet,
+    body: Callable[[Thad], list[str]],
+) -> list[str]:
+    """``body`` of each dependency, one exact guard block per constraint
+    of its pattern on ``side``, unguarded for an unconstrained one."""
+    lines: list[str] = []
+    by_guard = _gather(thads, lambda t: side(t).discriminator_constraint)
+    for guard, group in by_guard.items():
+        indent = "    "
+        if guard is not None:
+            param, const = guard
+            names = _matching_constants(const, thad_set)
+            cond = " || ".join(f"{param} == {n}" for n in names) or "0"
+            lines.append(f"    if ({cond}) {{")
+            indent = "        "
+        lines.extend(indent + text for thad in group for text in body(thad))
+        if guard is not None:
+            lines.append("    }")
+    return lines
 
 
-def emit_wrapper(thad_set: ThadSet, mode: Mode = "acsl") -> str:
-    """A self-contained forwarding wrapper carrying the full plan.
+def emit_wrapper(thad_set: ThadSet, mode: str = "acsl") -> str:
+    """A self-contained forwarding wrapper carrying the set's
+    instrumentation.
 
     Each declared routine asserts its dependencies on entry, forwards
     to an external ``__hal_<name>`` implementation, records its own
@@ -568,59 +436,32 @@ def emit_wrapper(thad_set: ThadSet, mode: Mode = "acsl") -> str:
     alias-aware constant disjunctions, with ``if (0)`` for patterns no
     call can match once aliases rewrite their constants.
     """
-    render = _renderer(mode)
-    plan = plan_annotations(thad_set)
+    fmt = _formats(mode)
+    asserts = _gather(thad_set.thads, lambda t: t.dependent.name)
+    updates = _gather(thad_set.thads, lambda t: t.dependency.name)
     lines = [
         "/* Call-order instrumentation wrapper.",
         " * Generated from a dependency set; do not edit by hand.",
         " */",
     ]
-    if render.include is not None:
-        lines += ["", render.include]
-    if plan.ghost_decls:
-        lines.append("")
-        lines.extend(render.decl(d) for d in plan.ghost_decls)
+    if fmt["include"] is not None:
+        lines += ["", fmt["include"]]
+    declarations = _declarations(thad_set, fmt)
+    if declarations:
+        lines += ["", *declarations]
 
     for routine in thad_set.routines:
-        params = ", ".join(
-            f"{_PARAM_TYPES[p.role]}{'' if _PARAM_TYPES[p.role].endswith('*') else ' '}{p.name}"
-            for p in routine.params
-        )
+        params = ", ".join(f"{_PARAM_TYPES[p.role]}{p.name}"
+                           for p in routine.params)
         lines += ["", f"int {routine.name}({params or 'void'}) {{"]
-
-        route_asserts = [a for a in plan.asserts if a.routine == routine.name]
-        for guard, sub in _gather(route_asserts, key=lambda a: a.guard):
-            cond = _wrapper_guard(guard, thad_set)
-            if cond is None:
-                lines.extend(
-                    "    " + render.check(a.conditions()) for a in sub
-                )
-            else:
-                lines.append(f"    if ({cond}) {{")
-                lines.extend(
-                    "        " + render.check(a.conditions()) for a in sub
-                )
-                lines.append("    }")
-
+        lines += _guard_groups(asserts.get(routine.name, ()),
+                               lambda t: t.dependent, thad_set,
+                               lambda t: [_check(t, fmt)])
         args = ", ".join(p.name for p in routine.params)
         lines.append(f"    int ret = __hal_{routine.name}({args});")
-
-        route_updates = [u for u in plan.updates if u.routine == routine.name]
-        for guard, sub in _gather(route_updates, key=lambda u: u.guard):
-            cond = _wrapper_guard(guard, thad_set)
-            indent = "    " if cond is None else "        "
-            if cond is not None:
-                lines.append(f"    if ({cond}) {{")
-            for u in sub:
-                lines.append(indent + render.assign(u.state_ghost, "1"))
-                if u.fd_ghost is not None:
-                    lines.append(
-                        indent
-                        + render.assign(u.fd_ghost, u.fd_from_param or "ret")
-                    )
-            if cond is not None:
-                lines.append("    }")
-
+        lines += _guard_groups(updates.get(routine.name, ()),
+                               lambda t: t.dependency, thad_set,
+                               lambda t: _updates(t, fmt, "ret"))
         lines += ["    return ret;", "}"]
 
     return "\n".join(lines) + "\n"

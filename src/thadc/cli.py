@@ -266,8 +266,8 @@ def _cmd_annotate(args) -> int:
             text = annotate.emit_wrapper(thad_set, mode=args.mode)
         else:
             source = _read_text(Path(args.skeleton), args.skeleton)
-            text = annotate.emit_annotated_source(
-                annotate.plan_annotations(thad_set), source, mode=args.mode)
+            text = annotate.emit_annotated_source(thad_set, source,
+                                                  mode=args.mode)
             if output is None:
                 stem = args.skeleton[:-2] if args.skeleton.endswith(".c") \
                     else args.skeleton

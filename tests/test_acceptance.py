@@ -11,7 +11,7 @@ import time
 from hypothesis import given, settings
 
 from thadc import cli
-from thadc.annotate import emit_annotated_source, emit_wrapper, plan_annotations
+from thadc.annotate import emit_annotated_source, emit_wrapper
 from thadc.checker import Status, brute_force_paths, check, hal_traces
 from thadc.model import trace_satisfies
 from thadc.report import exit_code
@@ -85,11 +85,10 @@ def test_criterion_3_annotation_reference_fidelity():
     def tokens(text):
         return text.split()
 
-    single = emit_annotated_source(plan_annotations(subset("d3")),
-                                   OPEN_IOCTL_SKELETON, "acsl")
+    single = emit_annotated_source(subset("d3"), OPEN_IOCTL_SKELETON, "acsl")
     assert tokens(single) == tokens(SINGLE_ANNOTATED)
-    multi = emit_annotated_source(plan_annotations(subset("d1", "d8", "d15")),
-                                  MULTI_SKELETON, "acsl")
+    multi = emit_annotated_source(subset("d1", "d8", "d15"), MULTI_SKELETON,
+                                  "acsl")
     assert tokens(multi) == tokens(MULTI_ANNOTATED)
 
 

@@ -1,4 +1,4 @@
-"""Instrumentation planning, in-place injection, wrapper, simulator."""
+"""In-place injection, wrapper, simulator."""
 
 from __future__ import annotations
 
@@ -21,11 +21,9 @@ from helpers import (
 from randprog import generate_program
 from thadc.annotate import (
     AnnotationError,
-    GuardSpec,
     MissingRoutine,
     emit_annotated_source,
     emit_wrapper,
-    plan_annotations,
 )
 from thadc.checker import hal_traces
 from thadc.minic import parse_source
@@ -54,44 +52,6 @@ def assert_insertion_only(original: str, annotated: str) -> None:
         if op == "equal":
             kept.extend(annotated.split("\n")[b1:b2])
     assert "\n".join(kept) == original
-
-
-class TestPlan:
-    def test_single_dependency_plan(self):
-        plan = plan_annotations(subset("d3"))
-        assert [d.name for d in plan.ghost_decls] == ["state_d3"]
-        (update,) = plan.updates
-        assert update.routine == "open"
-        assert update.guard is None
-        (chk,) = plan.asserts
-        assert chk.routine == "ioctl"
-        assert chk.guard == GuardSpec("request", "MSG", SPIDEV.constants["MSG"])
-        assert chk.conditions() == ("state_d3 == 1",)
-
-    def test_empty_plan(self):
-        plan = plan_annotations(subset())
-        assert plan.ghost_decls == ()
-        assert plan.updates == ()
-        assert plan.asserts == ()
-
-    def test_bound_plan_adds_descriptor_ghost(self):
-        plan = plan_annotations(bound_read_set())
-        assert [d.name for d in plan.ghost_decls] == ["state_b1", "fd_b1"]
-        (update,) = plan.updates
-        assert update.fd_ghost == "fd_b1"
-        assert update.fd_from_param is None  # from the returned value
-        (chk,) = plan.asserts
-        assert chk.conditions() == ("state_b1 == 1", "fd == fd_b1")
-
-    def test_budget_one_of_each_per_dependency(self):
-        plan = plan_annotations(SPIDEV)
-        assert len(plan.ghost_decls) == 26
-        assert len(plan.updates) == 26
-        assert len(plan.asserts) == 26
-
-    def test_routines_in_first_use_order(self):
-        plan = plan_annotations(subset("d3", "d1"))
-        assert plan.routines() == ["read", "ioctl", "open"]
 
 
 OPEN_IOCTL_SKELETON = """\
@@ -353,72 +313,143 @@ SKELETONS = {
 }
 
 
+ALL_ROUTINES_SKELETON = """\
+int open(const char *path, int oflag, ...) {
+    return 0;
+}
+
+ssize_t read(int fd, void *buf, size_t nbyte) {
+    return 0;
+}
+
+ssize_t write(int fd, const void *buf, size_t nbyte) {
+    return 0;
+}
+
+int close(int fd) {
+    return 0;
+}
+
+int ioctl(int fd, int request, ...) {
+    return 0;
+}
+"""
+
+BOUND_READ_WRAPPER = """\
+/* Call-order instrumentation wrapper.
+ * Generated from a dependency set; do not edit by hand.
+ */
+
+/*@ ghost int state_b1 = 0; */
+/*@ ghost int fd_b1; */
+
+int open(void *path) {
+    int ret = __hal_open(path);
+    /*@ ghost state_b1 = 1; */
+    /*@ ghost fd_b1 = ret; */
+    return ret;
+}
+
+int read(int fd, void *buf) {
+    /*@ assert (state_b1 == 1 && fd == fd_b1); */
+    int ret = __hal_read(fd, buf);
+    return ret;
+}
+"""
+
+
+class TestFromSet:
+    """What each dependency of a set turns into, read off the text."""
+
+    def test_single_dependency_text(self):
+        text = emit_wrapper(subset("d3"), "acsl")
+        assert text.count("state_d3") == 3
+        assert "\n/*@ ghost int state_d3 = 0; */\n" in text
+        # the update is unguarded, the assert guarded by the constraint
+        assert ("    int ret = __hal_open(path, oflag);\n"
+                "    /*@ ghost state_d3 = 1; */\n") in text
+        assert ("    if (request == MSG) {\n"
+                "        /*@ assert (state_d3 == 1); */\n"
+                "    }\n") in text
+
+    def test_empty_set_adds_nothing(self):
+        assert emit_annotated_source(subset(), ALL_ROUTINES_SKELETON,
+                                     "acsl") == ALL_ROUTINES_SKELETON
+        text = emit_wrapper(subset(), "acsl")
+        assert "ghost" not in text and "assert" not in text
+        assert text.count("int ret = __hal_") == 5
+
+    def test_bound_set_adds_descriptor_ghost(self):
+        # state flag before descriptor ghost; the descriptor comes from
+        # the returned value; the assert compares it with the argument
+        assert emit_wrapper(bound_read_set(), "acsl") == BOUND_READ_WRAPPER
+
+    def test_budget_one_of_each_per_dependency(self):
+        out = emit_annotated_source(SPIDEV, ALL_ROUTINES_SKELETON, "acsl")
+        for tid in (t.id for t in SPIDEV.thads):
+            assert out.count(f"/*@ ghost int state_{tid} = 0; */") == 1
+            assert out.count(f"/*@ ghost state_{tid} = 1; */") == 1
+            assert out.count(f"(state_{tid} == 1)") == 1
+        assert_insertion_only(ALL_ROUTINES_SKELETON, out)
+
+    def test_first_missing_routine_in_first_use_order(self):
+        # dependents in set order (read for d1, then ioctl for d3), then
+        # dependencies (open)
+        with pytest.raises(MissingRoutine) as exc:
+            emit_annotated_source(subset("d3", "d1"), "int x;\n", "acsl")
+        assert exc.value.routine == "read"
+
+
 class TestInjection:
     def test_single_dependency_matches_reference_shape(self):
-        out = emit_annotated_source(
-            plan_annotations(subset("d3")), OPEN_IOCTL_SKELETON, "acsl"
-        )
+        out = emit_annotated_source(subset("d3"), OPEN_IOCTL_SKELETON, "acsl")
         assert out == SINGLE_ANNOTATED
 
     def test_three_dependency_shape(self):
-        out = emit_annotated_source(
-            plan_annotations(subset("d1", "d8", "d15")), MULTI_SKELETON, "acsl"
-        )
+        out = emit_annotated_source(subset("d1", "d8", "d15"), MULTI_SKELETON,
+                                    "acsl")
         assert out == MULTI_ANNOTATED
 
     def test_empty_plan_identity(self):
-        out = emit_annotated_source(plan_annotations(subset()),
-                                    OPEN_IOCTL_SKELETON, "acsl")
+        out = emit_annotated_source(subset(), OPEN_IOCTL_SKELETON, "acsl")
         assert out == OPEN_IOCTL_SKELETON
 
     def test_insertion_only(self):
-        out = emit_annotated_source(
-            plan_annotations(subset("d1", "d3", "d8", "d15", "d17")),
-            MULTI_SKELETON,
-            "acsl",
-        )
+        out = emit_annotated_source(subset("d1", "d3", "d8", "d15", "d17"),
+                                    MULTI_SKELETON, "acsl")
         assert_insertion_only(MULTI_SKELETON, out)
 
     def test_missing_dependent_routine(self):
         with pytest.raises(MissingRoutine) as exc:
-            emit_annotated_source(
-                plan_annotations(subset("d1")), OPEN_IOCTL_SKELETON, "acsl"
-            )
+            emit_annotated_source(subset("d1"), OPEN_IOCTL_SKELETON, "acsl")
         assert exc.value.routine == "read"
 
     def test_missing_dependency_routine(self):
-        src = READ_ONLY_SKELETON
         with pytest.raises(MissingRoutine) as exc:
-            emit_annotated_source(plan_annotations(subset("d1")), src, "acsl")
+            emit_annotated_source(subset("d1"), READ_ONLY_SKELETON, "acsl")
         assert exc.value.routine == "open"
 
     def test_guard_reuse_by_constant_value(self):
-        src = VALUE_GUARD_SKELETON
-        out = emit_annotated_source(plan_annotations(subset("d3")), src, "acsl")
+        out = emit_annotated_source(subset("d3"), VALUE_GUARD_SKELETON, "acsl")
         lines = out.split("\n")
         guard_at = lines.index("    if (request == 1075866368) {")
         assert lines[guard_at + 1] == "        /*@ assert (state_d3 == 1); */"
 
     def test_fresh_guard_block_when_none_matches(self):
-        src = NO_GUARD_SKELETON
-        out = emit_annotated_source(plan_annotations(subset("d3")), src, "acsl")
+        out = emit_annotated_source(subset("d3"), NO_GUARD_SKELETON, "acsl")
         assert "    if (request == MSG) {\n" \
                "        /*@ assert (state_d3 == 1); */\n" \
                "    }" in out
-        assert_insertion_only(src, out)
+        assert_insertion_only(NO_GUARD_SKELETON, out)
 
     def test_same_guard_dependencies_share_one_block(self):
-        src = NO_GUARD_SKELETON
-        out = emit_annotated_source(
-            plan_annotations(subset("d3", "d17", "d26")), src, "acsl"
-        )
+        out = emit_annotated_source(subset("d3", "d17", "d26"),
+                                    NO_GUARD_SKELETON, "acsl")
         assert out.count("if (request == MSG) {") == 1
 
     def test_assert_mode(self):
-        out = emit_annotated_source(
-            plan_annotations(subset("d1", "d8", "d15")), MULTI_SKELETON,
-            "assert",
-        )
+        out = emit_annotated_source(subset("d1", "d8", "d15"), MULTI_SKELETON,
+                                    "assert")
         assert out.count("#include <assert.h>") == 1
         assert "int state_d8 = 0;" in out
         assert "        assert(state_d8 == 1);" in out
@@ -426,49 +457,63 @@ class TestInjection:
         assert_insertion_only(MULTI_SKELETON, out)
 
     def test_update_before_every_return(self):
-        src = TWO_RETURNS_SKELETON
-        out = emit_annotated_source(plan_annotations(subset("d1")), src, "acsl")
+        out = emit_annotated_source(subset("d1"), TWO_RETURNS_SKELETON, "acsl")
         assert out.count("/*@ ghost state_d1 = 1; */") == 2
-        assert_insertion_only(src, out)
+        assert_insertion_only(TWO_RETURNS_SKELETON, out)
 
     def test_routine_without_return_updates_at_end(self):
-        src = NO_RETURN_SKELETON
-        out = emit_annotated_source(plan_annotations(subset("d1")), src, "acsl")
+        out = emit_annotated_source(subset("d1"), NO_RETURN_SKELETON, "acsl")
         lines = out.split("\n")
         idx = lines.index("    /*@ ghost state_d1 = 1; */")
         assert lines[idx - 1] == "    int x = 0;"
         assert lines[idx + 1] == "}"
 
     def test_bound_injection(self):
-        src = BOUND_SKELETON
-        out = emit_annotated_source(
-            plan_annotations(bound_read_set()), src, "acsl"
-        )
+        out = emit_annotated_source(bound_read_set(), BOUND_SKELETON, "acsl")
         assert "/*@ ghost int fd_b1; */" in out
         assert "    /*@ ghost fd_b1 = ret; */" in out
         assert "    /*@ assert (state_b1 == 1 && fd == fd_b1); */" in out
 
     def test_bound_injection_needs_plain_return_variable(self):
-        src = BOUND_LITERAL_RETURN_SKELETON
         with pytest.raises(AnnotationError, match="plain"):
-            emit_annotated_source(plan_annotations(bound_read_set()), src,
-                                  "acsl")
+            emit_annotated_source(bound_read_set(),
+                                  BOUND_LITERAL_RETURN_SKELETON, "acsl")
 
     def test_shared_line_return_rejected(self):
-        src = SHARED_LINE_RETURN_SKELETON
         with pytest.raises(AnnotationError, match="shares its line"):
-            emit_annotated_source(plan_annotations(subset("d1")), src, "acsl")
+            emit_annotated_source(subset("d1"), SHARED_LINE_RETURN_SKELETON,
+                                  "acsl")
+
+    def test_body_must_start_after_its_brace(self):
+        with pytest.raises(AnnotationError, match="line 1: the body of open"):
+            emit_annotated_source(subset("d1"), SAME_LINE_BODY_SKELETON,
+                                  "acsl")
+
+    def test_unterminated_body_rejected(self):
+        with pytest.raises(AnnotationError, match="unterminated body of open"):
+            emit_annotated_source(subset("d1"), UNTERMINATED_SKELETON, "acsl")
+
+    def test_scan_sees_through_comments_strings_and_prototypes(self):
+        out = emit_annotated_source(subset("d1", "d8"), MIXED_SKELETON,
+                                    "acsl")
+        assert_insertion_only(MIXED_SKELETON, out)
+        # one update before each of open's two returns, none in comments
+        assert out.count("/*@ ghost state_d1 = 1; */") == 2
+        lines = out.split("\n")
+        guard_at = lines.index("    if (request == WR_MODE32) {")
+        assert lines[guard_at + 1] == "        /*@ assert (state_d8 == 1); */"
+        entry = lines.index("ssize_t read(int fd, void *buf, size_t nbyte) {")
+        assert lines[entry + 1] == "    /*@ assert (state_d1 == 1); */"
 
     def test_deterministic(self):
-        plan = plan_annotations(subset("d1", "d3", "d15"))
-        first = emit_annotated_source(plan, MULTI_SKELETON, "acsl")
-        second = emit_annotated_source(plan, MULTI_SKELETON, "acsl")
+        thad_set = subset("d1", "d3", "d15")
+        first = emit_annotated_source(thad_set, MULTI_SKELETON, "acsl")
+        second = emit_annotated_source(thad_set, MULTI_SKELETON, "acsl")
         assert first == second
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
-            emit_annotated_source(plan_annotations(subset("d3")),
-                                  OPEN_IOCTL_SKELETON, "ghost")
+            emit_annotated_source(subset("d3"), OPEN_IOCTL_SKELETON, "ghost")
 
 
 class TestWrapper:

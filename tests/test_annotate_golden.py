@@ -29,12 +29,7 @@ import re
 from functools import partial
 from pathlib import Path
 
-from thadc.annotate import (
-    AnnotationError,
-    emit_annotated_source,
-    emit_wrapper,
-    plan_annotations,
-)
+from thadc.annotate import AnnotationError, emit_annotated_source, emit_wrapper
 from thadc.model import ThadSet
 from thadc.specio import bundled_data_path, load_spec
 
@@ -100,10 +95,6 @@ def sections(emit) -> str:
     return "".join(out)
 
 
-def annotated(thad_set: ThadSet, source: str, mode: str) -> str:
-    return emit_annotated_source(plan_annotations(thad_set), source, mode)
-
-
 def texts() -> dict[str, str]:
     """``<set>.<subset>.<target>`` -> every mode's output, in sections."""
     sets = {"bundled": spidev_set(), "bound-spidev": bound_spidev_set(),
@@ -116,10 +107,10 @@ def texts() -> dict[str, str]:
                 partial(emit_wrapper, thad_set))
             for skeleton, source in SKELETONS.items():
                 out[f"{label}.{skeleton}"] = (
-                    sections(partial(annotated, thad_set, source))
+                    sections(partial(emit_annotated_source, thad_set, source))
                     + "--- fitted to the skeleton\n"
-                    + sections(partial(annotated, fitted(thad_set, source),
-                                       source)))
+                    + sections(partial(emit_annotated_source,
+                                       fitted(thad_set, source), source)))
     return out
 
 
