@@ -494,8 +494,10 @@ class _Parser:
                     tok, f"{tok.text} is outside the accepted subset",
                     "unsupported-construct",
                 )
-                if self._skip_past(";", "}") == "}":
-                    self.accept(";")  # the end of "struct s { ... };"
+                if (self._skip_past(";", "}") == "}" and not self.accept(";")
+                        and not self.at_type()):
+                    # the declarators of "struct s { ... } v, *w;"
+                    self._skip_past(";")
                 continue
             while self.peek().kind == "IDENT" and self.peek().text in (
                 "extern", "static", "inline",

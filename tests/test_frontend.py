@@ -215,6 +215,26 @@ class TestErrorRecovery:
         assert self.diagnostics(source) == [
             (1, 1, f"{keyword} is outside the accepted subset")]
 
+    @pytest.mark.parametrize("declaration", [
+        "struct s { int y; } v;", "typedef struct { int y; } t;",
+        "struct s { int y; };", "struct s { int y; } v = { 1 }, *w;",
+        "enum e { A } x;",
+    ])
+    def test_the_declarators_after_a_skipped_body_are_skipped(
+            self, declaration):
+        keyword = declaration.split()[0]
+        source = f"{declaration} int main(void){{return 0;}}"
+        assert self.diagnostics(source) == [
+            (1, 1, f"{keyword} is outside the accepted subset")]
+
+    def test_a_declaration_after_a_skipped_body_is_kept(self):
+        # no ";" after the body: the next declaration is not skipped, so
+        # an error in it is still reported
+        source = "struct s { int y; }\nint = 1;\nint main(void) { return 0; }"
+        assert self.diagnostics(source) == [
+            (1, 1, "struct is outside the accepted subset"),
+            (2, 5, "expected a name, found '='")]
+
 
 class TestLiterals:
     @pytest.mark.parametrize("text, value", [
