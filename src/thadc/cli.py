@@ -33,10 +33,10 @@ from .checker import (PathExplosion, Status, ThadVerdict, brute_force_paths,
                       check)
 from .diagnostics import Diagnostic, DiagnosticError
 from .minic import UnrollTooDeep, parse_source, unroll_loops
-from .model import BindingSource, Thad, ThadSet
+from .model import Thad, ThadSet
 from .passes import DepthLimitExceeded, RecursionDetected, preprocess
 from .report import build_report, exit_code, render_json, render_text
-from .specio import bundled_data_path, load_spec
+from .specio import binding_source, bundled_data_path, load_spec
 
 __all__ = ["main", "run_check"]
 
@@ -283,15 +283,11 @@ def _cmd_annotate(args) -> int:
 # explain
 # ---------------------------------------------------------------------------
 
-def _binding_text(thad: Thad, thad_set: ThadSet) -> str:
+def _binding_text(thad: Thad) -> str:
     if thad.binding is None:
         return ""
-    if thad.binding.source is BindingSource.RETURN_VALUE:
-        origin = f"{thad.dependency.name}.return"
-    else:
-        routine = thad_set.routine(thad.dependency.name)
-        origin = f"{thad.dependency.name}.{routine.descriptor_param}"
-    return f" (descriptor: {origin} -> {thad.binding.target_param})"
+    return (f" (descriptor: {binding_source(thad)} -> "
+            f"{thad.binding.target_param})")
 
 
 def _explain_text(thad_set: ThadSet) -> str:
@@ -300,7 +296,7 @@ def _explain_text(thad_set: ThadSet) -> str:
         lines.append(f"alias: {source} satisfies {target}")
     lines.append("")
     for thad in thad_set.thads:
-        lines.append(thad.describe() + _binding_text(thad, thad_set))
+        lines.append(thad.describe() + _binding_text(thad))
     return "\n".join(lines) + "\n"
 
 

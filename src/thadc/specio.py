@@ -44,6 +44,7 @@ __all__ = [
     "parse_thad_spec",
     "parse_constants",
     "serialize_spec",
+    "binding_source",
     "load_spec",
     "bundled_spidev",
     "bundled_data_path",
@@ -367,6 +368,14 @@ def _param_text(p: Param) -> str:
     return f"{p.name}:{p.role.value}"
 
 
+def binding_source(thad: Thad) -> str:
+    """Where a bound dependency takes its descriptor, as a spec spells
+    it: ``open.return`` or ``ioctl.fd``."""
+    if thad.binding.source is BindingSource.RETURN_VALUE:
+        return f"{thad.dependency.name}.return"
+    return f"{thad.dependency.name}.{thad.dependency.descriptor_param}"
+
+
 def serialize_spec(thad_set: ThadSet) -> str:
     """Render a set back to spec syntax.
 
@@ -392,12 +401,9 @@ def serialize_spec(thad_set: ThadSet) -> str:
         for t in thad_set.thads:
             if t.binding is None:
                 continue
-            if t.binding.source is BindingSource.RETURN_VALUE:
-                src = f"{t.dependency.name}.return"
-            else:
-                src = f"{t.dependency.name}.{t.dependency.descriptor_param}"
             lines.append(
-                f"bind {t.id}: {src} -> {t.dependent.name}.{t.binding.target_param}"
+                f"bind {t.id}: {binding_source(t)} -> "
+                f"{t.dependent.name}.{t.binding.target_param}"
             )
         sections.append("\n".join(lines))
     if thad_set.aliases:

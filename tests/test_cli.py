@@ -17,7 +17,8 @@ from thadc import cli
 from thadc.annotate import MODES
 from thadc.minic import MAX_NESTING
 from thadc.report import exit_code, render_json
-from thadc.specio import bundled_data_path, bundled_spidev
+from thadc.specio import (bundled_data_path, bundled_spidev, parse_thad_spec,
+                          serialize_spec)
 
 from helpers import NESTED_LOOPS, nested_ifs, nested_parens, plus_chain
 
@@ -601,6 +602,19 @@ class TestExplain:
         code, out, _ = run(["explain", "--spec", str(spec)], capsys)
         assert code == 0
         assert "g1: read requires open (descriptor: open.return -> fd)" in out
+
+    def test_param_binding_named_as_the_spec_writes_it(self, tmp_path,
+                                                       capsys):
+        bind = "bind g1: setup.dev -> read.fd\n"
+        text = ("routine setup(dev:descriptor)\n"
+                "routine read(fd:descriptor, buf, nbyte)\n\n"
+                "dep g1: read requires setup\n" + bind)
+        spec = tmp_path / "param.thad"
+        spec.write_text(text)
+        code, out, _ = run(["explain", "--spec", str(spec)], capsys)
+        assert code == 0
+        assert "g1: read requires setup (descriptor: setup.dev -> fd)" in out
+        assert serialize_spec(parse_thad_spec(text)) == text
 
     def test_empty_spec_gives_empty_digraph(self, tmp_path, capsys):
         spec = tmp_path / "empty.thad"
