@@ -1,14 +1,18 @@
 """Hygiene: no module of the package or of the tests imports a name it
-never reads, and every name a package module lists in ``__all__``
-exists on it.
+never reads, no private definition of the package is dead, and every
+name a package module lists in ``__all__`` exists on it.
 
 The first check is an ``ast`` scan, so nothing is imported: every name
 bound by an ``import`` or ``from ... import`` statement must be read
 somewhere in its module, as a name, as the base of an attribute, in an
 annotation (a quoted one too) or through the module's ``__all__``.  The
 package's ``__init__.py`` only re-exports, so its imports are exempt.
-The second imports each package module, since a stale ``__all__`` entry
-otherwise fails only on ``from thadc.<module> import *``.
+The second is an ``ast`` scan too: every function, class or constant
+that a package module defines at module level under a ``_`` name must
+be read somewhere in the package, as a name, as an attribute or by a
+``from ... import``.  Reads from the tests do not count.  The third
+imports each package module, since a stale ``__all__`` entry otherwise
+fails only on ``from thadc.<module> import *``.
 """
 
 from __future__ import annotations
@@ -75,6 +79,67 @@ def test_no_module_imports_a_name_it_never_reads():
     unused = [entry for path in modules() if path.name != "__init__.py"
               for entry in unused_imports(path)]
     assert unused == []
+
+
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Each ``_`` name (not a dunder) that a module-level ``def``,
+    ``class`` or assignment binds -> the line of its first binding."""
+    names: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            bound = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            bound = [n.id for target in targets for n in ast.walk(target)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in bound:
+            if name.startswith("_") and not name.startswith("__"):
+                names.setdefault(name, node.lineno)
+    return names
+
+
+def dead_private_definitions(paths: list[Path]) -> list[str]:
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in paths}
+    read: set[str] = set()
+    for tree in trees.values():
+        read |= read_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return [f"{path.name}:{line}: {name}" for path, tree in trees.items()
+            for name, line in private_definitions(tree).items()
+            if name not in read]
+
+
+def test_every_private_definition_is_read_in_the_package():
+    package = sorted((ROOT / "src" / "thadc").glob("*.py"))
+    assert dead_private_definitions(package) == []
+
+
+def test_the_scan_sees_a_dead_private_definition(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import os\n"
+        "_SHARED = 1\n_DEAD = 2\n__dunder__ = 3\npublic = 4\n"
+        "_X, _Y = 5, 6\n_HINTED: int = 7\n"
+        "def _dead(): pass\n"
+        "def _called(): return _X\n"
+        "class _Dead: pass\n"
+        "class _Named: pass\n"
+        "def run(x: '_Named'): return _called() + os.sep.count(x)\n",
+        encoding="utf-8")
+    (tmp_path / "b.py").write_text(
+        "import a\nfrom a import _SHARED\nprint(_SHARED, a._HINTED)\n",
+        encoding="utf-8")
+    assert dead_private_definitions(
+        [tmp_path / "a.py", tmp_path / "b.py"]) == [
+        "a.py:3: _DEAD", "a.py:6: _Y", "a.py:8: _dead", "a.py:10: _Dead"]
 
 
 PACKAGE = sorted(path.stem for path in (ROOT / "src" / "thadc").glob("*.py"))
