@@ -442,6 +442,17 @@ class TestInjection:
                "    }" in out
         assert_insertion_only(NO_GUARD_SKELETON, out)
 
+    def test_nested_guard_is_not_an_entry_guard(self):
+        out = emit_annotated_source(subset("d3"), NESTED_GUARD_SKELETON,
+                                    "acsl")
+        lines = out.split("\n")
+        entry = lines.index("int ioctl(int fd, int request, ...) {")
+        assert lines[entry + 1:entry + 4] == [
+            "    if (request == MSG) {",
+            "        /*@ assert (state_d3 == 1); */",
+            "    }"]
+        assert out.count("state_d3 == 1") == 1
+
     def test_same_guard_dependencies_share_one_block(self):
         out = emit_annotated_source(subset("d3", "d17", "d26"),
                                     NO_GUARD_SKELETON, "acsl")
