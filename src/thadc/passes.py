@@ -23,10 +23,10 @@ the same few routines with the same few values at many sites.
 ``resolve_discriminators``
     computes which integer constant each discriminator argument of the
     entry body must hold, by forward propagation of must-known constants
-    over its CFG (meet = agreement on both branch arms).  Values come
-    from integer literals, ``#define``, the platform constants table,
-    and copies through locals.  A spec constant used by name resolves
-    even when no integer encoding was supplied for it.
+    (meet = agreement on both branch arms).  Values come from integer
+    literals, ``#define``, the platform constants table, and copies
+    through locals.  A spec constant used by name resolves even when no
+    integer encoding was supplied for it.
 
 ``build_token_flow``
     gives every descriptor-returning HAL call of the entry body a fresh
@@ -34,14 +34,25 @@ the same few routines with the same few values at many sites.
     way, so a call's descriptor argument maps to the ``open`` that
     produced it exactly when that holds on every path.
 
-Both resolution passes key a variable by the copy that owns it and its
-name, through one :class:`AssignmentIndex` per prepared entry, which
-also lists what is assigned to each variable.  They follow only the
-variables that can reach their arguments (a flow-insensitive backward
-slice), and an inlined copy's variables leave their environments at
-the copy's tail.  Environments are kept only at merge points (see
-:func:`~thadc.cfg.must_forward`), and at each HAL site a pass reads only
-the one value it resolves there.
+Neither resolution pass walks the flat entry.  Each runs
+:func:`~thadc.cfg.must_forward` over every lowered function once per
+calling context it is reached in, memoized on (function, context): the
+functional approach of Sharir and Pnueli ("Two approaches to
+interprocedural data flow analysis", 1981).  An environment holds only
+the function's own variables.  A context holds the values of its
+parameters and of its inherited names, the names it or its callees read
+but do not own; a copy reads such a name from the nearest caller that
+owns it, and a name no caller owns is free (a platform constant, a
+``#define`` or a global).  A call of a defined function evaluates the
+callee's context and takes the callee's exit value for its result.  A
+token is relative to the frame that holds it: so many callers up, then
+down a path of lowered calls to the minting ``open``.  It gains a level
+when it is passed down and is renamed when it is returned, as in the
+return-flow functions of IFDS (Reps, Horwitz and Sagiv, POPL 1995).
+Contexts wait on an explicit stack, so a long call chain needs no
+Python recursion.  The results reach the flat entry's sites through its
+copy table (see :class:`EntrySites`): the cost is paid per (function,
+context), not per inlined copy, apart from one lookup per site.
 
 Only the entry body is inlined and resolved: the checker, the path
 oracle and the report read nothing else.  No pass mutates the model it
@@ -56,8 +67,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from typing import (Callable, Collection, Iterable, Iterator, Optional,
-                    TypeVar, Union)
+from typing import Callable, Iterable, Iterator, Optional
 
 from .cfg import (
     Cfg,
@@ -79,7 +89,7 @@ __all__ = [
     "inline_calls",
     "resolve_discriminators",
     "build_token_flow",
-    "AssignmentIndex",
+    "EntrySites",
     "preprocess",
 ]
 
@@ -109,21 +119,21 @@ class DepthLimitExceeded(Exception):
 # Inlining
 # ---------------------------------------------------------------------------
 
-def _call_depths(model: ProgramModel, defined: set[str]) -> dict[str, int]:
+def _call_depths(functions: dict[str, FunctionBody]) -> dict[str, int]:
     """The longest call chain, counted in functions, that starts at each
-    function.
+    of ``functions``.
 
     One depth-first walk, without recursion: roots in sorted order,
     callees in first-call order.  The first back edge it meets raises
     :class:`RecursionDetected` with the cycle as seen from its entry.
     """
     callees: dict[str, list[str]] = {}  # each once, in first-call order
-    for name in defined:
-        calls = model.functions[name].cfg.call_nodes()
+    for name, body in functions.items():
         callees[name] = list(dict.fromkeys(
-            node.callee for node in calls if node.callee in defined))
+            node.callee for node in body.cfg.call_nodes()
+            if node.callee in functions))
     depths: dict[str, int] = {}
-    for root in sorted(defined):
+    for root in sorted(functions):
         if root in depths:
             continue
         stack = [(root, iter(callees[root]))]
@@ -267,16 +277,14 @@ def inline_calls(model: ProgramModel, depth_limit: int = 16) -> ProgramModel:
     call's binds belong to the callee's copy and read their arguments in
     the caller's; its tail takes the call's place in the caller's copy
     and reads the return slot of the copy that ends there.
-    :class:`AssignmentIndex` says which variable a name in a copy means.
 
     Raises :class:`RecursionDetected` when the call graph is cyclic and
     :class:`DepthLimitExceeded` when some call chain involves more than
     ``depth_limit`` functions, before anything is copied.  An entry that
     calls no defined function needs no copy: the input model is returned.
     """
-    defined = set(model.functions)
-    depths = _call_depths(model, defined)
-    for name in sorted(defined):
+    depths = _call_depths(model.functions)
+    for name in sorted(depths):
         if depths[name] > depth_limit:
             raise DepthLimitExceeded(name, depths[name], depth_limit)
     if depths[model.entry] == 1:
@@ -287,203 +295,269 @@ def inline_calls(model: ProgramModel, depth_limit: int = 16) -> ProgramModel:
 
 
 # ---------------------------------------------------------------------------
-# Variables and must-known values (shared by the two resolution passes)
+# Summaries: each function once per calling context
 # ---------------------------------------------------------------------------
 
-Key = Union[str, tuple[int, str]]
+_FREE = "<free>"
+"""An inherited name's value when no function up the call chain owns it:
+a platform constant, a ``#define`` or a global."""
+
+Context = tuple  # (function name, tuple of its parameters' values, then
+#                   its inherited names' values, in ``_Function`` order)
 
 
-class AssignmentIndex:
-    """The variables of an entry body, indexed once for both resolution
-    passes.
+class _Function:
+    """A lowered function as both resolution passes see it.
 
-    An environment key names one variable.  A name that inlined copy
-    ``c`` owns (see :func:`_owned_names`) has the key ``(c, name)``;
-    every other name is its own key: the entry's own variables, and free
-    names (platform constants, defines, globals).  A name read in copy
-    ``c`` belongs to the nearest copy, from ``c`` up its parents, whose
-    function owns it, so a helper reads the variable its caller writes;
-    :meth:`key` remembers each such walk.  A write needs no walk: a node
-    writes in its own copy, whose function owns every name it writes.
+    ``owned`` are its own variables (see :func:`_owned_names`), the only
+    keys of its environments.  ``inherited`` are the names that it or
+    one of its callees reads and that it does not own, sorted; a copy
+    reads the nearest caller's variable of such a name.  ``calls`` are
+    its calls of defined functions and ``sites`` its HAL calls with
+    their routines, each in node id order, the order the flat entry
+    keeps them in within every copy of the function."""
 
-    The index is built from the copy table and each function's lowered
-    body, not from the flat entry: copy ``c`` assigns ``(c, name)``
-    where its function's body assigns ``name``, in its parameter binds,
-    and in the tails of its calls whose result is ``name``.
-    ``ends`` maps the tail of each inlined copy to the copy; nothing
-    after the tail reads the copy's variables.  A lowered body is its
-    own copy 0 and has no tails.
-    """
+    __slots__ = ("body", "owned", "inherited", "calls", "sites")
 
     def __init__(self, body: FunctionBody):
+        self.body = body
+        self.owned = frozenset(_owned_names(body))
+        self.calls: list[CfgNode] = []
+        self.sites: list[tuple[CfgNode, RoutineSpec]] = []
+
+
+def _add_names(expr: Expr, names: set[str]) -> None:
+    """Add the variable names ``expr`` reads to ``names``."""
+    if isinstance(expr, Var):
+        names.add(expr.name)
+    elif isinstance(expr, Unary):
+        _add_names(expr.operand, names)
+    elif isinstance(expr, Binary):
+        _add_names(expr.lhs, names)
+        _add_names(expr.rhs, names)
+
+
+def _functions(model: ProgramModel, routines: dict[str, RoutineSpec]
+               ) -> dict[str, _Function]:
+    """The lowered functions of an inlined model, callees first.  The
+    entry's comes from row 0 of its copy table."""
+    lowered = dict(model.functions)
+    if model.entry_body.copies:
+        lowered[model.entry] = model.entry_body.copies[0].function
+    depths = _call_depths(lowered)
+    functions: dict[str, _Function] = {}
+    for name in sorted(lowered, key=depths.__getitem__):
+        fn = functions[name] = _Function(lowered[name])
+        read: set[str] = set()
+        for node in fn.body.cfg.nodes:
+            if node.kind is NodeKind.ASSIGN:
+                _add_names(node.expr, read)
+            elif node.kind is NodeKind.CALL:
+                for arg in node.args:
+                    _add_names(arg, read)
+                if node.callee in lowered:
+                    fn.calls.append(node)
+                    read.update(functions[node.callee].inherited)
+                elif node.callee in routines:
+                    fn.sites.append((node, routines[node.callee]))
+        fn.inherited = tuple(sorted(read - fn.owned))
+    return functions
+
+
+class EntrySites:
+    """The HAL sites of an inlined entry body, read back through its copy
+    table to the lowered functions; :func:`preprocess` builds them once
+    for both resolution passes.
+
+    ``sites`` are the body's :func:`~thadc.cfg.hal_sites` and ``lowered``
+    the id of the lowered node each one copies, in the same order.
+    ``functions`` are the lowered functions (see :class:`_Function`),
+    callees first.  ``copies`` is the copy table; ``expands`` gives each
+    inlined copy the id of the lowered call it expands in its parent's
+    function, and ``children`` each (copy, such a call id) the copy the
+    call expands to.  A copy's children expand its function's calls in
+    node id order, and its own nodes keep their lowered order."""
+
+    def __init__(self, model: ProgramModel, spec_set: ThadSet):
+        body = model.entry_body
+        self.sites = hal_sites(body, spec_set)
+        routines = {r.name: r for r in spec_set.routines}
+        self.functions = _functions(model, routines)
         self.copies = body.copies or (InlinedCopy(body, None, None),)
-        self._nodes = body.cfg.nodes
-        # function -> its names, and each name's assigned values
-        functions: dict[str, tuple[frozenset[str], dict[str, list]]] = {}
-        for row in self.copies:
-            fn = row.function
-            if fn.name not in functions:
-                assigns: dict[str, list[Expr]] = {}
-                for node in fn.cfg.nodes:
-                    if node.kind is NodeKind.ASSIGN:
-                        assigns.setdefault(node.var, []).append(node.expr)
-                functions[fn.name] = frozenset(_owned_names(fn)), assigns
-        # per copy, its function's entry of ``functions``
-        self._owned, self._assigns = zip(
-            *[functions[row.function.name] for row in self.copies])
-        self._names = frozenset().union(*self._owned)
-        self._walks: dict[tuple[int, str], Key] = {}
-        self.ends = {row.tail: c for c, row in enumerate(self.copies) if c}
-        self._results: dict[Key, list[int]] = {}  # key -> tail node ids
-        for tail in self.ends:
-            node = self._nodes[tail]
-            if node.var is not None:
-                key = self.key(node.copy, node.var)
-                self._results.setdefault(key, []).append(tail)
+        calls = [iter(self.functions[row.function.name].calls)
+                 for row in self.copies]
+        self.expands = [-1]
+        self.children: dict[tuple[int, int], int] = {}
+        for c, row in enumerate(self.copies[1:], 1):
+            call = next(calls[row.parent]).id
+            self.expands.append(call)
+            self.children[row.parent, call] = c
+        own = [iter(self.functions[row.function.name].sites)
+               for row in self.copies]
+        self.lowered = [next(own[node.copy])[0].id for node, _ in self.sites]
 
-    def reads_in(self, node: CfgNode) -> int:
-        """The copy ``node`` reads its names in: its own, except where a
-        call's copy starts and ends.  A parameter bind reads its
-        argument in the caller's copy, and a tail reads the return slot
-        in the copy that ends there."""
-        ended = self.ends.get(node.id)
-        if ended is not None:
-            return ended
-        c = node.copy
-        if c and node.id < self.copies[c].tail:
-            return self.copies[c].parent
-        return c
-
-    def key(self, copy: int, name: str) -> Key:
-        """The key of ``name`` read in ``copy``."""
-        if not copy:
-            return name
-        if name in self._owned[copy]:
-            return copy, name
-        if name not in self._names:
-            return name
-        key = self._walks.get((copy, name))
-        if key is None:
-            owner = copy
-            while owner and name not in self._owned[owner]:
-                owner = self.copies[owner].parent
-            key = self._walks[copy, name] = (owner, name) if owner else name
-        return key
-
-    def sources(self, key: Key) -> Iterator[tuple[Expr, int]]:
-        """The values assigned to ``key``, each with the copy it is
-        read in; a call's result is no value."""
-        copy, name = key if isinstance(key, tuple) else (0, key)
-        for expr in self._assigns[copy].get(name, ()):
-            yield expr, copy
-        if copy:
-            row = self.copies[copy]
-            if name in row.function.params:
-                nodes, nid = self._nodes, row.tail - 1
-                while nodes[nid].copy == copy:  # the binds, before the tail
-                    if nodes[nid].var == name:
-                        yield nodes[nid].expr, row.parent
-                    nid -= 1
-        for tail in self._results.get(key, ()):
-            yield self._nodes[tail].expr, self.ends[tail]
-
-    def free(self, key: Key) -> bool:
-        """Is ``key`` a free name, one that resolution may read as a
-        constant?"""
-        return isinstance(key, str) and key not in self._owned[0]
+    def found(self, summaries: dict[Context, dict], root: Context
+              ) -> list[dict]:
+        """What each copy read (see :func:`_walk`): its function's
+        summary in the context its call passes, by copy."""
+        found = [summaries[root]]
+        for row, call in zip(self.copies[1:], self.expands[1:]):
+            found.append(summaries[found[row.parent][call]])
+        return found
 
 
-def _backward_slice(index: AssignmentIndex,
-                    seeds: Iterable[tuple[Expr, int]],
-                    follows: type = object) -> set[Key]:
-    """The variables the ``seeds``, each an expression and the copy it
-    is read in, can depend on, flow-insensitively: the variables they
-    read, and then those read by every assignment to a variable already
-    in the slice whose value is a ``follows`` (any expression by
-    default).  A call's result depends on no variable."""
-    relevant: set[Key] = set()
-    work = list(seeds)
-    while work:
-        expr, copy = work.pop()
-        if isinstance(expr, Var):
-            key = index.key(copy, expr.name) if copy else expr.name
-            if key not in relevant:
-                relevant.add(key)
-                for source in index.sources(key):
-                    if isinstance(source[0], follows):
-                        work.append(source)
-        elif isinstance(expr, Unary):
-            work.append((expr.operand, copy))
-        elif isinstance(expr, Binary):
-            work += ((expr.lhs, copy), (expr.rhs, copy))
-    return relevant
+class _Unsummarised(Exception):
+    """A walk reached a call whose callee context has no summary yet."""
+
+    def __init__(self, context: Context):
+        self.context = context
 
 
-Value = TypeVar("Value")
+class _Domain:
+    """The values one resolution pass propagates, None for unknown.  A
+    value passes unchanged between a caller and its callee unless a
+    subclass says otherwise."""
+
+    def value(self, expr: Expr, env: dict, value_of) -> Optional[object]:
+        """The value of ``expr``; ``value_of(name, env)`` gives a name's."""
+        raise NotImplementedError
+
+    def result(self, node: CfgNode) -> Optional[object]:
+        """The value a call of an undefined function returns."""
+        return None
+
+    def free(self, name: str) -> Optional[object]:
+        """The value of a name no function up the call chain owns."""
+        return None
+
+    def down(self, value: Optional[object]) -> Optional[object]:
+        """A caller's value as its callee sees it."""
+        return value
+
+    def up(self, value: Optional[object], call: CfgNode) -> Optional[object]:
+        """A callee's value as the caller of ``call`` sees it."""
+        return value
+
+    def read(self, node: CfgNode, env: dict, value_of,
+             free: Callable[[str], bool]) -> Optional[object]:
+        """What the pass reads at a call of an undefined function;
+        ``free(name)`` says whether no function owns ``name``."""
+        raise NotImplementedError
 
 
-def _must_values(
-    body: FunctionBody, index: AssignmentIndex,
-    value: Callable[[CfgNode, dict], Optional[object]],
-    relevant: Collection[Key],
-    read: Callable[[CfgNode, dict], Optional[Value]],
-) -> dict[int, Value]:
-    """What ``read(node, env)`` finds at every node of ``body`` reached
-    from its entry, kept where it is not None (see
-    :func:`~thadc.cfg.must_forward`).  ``env`` maps the key of each
-    variable (see :class:`AssignmentIndex`) to the value it holds on
-    every path to the node.  A node writes at most one variable, an
-    ASSIGN its ``var`` and a CALL its ``lhs``, and ``value(node, env)``
-    gives the new value, or None for unknown.
+def _meet(env: dict, other: dict) -> dict:
+    kept = {k: v for k, v in env.items() if other.get(k) == v}
+    return env if len(kept) == len(env) else kept
 
-    Only the ``relevant`` variables are tracked: a write to any other
-    leaves the environment as it is, so ``relevant`` must hold every
-    variable that ``value`` or ``read`` reads.  An inlined copy's
-    variables leave the environment after its tail's own write (see
-    ``index.ends``).  Only a write or an end that changes an environment
-    copies it."""
-    ends = index.ends
-    owned: dict[int, list[Key]] = {}  # copy -> its relevant variables
-    if ends:
-        for key in relevant:
-            if isinstance(key, tuple):
-                owned.setdefault(key[0], []).append(key)
+
+def _walk(fn: _Function, values: tuple, functions: dict[str, _Function],
+          domain: _Domain, summaries: dict[Context, dict]) -> dict:
+    """What ``fn`` reads in the calling context ``values`` (see
+    :data:`Context`), on :func:`~thadc.cfg.must_forward`: lowered node
+    id -> the site's value at each HAL site where it is known, the
+    callee's context at each call of a defined function, and the return
+    slot's value at the exit.  Raises :class:`_Unsummarised` at the
+    first call whose callee context is not in ``summaries``."""
+    body = fn.body
+    params, owned = body.params, fn.owned
+    start = {p: v for p, v in zip(params, values) if v is not None}
+    outer = dict(zip(fn.inherited, values[len(params):]))
+    exit_id, ret = body.cfg.exit, return_var(body.name)
+
+    def value_of(name: str, env: dict) -> Optional[object]:
+        if name in owned:
+            return env.get(name)
+        value = outer[name]
+        return domain.free(name) if value is _FREE else value
+
+    def free(name: str) -> bool:
+        return name not in owned and outer[name] is _FREE
+
+    def context(node: CfgNode, env: dict) -> Context:
+        callee = functions[node.callee]
+        n = len(callee.body.params)
+        passed = [domain.down(domain.value(arg, env, value_of))
+                  for arg in node.args[:n]]
+        passed += [None] * (n - len(passed))
+        for name in callee.inherited:
+            value = env.get(name) if name in owned else outer[name]
+            passed.append(value if value is _FREE else domain.down(value))
+        return node.callee, tuple(passed)
 
     def transfer(node: CfgNode, env: dict) -> dict:
-        key = node.var or node.lhs
-        if key is not None:
-            if node.copy:  # a node writes in its own copy
-                key = (node.copy, key)
-            if key in relevant:
-                new = value(node, env)
-                if env.get(key) != new:
-                    env = dict(env)
-                    if new is None:
-                        del env[key]
-                    else:
-                        env[key] = new
-        dead = owned.get(ends.get(node.id))
-        if dead and not env.keys().isdisjoint(dead):
-            env = dict(env)
-            for key in dead:
-                env.pop(key, None)
+        if node.kind is NodeKind.ASSIGN:
+            var, new = node.var, domain.value(node.expr, env, value_of)
+        elif node.kind is NodeKind.CALL:
+            var = node.lhs
+            if node.callee in functions:
+                key = calls[node.id] = context(node, env)
+                found = summaries.get(key)
+                if found is None:
+                    raise _Unsummarised(key)
+                callee_exit = functions[node.callee].body.cfg.exit
+                new = domain.up(found.get(callee_exit), node)
+            else:
+                new = domain.result(node)
+        else:
+            return env
+        if var is None or env.get(var) == new:
+            return env
+        env = dict(env)
+        if new is None:
+            del env[var]
+        else:
+            env[var] = new
         return env
 
-    def meet(env: dict, other: dict) -> dict:
-        kept = {k: v for k, v in env.items() if other.get(k) == v}
-        return env if len(kept) == len(env) else kept
+    def read(node: CfgNode, env: dict) -> Optional[object]:
+        if node.kind is NodeKind.CALL:
+            if node.callee in functions:
+                return None
+            return domain.read(node, env, value_of, free)
+        return env.get(ret) if node.id == exit_id else None
 
-    return must_forward(body.cfg, {}, transfer, meet, read)
+    calls = {}
+    found = must_forward(body.cfg, start, transfer, _meet, read)
+    found.update(calls)
+    return found
 
 
-def _role_args(sites: list[tuple[CfgNode, RoutineSpec]],
-               role: ParamRole) -> dict[int, Expr]:
-    """Call node id -> the call's argument for its routine's parameter
-    with ``role``, for each site whose routine has one and whose call
-    passes an argument there.  A call reads its arguments in its own
-    copy: it is never a bind or a tail."""
+def _summaries(functions: dict[str, _Function], entry: str,
+               domain: _Domain) -> tuple[dict[Context, dict], Context]:
+    """What each function reads in each calling context it is reached
+    in, from the entry down (see :func:`_walk`), and the entry's own
+    context: its parameters unknown, every name it inherits free.
+
+    Contexts wait on an explicit stack, not on Python's: a walk that
+    meets a callee context with no summary yet stops, the callee is
+    walked, and then the caller is walked again from its entry."""
+    fn = functions[entry]
+    root = entry, ((None,) * len(fn.body.params)
+                   + (_FREE,) * len(fn.inherited))
+    summaries: dict[Context, dict] = {}
+    stack = [root]
+    while stack:
+        key = stack[-1]
+        if key in summaries:
+            stack.pop()
+            continue
+        try:
+            summaries[key] = _walk(functions[key[0]], key[1], functions,
+                                   domain, summaries)
+        except _Unsummarised as pending:
+            stack.append(pending.context)
+        else:
+            stack.pop()
+    return summaries, root
+
+
+def _role_args(sites: Iterable[tuple[CfgNode, RoutineSpec]],
+               role: ParamRole) -> dict[CfgNode, Expr]:
+    """Call node -> the call's argument for its routine's parameter with
+    ``role``, for each site whose routine has one and whose call passes
+    an argument there."""
     where: dict[str, Optional[int]] = {}  # routine -> the parameter index
-    args: dict[int, Expr] = {}
+    args: dict[CfgNode, Expr] = {}
     for node, routine in sites:
         if routine.name not in where:
             where[routine.name] = next(
@@ -491,8 +565,14 @@ def _role_args(sites: list[tuple[CfgNode, RoutineSpec]],
                 None)
         idx = where[routine.name]
         if idx is not None and idx < len(node.args):
-            args[node.id] = node.args[idx]
+            args[node] = node.args[idx]
     return args
+
+
+def _all_sites(functions: dict[str, _Function]
+               ) -> Iterator[tuple[CfgNode, RoutineSpec]]:
+    return itertools.chain.from_iterable(fn.sites
+                                         for fn in functions.values())
 
 
 # ---------------------------------------------------------------------------
@@ -523,24 +603,24 @@ _BINARY: dict[str, Callable[[int, int], Optional[int]]] = {
 }
 
 
-def _eval_expr(expr: Expr, copy: int, env: dict,
-               value_of: Callable[[int, str, dict], Optional[int]],
+def _eval_expr(expr: Expr, env: dict,
+               value_of: Callable[[str, dict], Optional[int]],
                ) -> Optional[int]:
-    """The value of ``expr`` read in ``copy`` under ``env``, or None when
-    it is unknown; ``value_of(copy, name, env)`` gives the value of a
-    name it reads.  A value no 64-bit C integer holds is unknown too,
-    which also keeps every intermediate result small."""
+    """The value of ``expr`` under ``env``, or None when it is unknown;
+    ``value_of(name, env)`` gives the value of a name it reads.  A value
+    no 64-bit C integer holds is unknown too, which also keeps every
+    intermediate result small."""
     if isinstance(expr, Num):
         value = expr.value
     elif isinstance(expr, Var):
-        value = value_of(copy, expr.name, env)
+        value = value_of(expr.name, env)
     elif isinstance(expr, Unary):
-        v = _eval_expr(expr.operand, copy, env, value_of)
+        v = _eval_expr(expr.operand, env, value_of)
         op = None if v is None else _UNARY.get(expr.op)
         value = None if op is None else op(v)
     elif isinstance(expr, Binary):
-        a = _eval_expr(expr.lhs, copy, env, value_of)
-        b = _eval_expr(expr.rhs, copy, env, value_of)
+        a = _eval_expr(expr.lhs, env, value_of)
+        b = _eval_expr(expr.rhs, env, value_of)
         op = None if a is None or b is None else _BINARY.get(expr.op)
         value = None if op is None else op(a, b)
     else:  # a string literal or a call
@@ -548,71 +628,61 @@ def _eval_expr(expr: Expr, copy: int, env: dict,
     return value if value is None or -2**63 <= value < 2**64 else None
 
 
-def resolve_discriminators(
-    model: ProgramModel, spec_set: ThadSet,
-    sites: list[tuple[CfgNode, RoutineSpec]], index: AssignmentIndex,
-) -> dict[int, str]:
+class _Constants(_Domain):
+    """Integer constants; a site reads the name of its discriminator's."""
+
+    def __init__(self, model: ProgramModel, spec_set: ThadSet,
+                 functions: dict[str, _Function]):
+        self.constants, self.defines = spec_set.constants, model.defines
+        self.names: dict[int, str] = {}  # value -> its spec constant
+        for cname, value in spec_set.constants.items():
+            if value is not None and (value not in self.names
+                                      or cname < self.names[value]):
+                self.names[value] = cname
+        self.args = _role_args(_all_sites(functions),
+                               ParamRole.DISCRIMINATOR)
+
+    value = staticmethod(_eval_expr)
+
+    def free(self, name: str) -> Optional[int]:
+        value = self.constants.get(name)
+        return value if value is not None else self.defines.get(name)
+
+    def read(self, node, env, value_of, free) -> Optional[str]:
+        arg = self.args.get(node)
+        if arg is None:
+            return None
+        # A spec constant used by name resolves even with no encoding.
+        if isinstance(arg, Var) and free(arg.name) \
+                and arg.name in self.constants:
+            return arg.name
+        value = _eval_expr(arg, env, value_of)
+        return None if value is None else self.names.get(value, str(value))
+
+
+def resolve_discriminators(model: ProgramModel, spec_set: ThadSet,
+                           sites: EntrySites) -> dict[int, str]:
     """The resolved discriminators of the HAL calls in the entry body:
     call node id -> the name of the value its discriminator argument
-    holds on every path, for each call where that is known.  ``sites``
-    is the body's :func:`~thadc.cfg.hal_sites` and ``index`` its
-    :class:`AssignmentIndex`.
+    holds on every path, for each call where that is known.  ``model``
+    is an inlined model (see :func:`inline_calls`) and ``sites`` its
+    entry body's :class:`EntrySites`.
 
-    Resolution precedence for a name: the entry body's variables first
-    (through the propagated environment), then the platform constants
-    table by name, then ``#define`` values, then arithmetic over those.
-    An integer with no entry in the constants table becomes its decimal
-    spelling, which matches no constrained pattern.
+    Resolution precedence for a name: the variables of the functions up
+    the call chain first (through the propagated environment), then the
+    platform constants table by name, then ``#define`` values, then
+    arithmetic over those.  An integer with no entry in the constants
+    table becomes its decimal spelling, which matches no constrained
+    pattern.
     """
-    rev: dict[int, str] = {}
-    for cname, value in spec_set.constants.items():
-        if value is None:
-            continue
-        if value not in rev or cname < rev[value]:
-            rev[value] = cname
-
-    nodes = model.entry_body.cfg.nodes
-    args = _role_args(sites, ParamRole.DISCRIMINATOR)
-    # A spec constant used by name resolves without an environment.
-    named = {}
-    for nid, arg in args.items():
-        if isinstance(arg, Var):
-            key = index.key(nodes[nid].copy, arg.name)
-            if index.free(key) and key in spec_set.constants:
-                named[nid] = key
-    for nid in named:
-        del args[nid]
-    if not args:
-        return named
-    relevant = _backward_slice(
-        index, ((arg, nodes[nid].copy) for nid, arg in args.items()))
-
-    def lookup(key: Key) -> Optional[int]:
-        if not index.free(key):
-            return None  # a real variable; only the env may know it
-        value = spec_set.constants.get(key)
+    functions = sites.functions
+    found = sites.found(*_summaries(
+        functions, model.entry, _Constants(model, spec_set, functions)))
+    values: dict[int, str] = {}
+    for (node, _), lowered in zip(sites.sites, sites.lowered):
+        value = found[node.copy].get(lowered)
         if value is not None:
-            return value
-        return model.defines.get(key)
-
-    def value_of(copy: int, name: str, env: dict) -> Optional[int]:
-        key = index.key(copy, name) if copy else name
-        return env[key] if key in env else lookup(key)
-
-    def assigned_value(node: CfgNode, env: dict) -> Optional[int]:
-        if node.kind is NodeKind.ASSIGN:
-            return _eval_expr(node.expr, index.reads_in(node), env, value_of)
-        return None  # a call's result
-
-    def read(node: CfgNode, env: dict) -> Optional[str]:
-        arg = args.get(node.id)
-        value = None if arg is None else _eval_expr(arg, node.copy, env,
-                                                    value_of)
-        return None if value is None else rev.get(value, str(value))
-
-    values = _must_values(model.entry_body, index, assigned_value, relevant,
-                          read)
-    values.update(named)
+            values[node.id] = value
     return values
 
 
@@ -620,50 +690,102 @@ def resolve_discriminators(
 # Descriptor token flow
 # ---------------------------------------------------------------------------
 
-def build_token_flow(
-    model: ProgramModel, sites: list[tuple[CfgNode, RoutineSpec]],
-    index: AssignmentIndex,
-) -> tuple[dict[int, str], dict[int, str]]:
+class _Tokens(_Domain):
+    """Descriptor tokens, each relative to the frame that reads it: (ups,
+    path), the minting ``open`` found by going ``ups`` callers up and
+    then down the path's lowered calls.  A path is an interned id into
+    ``steps``: (lowered node id, the rest's id), with -1 for the rest of
+    the last step, the ``open`` itself.  Equal tokens in one frame are
+    equal tuples, as each flat ``open`` has one spelling per frame."""
+
+    def __init__(self, functions: dict[str, _Function]):
+        self.steps: list[tuple[int, int]] = []
+        self._ids: dict[tuple[int, int], int] = {}
+        sites = list(_all_sites(functions))
+        self.mints = {node for node, routine in sites
+                      if routine.returns_descriptor}
+        self.uses = {node: arg.name for node, arg
+                     in _role_args(sites, ParamRole.DESCRIPTOR).items()
+                     if isinstance(arg, Var)}
+
+    def path(self, step: int, rest: int) -> int:
+        key = step, rest
+        path = self._ids.get(key)
+        if path is None:
+            path = self._ids[key] = len(self.steps)
+            self.steps.append(key)
+        return path
+
+    def value(self, expr, env, value_of):
+        return value_of(expr.name, env) if isinstance(expr, Var) else None
+
+    def result(self, node):
+        return (0, self.path(node.id, -1)) if node in self.mints else None
+
+    def down(self, token):
+        return None if token is None else (token[0] + 1, token[1])
+
+    def up(self, token, call):
+        if token is None:
+            return None
+        ups, path = token
+        return (0, self.path(call.id, path)) if ups == 0 else (ups - 1, path)
+
+    def read(self, node, env, value_of, free):
+        name = self.uses.get(node)
+        return None if name is None else value_of(name, env)
+
+
+def build_token_flow(model: ProgramModel, sites: EntrySites
+                     ) -> tuple[dict[int, str], dict[int, str]]:
     """The descriptor tokens of the HAL calls in the entry body, as two
     tables: call node id -> the token its descriptor argument holds on
     every path, for each call where that is known; and call node id ->
     the token the call mints, for each call of a descriptor-returning
-    routine.  ``sites`` and ``index`` are as for
-    :func:`resolve_discriminators`.
+    routine, ``t1``, ``t2``, ... in node id order.  ``model`` and
+    ``sites`` are as for :func:`resolve_discriminators`.
 
     Every call of a descriptor-returning routine mints one token.  A
     later call's descriptor argument carries that token exactly when the
     argument variable must hold that call's result on every path to the
     argument's use; otherwise the argument stays unknown.
     """
+    domain = _Tokens(sites.functions)
+    found = sites.found(*_summaries(sites.functions, model.entry, domain))
     produced: dict[int, str] = {}
-    for node, routine in sites:
+    minted: dict[tuple[int, int], str] = {}  # (copy, lowered id) -> token
+    held = []  # (site id, copy, relative token)
+    for (node, routine), lowered in zip(sites.sites, sites.lowered):
+        c = node.copy
         if routine.returns_descriptor:
-            produced[node.id] = f"t{len(produced) + 1}"
-    uses = {nid: arg for nid, arg
-            in _role_args(sites, ParamRole.DESCRIPTOR).items()
-            if isinstance(arg, Var)}
-    if not uses:
-        return {}, produced
-
-    def assigned_token(node: CfgNode, env: dict) -> Optional[str]:
-        if node.kind is NodeKind.CALL:
-            return produced.get(node.id)
-        expr = node.expr
-        if not isinstance(expr, Var):
-            return None
-        return env.get(index.key(index.reads_in(node), expr.name))
-
-    def read(node: CfgNode, env: dict) -> Optional[str]:
-        arg = uses.get(node.id)
-        return None if arg is None else env.get(index.key(node.copy,
-                                                          arg.name))
-
-    nodes = model.entry_body.cfg.nodes
-    relevant = _backward_slice(
-        index, ((arg, nodes[nid].copy) for nid, arg in uses.items()), Var)
-    return _must_values(model.entry_body, index, assigned_token, relevant,
-                        read), produced
+            produced[node.id] = minted[c, lowered] = f"t{len(produced) + 1}"
+        token = found[c].get(lowered)
+        if token is not None:
+            held.append((node.id, c, token))
+    # A token held in a copy is the one its parent holds with one ``ups``
+    # fewer.  Each (copy, token) is looked up once, so sibling copies
+    # share the walk up.
+    names: dict[tuple[int, tuple[int, int]], str] = {}
+    copies, steps = sites.copies, domain.steps
+    tokens: dict[int, str] = {}
+    for nid, c, token in held:
+        up = []
+        name = names.get((c, token))
+        while name is None and token[0]:
+            up.append((c, token))
+            c, token = copies[c].parent, (token[0] - 1, token[1])
+            name = names.get((c, token))
+        if name is None:
+            step, path = steps[token[1]]
+            down = c
+            while path >= 0:
+                down = sites.children[down, step]
+                step, path = steps[path]
+            name = names[c, token] = minted[down, step]
+        for key in up:
+            names[key] = name
+        tokens[nid] = name
+    return tokens, produced
 
 
 def preprocess(model: ProgramModel, spec_set: ThadSet,
@@ -671,19 +793,18 @@ def preprocess(model: ProgramModel, spec_set: ThadSet,
     """Inline, then resolve arguments and thread tokens in the entry
     body; the checker's input.  A new model whose ``events`` table holds
     the entry body's HAL call events, in node id order, one object per
-    distinct event; ``model`` is left as it was.  The entry's HAL sites
-    and its :class:`AssignmentIndex` are built once, here."""
+    distinct event; ``model`` is left as it was.  The entry's
+    :class:`EntrySites` are built once, here."""
     flat = inline_calls(model, depth_limit)
-    sites = hal_sites(flat.entry_body, spec_set)
-    index = AssignmentIndex(flat.entry_body)
-    values = resolve_discriminators(flat, spec_set, sites, index)
-    tokens, produced = build_token_flow(flat, sites, index)
+    sites = EntrySites(flat, spec_set)
+    values = resolve_discriminators(flat, spec_set, sites)
+    tokens, produced = build_token_flow(flat, sites)
     roles = {r.name: (r.discriminator_param is not None,
                       r.descriptor_param is not None)
              for r in spec_set.routines}
     events: dict[int, CallEvent] = {}
     shared: dict[CallEvent, CallEvent] = {}  # each distinct event once
-    for node, _ in sites:
+    for node, _ in sites.sites:
         nid = node.id
         value, token = values.get(nid), tokens.get(nid)
         has_discriminator, has_descriptor = roles[node.callee]

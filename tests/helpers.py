@@ -15,13 +15,18 @@ from collections import deque
 from itertools import repeat
 from pathlib import Path
 from types import ModuleType
-from typing import Optional
+from typing import Iterator, Optional, Union
 
-from thadc.cfg import Cfg, NodeKind, ProgramModel, build_model
+from thadc.cfg import (Cfg, CfgNode, FunctionBody, InlinedCopy, NodeKind,
+                       ProgramModel, build_model, hal_sites, must_forward)
 from thadc.diagnostics import Diagnostic
 from thadc.minic import (
     _UNTERMINATED,
+    Binary,
+    Expr,
     Token,
+    Unary,
+    Var,
     _char_value,
     _directive,
     c_int_value,
@@ -38,7 +43,7 @@ from thadc.model import (
     Thad,
     ThadSet,
 )
-from thadc.passes import preprocess
+from thadc.passes import _eval_expr, _owned_names, inline_calls, preprocess
 
 # The Linux ioctl request encoding: dir<<30 | size<<16 | type<<8 | nr,
 # with type 'k' (0x6B) for the SPI device interface.  Recomputed here from
@@ -396,6 +401,285 @@ def dense_must_forward(cfg: Cfg, start, transfer, meet) -> dict:
                 ins[dst] = new
                 work.append(dst)
     return ins
+
+
+# ---------------------------------------------------------------------------
+# Flat resolution (the reference for ``thadc.passes``' two resolution passes)
+# ---------------------------------------------------------------------------
+
+# The two passes as they were before they summarised each function once
+# per calling context: one must-propagation over the whole inlined
+# entry, with every variable keyed by the inlined copy that owns it.
+
+FlatKey = Union[str, tuple[int, str]]
+
+
+class AssignmentIndex:
+    """The variables of an inlined entry body.
+
+    A name that inlined copy ``c`` owns (see ``passes._owned_names``)
+    has the key ``(c, name)``; every other name is its own key: the
+    entry's own variables, and free names (platform constants, defines,
+    globals).  A name read in copy ``c`` belongs to the nearest copy,
+    from ``c`` up its parents, whose function owns it; a node writes in
+    its own copy.  Copy ``c`` assigns ``(c, name)`` where its function's
+    body assigns ``name``, in its parameter binds, and in the tails of
+    its calls whose result is ``name``.  ``ends`` maps the tail of each
+    inlined copy to the copy; nothing after the tail reads the copy's
+    variables."""
+
+    def __init__(self, body: FunctionBody):
+        self.copies = body.copies or (InlinedCopy(body, None, None),)
+        self._nodes = body.cfg.nodes
+        self._owned = [frozenset(_owned_names(row.function))
+                       for row in self.copies]
+        self._assigns = []  # per copy: name -> the values assigned to it
+        for row in self.copies:
+            assigns: dict[str, list[Expr]] = {}
+            for node in row.function.cfg.nodes:
+                if node.kind is NodeKind.ASSIGN:
+                    assigns.setdefault(node.var, []).append(node.expr)
+            self._assigns.append(assigns)
+        self._names = frozenset().union(*self._owned)
+        self.ends = {row.tail: c for c, row in enumerate(self.copies) if c}
+        self._results: dict[FlatKey, list[int]] = {}  # key -> tail ids
+        for tail in self.ends:
+            node = self._nodes[tail]
+            if node.var is not None:
+                key = self.key(node.copy, node.var)
+                self._results.setdefault(key, []).append(tail)
+
+    def reads_in(self, node: CfgNode) -> int:
+        """The copy ``node`` reads its names in: a parameter bind reads
+        its argument in the caller's copy, and a tail reads the return
+        slot in the copy that ends there."""
+        ended = self.ends.get(node.id)
+        if ended is not None:
+            return ended
+        c = node.copy
+        if c and node.id < self.copies[c].tail:
+            return self.copies[c].parent
+        return c
+
+    def key(self, copy: int, name: str) -> FlatKey:
+        """The key of ``name`` read in ``copy``."""
+        if not copy:
+            return name
+        if name not in self._names:
+            return name
+        owner = copy
+        while owner and name not in self._owned[owner]:
+            owner = self.copies[owner].parent
+        return (owner, name) if owner else name
+
+    def sources(self, key: FlatKey) -> Iterator[tuple[Expr, int]]:
+        """The values assigned to ``key``, each with the copy it is
+        read in; a call's result is no value."""
+        copy, name = key if isinstance(key, tuple) else (0, key)
+        for expr in self._assigns[copy].get(name, ()):
+            yield expr, copy
+        if copy:
+            row = self.copies[copy]
+            if name in row.function.params:
+                nid = row.tail - 1
+                while self._nodes[nid].copy == copy:  # the binds
+                    if self._nodes[nid].var == name:
+                        yield self._nodes[nid].expr, row.parent
+                    nid -= 1
+        for tail in self._results.get(key, ()):
+            yield self._nodes[tail].expr, self.ends[tail]
+
+    def free(self, key: FlatKey) -> bool:
+        """Is ``key`` a free name, one that resolution may read as a
+        constant?"""
+        return isinstance(key, str) and key not in self._owned[0]
+
+
+def backward_slice(index: AssignmentIndex, seeds, follows: type = object
+                   ) -> set[FlatKey]:
+    """The variables the ``seeds``, each an expression and the copy it
+    is read in, can depend on, flow-insensitively, following only the
+    assignments whose value is a ``follows``."""
+    relevant: set[FlatKey] = set()
+    work = list(seeds)
+    while work:
+        expr, copy = work.pop()
+        if isinstance(expr, Var):
+            key = index.key(copy, expr.name)
+            if key not in relevant:
+                relevant.add(key)
+                work += [source for source in index.sources(key)
+                         if isinstance(source[0], follows)]
+        elif isinstance(expr, Unary):
+            work.append((expr.operand, copy))
+        elif isinstance(expr, Binary):
+            work += ((expr.lhs, copy), (expr.rhs, copy))
+    return relevant
+
+
+def every_key(body: FunctionBody) -> set[FlatKey]:
+    """The key of every variable some node of ``body`` writes, in its
+    own copy: every variable that can enter an environment."""
+    return {(node.copy, name) if node.copy else name
+            for node in body.cfg.nodes
+            for name in (node.var or node.lhs,) if name is not None}
+
+
+def must_values(body: FunctionBody, index: AssignmentIndex, value,
+                relevant, read, ends: bool = True) -> dict:
+    """What ``read(node, env)`` finds at every node of the inlined
+    ``body``, on ``thadc.cfg.must_forward``, where ``env`` maps the key
+    of each ``relevant`` variable to the value it holds on every path.
+    A node writes at most one variable, and ``value(node, env)`` gives
+    its new value, or None for unknown.  With ``ends``, an inlined
+    copy's variables leave the environment after its tail's own write.
+    """
+    owned: dict[int, list[FlatKey]] = {}  # copy -> its relevant variables
+    if ends:
+        for key in relevant:
+            if isinstance(key, tuple):
+                owned.setdefault(key[0], []).append(key)
+
+    def transfer(node, env):
+        key = node.var or node.lhs
+        if key is not None:
+            if node.copy:
+                key = (node.copy, key)
+            if key in relevant:
+                new = value(node, env)
+                if env.get(key) != new:
+                    env = dict(env)
+                    if new is None:
+                        del env[key]
+                    else:
+                        env[key] = new
+        dead = owned.get(index.ends.get(node.id))
+        if dead and not env.keys().isdisjoint(dead):
+            env = {k: v for k, v in env.items() if k not in dead}
+        return env
+
+    def meet(env, other):
+        kept = {k: v for k, v in env.items() if other.get(k) == v}
+        return env if len(kept) == len(env) else kept
+
+    return must_forward(body.cfg, {}, transfer, meet, read)
+
+
+def _flat_role_args(sites, role: ParamRole) -> dict[int, Expr]:
+    """Call node id -> its argument for the parameter with ``role``."""
+    args = {}
+    for node, routine in sites:
+        idx = next((i for i, p in enumerate(routine.params)
+                    if p.role is role), None)
+        if idx is not None and idx < len(node.args):
+            args[node.id] = node.args[idx]
+    return args
+
+
+def flat_resolve_discriminators(model: ProgramModel, spec_set: ThadSet,
+                                sites, sliced: bool = True) -> dict[int, str]:
+    """``passes.resolve_discriminators`` over the flat entry; without
+    ``sliced`` every variable is tracked to the end."""
+    body = model.entry_body
+    index = AssignmentIndex(body)
+    names: dict[int, str] = {}
+    for cname, value in spec_set.constants.items():
+        if value is not None and (value not in names or cname < names[value]):
+            names[value] = cname
+    nodes = body.cfg.nodes
+    args = _flat_role_args(sites, ParamRole.DISCRIMINATOR)
+    named = {}
+    for nid, arg in args.items():
+        if isinstance(arg, Var):
+            key = index.key(nodes[nid].copy, arg.name)
+            if index.free(key) and key in spec_set.constants:
+                named[nid] = key
+    for nid in named:
+        del args[nid]
+    relevant = (backward_slice(index, ((arg, nodes[nid].copy)
+                                       for nid, arg in args.items()))
+                if sliced else every_key(body))
+
+    def value_in(copy):
+        def value_of(name, env):
+            key = index.key(copy, name)
+            if key in env:
+                return env[key]
+            if not index.free(key):
+                return None
+            value = spec_set.constants.get(key)
+            return value if value is not None else model.defines.get(key)
+        return value_of
+
+    def assigned(node, env):
+        if node.kind is NodeKind.ASSIGN:
+            return _eval_expr(node.expr, env, value_in(index.reads_in(node)))
+        return None
+
+    def read(node, env):
+        arg = args.get(node.id)
+        value = (None if arg is None
+                 else _eval_expr(arg, env, value_in(node.copy)))
+        return None if value is None else names.get(value, str(value))
+
+    values = must_values(body, index, assigned, relevant, read, sliced)
+    values.update(named)
+    return values
+
+
+def flat_build_token_flow(model: ProgramModel, sites, sliced: bool = True
+                          ) -> tuple[dict[int, str], dict[int, str]]:
+    """``passes.build_token_flow`` over the flat entry."""
+    body = model.entry_body
+    index = AssignmentIndex(body)
+    produced: dict[int, str] = {}
+    for node, routine in sites:
+        if routine.returns_descriptor:
+            produced[node.id] = f"t{len(produced) + 1}"
+    uses = {nid: arg for nid, arg
+            in _flat_role_args(sites, ParamRole.DESCRIPTOR).items()
+            if isinstance(arg, Var)}
+
+    def assigned(node, env):
+        if node.kind is NodeKind.CALL:
+            return produced.get(node.id)
+        if not isinstance(node.expr, Var):
+            return None
+        return env.get(index.key(index.reads_in(node), node.expr.name))
+
+    def read(node, env):
+        arg = uses.get(node.id)
+        return None if arg is None else env.get(index.key(node.copy,
+                                                          arg.name))
+
+    nodes = body.cfg.nodes
+    relevant = (backward_slice(index, ((arg, nodes[nid].copy)
+                                       for nid, arg in uses.items()), Var)
+                if sliced else every_key(body))
+    return must_values(body, index, assigned, relevant, read,
+                       sliced), produced
+
+
+def flat_preprocess(model: ProgramModel, spec_set: ThadSet,
+                    depth_limit: int = 16, sliced: bool = True
+                    ) -> ProgramModel:
+    """``passes.preprocess`` on the flat reference passes."""
+    flat = inline_calls(model, depth_limit)
+    sites = hal_sites(flat.entry_body, spec_set)
+    values = flat_resolve_discriminators(flat, spec_set, sites, sliced)
+    tokens, produced = flat_build_token_flow(flat, sites, sliced)
+    events = {}
+    for node, routine in sites:
+        nid = node.id
+        value, token = values.get(nid), tokens.get(nid)
+        events[nid] = CallEvent(
+            node.callee, value, token, produced.get(nid),
+            discriminator_unknown=(routine.discriminator_param is not None
+                                   and value is None),
+            descriptor_unknown=(routine.descriptor_param is not None
+                                and token is None))
+    return ProgramModel(flat.functions, flat.entry, flat.program, flat.path,
+                        events, frozenset(r.name for r in spec_set.routines))
 
 
 # ---------------------------------------------------------------------------

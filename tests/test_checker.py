@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 import gc
 import random
 import tracemalloc
@@ -14,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (NESTED_LOOPS, benchmark_generator, bound_spidev_set,
-                     dense_must_forward, parse_program, prepared, spidev_set)
+from helpers import (NESTED_LOOPS, AssignmentIndex, benchmark_generator,
+                     bound_spidev_set, dense_must_forward, every_key,
+                     flat_preprocess, must_values, parse_program, prepared,
+                     spidev_set)
 from randprog import generate_program
 from thadc import checker, cli, passes
 from thadc.cfg import (
@@ -297,9 +298,8 @@ class TestSparseMustForward:
             def read(node, env):
                 reads[node.id] += 1
 
-            passes._must_values(body, passes.AssignmentIndex(body),
-                                lambda node, env: node.id, every_key(body),
-                                read)
+            must_values(body, AssignmentIndex(body),
+                        lambda node, env: node.id, every_key(body), read)
             assert reads == dict.fromkeys(range(len(body.cfg.nodes)), 1), \
                 source
 
@@ -339,34 +339,11 @@ class TestHalSites:
                    for node, routine in sites)
 
 
-def every_key(body):
-    """The key of every variable that some node of ``body`` writes, each
-    in its own copy: as relevant variables, every variable is tracked,
-    since one that is never written never enters an environment."""
-    keys = set()
-    for node in body.cfg.nodes:
-        name = node.var or node.lhs
-        if name is not None:
-            keys.add((node.copy, name) if node.copy else name)
-    return keys
-
-
-MUST_VALUES = passes._must_values
-
-
-def unsliced_must_values(body, index, value, relevant, read):
-    """The reference for ``passes._must_values``: every variable is
-    tracked, and no inlined copy's variables end at its tail."""
-    unended = copy.copy(index)
-    unended.ends = {}
-    return MUST_VALUES(body, unended, value, every_key(body), read)
-
-
 def environments(body, value, relevant):
-    """``passes._must_values`` read densely: every reached node's entry
+    """``helpers.must_values`` read densely: every reached node's entry
     environment."""
-    return passes._must_values(body, passes.AssignmentIndex(body), value,
-                               relevant, lambda node, env: env)
+    return must_values(body, AssignmentIndex(body), value, relevant,
+                       lambda node, env: env)
 
 
 TWO_COPIES = """
@@ -434,8 +411,9 @@ def chain_source(n: int) -> str:
 
 
 class TestMustValues:
-    """The environment engine of both resolution passes: only relevant
-    variables are tracked, and an inlined copy's names end at its tail."""
+    """The flat reference's environment engine (``helpers.must_values``):
+    only relevant variables are tracked, and an inlined copy's names end
+    at its tail.  The resolution passes must give what it gives."""
 
     def test_write_outside_the_slice_keeps_the_environment(self):
         body = parse_program("""
@@ -490,13 +468,11 @@ class TestMustValues:
     def test_chain_resolution_peak_stays_small(self):
         model = passes.inline_calls(parse_program(chain_source(1000)), 2000)
         assert len(model.entry_body.cfg.nodes) > 2000
-        sites = hal_sites(model.entry_body, SPIDEV)
         for run, needs in ((passes.resolve_discriminators, (SPIDEV,)),
                            (passes.build_token_flow, ())):
             tracemalloc.start()
             try:
-                index = passes.AssignmentIndex(model.entry_body)
-                run(model, *needs, sites, index)
+                run(model, *needs, passes.EntrySites(model, SPIDEV))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -510,33 +486,32 @@ class TestMustValues:
         # before this test, which some full test runs have, made the first
         # pass read 55 KB instead of 41 KB.  So each pass first runs on a
         # copy of its own after a full collection; the measured model
-        # still builds its own merge counts and index.
+        # still builds its own merge counts and entry sites.
         source = (Path(__file__).resolve().parent / "golden"
                   / "diamond-reduced.c").read_text()
         spec = bound_spidev_set()
         for run, needs in ((passes.resolve_discriminators, (spec,)),
                            (passes.build_token_flow, ())):
             model = passes.inline_calls(parse_program(source))
-            sites = hal_sites(model.entry_body, spec)
             gc.collect()
             spare = passes.inline_calls(parse_program(source))
-            run(spare, *needs, hal_sites(spare.entry_body, spec),
-                passes.AssignmentIndex(spare.entry_body))
+            run(spare, *needs, passes.EntrySites(spare, spec))
             del spare
             tracemalloc.start()
             try:
-                index = passes.AssignmentIndex(model.entry_body)
-                run(model, *needs, sites, index)
+                run(model, *needs, passes.EntrySites(model, spec))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert peak < 48 * 2**10, (run.__name__, peak)
 
     @pytest.mark.parametrize("programs", ["randprog", "wide", "diamond"])
-    def test_sliced_runs_equal_the_unsliced_reference(self, programs,
-                                                      monkeypatch):
+    def test_sliced_runs_equal_the_unsliced_reference(self, programs):
+        """The flat reference, sliced and unsliced, and the passes'
+        per-context summaries give the same events and verdicts."""
         if programs == "randprog":
-            sources = [CALLER_VARIABLE_LOOP] + [
+            sources = [CALLER_VARIABLE_LOOP, TWO_COPIES, chain_source(3),
+                       chain_source(12)] + [
                 generate_program(seed, helpers=True, allow_loops=seed >= 150)
                 for seed in range(300)]
         else:
@@ -545,16 +520,35 @@ class TestMustValues:
             sources = [case.source for seed in (1, 101)
                        for case in cases(seed)]
         for source in sources:
-            flat = passes.inline_calls(parse_program(source))
+            model = parse_program(source)
             for thad_set in (SPIDEV, bound_spidev_set()):
-                sliced = passes.preprocess(flat, thad_set)
-                with monkeypatch.context() as patch:
-                    patch.setattr(passes, "_must_values",
-                                  unsliced_must_values)
-                    reference = passes.preprocess(flat, thad_set)
-                assert sliced.events == reference.events
-                assert (check(sliced, thad_set)
+                summarised = passes.preprocess(model, thad_set)
+                sliced = flat_preprocess(model, thad_set)
+                reference = flat_preprocess(model, thad_set, sliced=False)
+                assert summarised.events == sliced.events == reference.events
+                assert (check(summarised, thad_set)
                         == check(reference, thad_set))
+
+    def test_must_forward_runs_per_context_not_per_copy(self, monkeypatch):
+        # Depth 12 has four times the flat nodes of depth 10, and two
+        # more functions with two token contexts each.
+        gen = benchmark_generator()
+        spec = load_spec(gen.BOUND_SPEC.read_text(), None, "bound")
+        calls = {}
+        for depth in (10, 12):
+            source, _ = gen.diamond_program(random.Random(1), depth, 2)
+            flat = passes.inline_calls(parse_program(source))
+            sites = passes.EntrySites(flat, spec)
+            walks = []
+            with monkeypatch.context() as patch:
+                patch.setattr(passes, "must_forward",
+                              lambda *args: walks.append(1)
+                              or must_forward(*args))
+                passes.resolve_discriminators(flat, spec, sites)
+                passes.build_token_flow(flat, sites)
+            calls[depth] = len(walks)
+        assert calls[10] < 100
+        assert 0 < calls[12] - calls[10] <= 16, calls
 
 
 def full_free_distances(cfg, blocked, targets, order):

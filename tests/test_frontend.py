@@ -666,6 +666,19 @@ class TestInlining:
         # and the open.
         assert len(flat.entry_body.cfg.nodes) == 4 + 1499 + 1
 
+    def test_long_chain_resolves_without_recursion(self):
+        # The open is 1,499 calls down and its token is returned up, so
+        # each function's context waits on an explicit stack.
+        model = parse_program(chain_source(1500))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)  # the interpreter's default
+        try:
+            events = hal_events(preprocess(model, spidev_set(), 2000))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert [(e.routine, e.produced_token, e.descriptor_token)
+                for e in events] == [("open", "t1", None), ("read", None, "t1")]
+
     def test_inline_is_identity_on_call_free_entry(self):
         model = parse_program("int main(void) { int x = 1; return x; }")
         flat = inline_calls(model)
