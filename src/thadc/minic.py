@@ -311,7 +311,16 @@ def _directive(body: str, line: int, col: int, defines: dict[str, int],
 
 
 def tokenize(text: str) -> tuple[list[Token], dict[str, int], list[Diagnostic]]:
-    """Split MiniC source into tokens, ``#define`` values and diagnostics.
+    """Split MiniC source into tokens, ``#define`` values and diagnostics
+    (see :func:`_lex`)."""
+    return _lex(text)[:3]
+
+
+def _lex(text: str) -> tuple[list[Token], dict[str, int], list[Diagnostic],
+                             dict[str, Optional[int]]]:
+    """Split MiniC source into tokens, ``#define`` values and diagnostics,
+    plus the value of each integer token's text (None where it is not a
+    valid literal), computed once per spelling for the parser.
 
     The token list ends with an EOF token.  A malformed literal still
     yields its token, so one mistake gives one diagnostic; an unterminated
@@ -336,6 +345,7 @@ def tokenize(text: str) -> tuple[list[Token], dict[str, int], list[Diagnostic]]:
     new = tuple.__new__
     defines: dict[str, int] = {}
     diags: list[Diagnostic] = []
+    numbers: dict[str, Optional[int]] = {}
     line, line_start = 1, 0
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
@@ -352,7 +362,9 @@ def tokenize(text: str) -> tuple[list[Token], dict[str, int], list[Diagnostic]]:
         start = m.start(kind)
         col = start - line_start + 1
         if kind == "NUM":
-            if c_int_value(value) is None:
+            if value not in numbers:
+                numbers[value] = c_int_value(value)
+            if numbers[value] is None:
                 diags.append(Diagnostic(line, col,
                                         f"invalid integer literal {value!r}"))
             append(new(Token, (kind, value, line, col)))
@@ -369,8 +381,9 @@ def tokenize(text: str) -> tuple[list[Token], dict[str, int], list[Diagnostic]]:
                 diags.append(Diagnostic(
                     line, col,
                     f"character literal {value} must hold exactly one character"))
-            append(new(Token, ("NUM", value if code is None else str(code),
-                               line, col)))
+            spelling = value if code is None else str(code)
+            numbers.setdefault(spelling, code)
+            append(new(Token, ("NUM", spelling, line, col)))
         elif kind == "DIRECTIVE":
             hash_col = col + len(value) - len(value.lstrip(" \t"))
             _directive(value, line, hash_col, defines, diags)
@@ -382,7 +395,7 @@ def tokenize(text: str) -> tuple[list[Token], dict[str, int], list[Diagnostic]]:
             diags.append(Diagnostic(line, col, f"unexpected character {value!r}"))
     append(new(Token, ("EOF", "", text.count("\n") + 1,
                        len(text) - text.rfind("\n"))))
-    return tokens, defines, diags
+    return tokens, defines, diags, numbers
 
 
 # ---------------------------------------------------------------------------
@@ -407,10 +420,12 @@ class _Parser:
     cursor never moves past the first EOF.
     """
 
-    def __init__(self, tokens: list[Token], defines: dict[str, int]):
+    def __init__(self, tokens: list[Token], defines: dict[str, int],
+                 numbers: dict[str, Optional[int]]):
         self.tokens = [*tokens, tokens[-1]]
         self.pos = 0
         self.defines = defines
+        self.numbers = numbers
         self.diags: list[Diagnostic] = []
         self.depth = 0   # nesting levels open around the current position
         self.height = 0  # height of the expression parsed last
@@ -837,7 +852,7 @@ class _Parser:
             return Var(tok.text, tok.line)
         if kind == "NUM":
             # None only for a literal the lexer has already reported
-            return Num(c_int_value(tok.text), tok.line)
+            return Num(self.numbers[tok.text], tok.line)
         if kind == "STR":
             return Str(tok.text, tok.line)
         if tok.text == "(":
@@ -877,8 +892,8 @@ class _Reject(Exception):
 
 def parse_source(text: str, path: str = "<input>") -> Program:
     """Parse MiniC source into a syntax tree, or raise :class:`MiniCError`."""
-    tokens, defines, lex_diags = tokenize(text)
-    parser = _Parser(tokens, defines)
+    tokens, defines, lex_diags, numbers = _lex(text)
+    parser = _Parser(tokens, defines, numbers)
     program = parser.parse_program(path)
     diags = sorted(lex_diags + parser.diags, key=lambda d: (d.line, d.column))
     if diags:
