@@ -174,8 +174,11 @@ def _line_ends_after(lines: list[str], tok: Token, width: int) -> bool:
     return lines[tok.line - 1][tok.col - 1 + width:].strip() == ""
 
 
-def _scan_routines(source: str, wanted: set[str]) -> dict[str, _RoutineShape]:
-    """Locate each wanted routine's body, returns, and entry guards.
+def _scan_routines(source: str,
+                   wanted: set[str]) -> dict[str, list[_RoutineShape]]:
+    """Locate each definition of a wanted routine: its body, returns, and
+    entry guards.  A routine defined more than once, as in both arms of
+    an ``#ifdef``, has one shape per definition, in source order.
 
     One walk over the token stream (comments and strings already out of
     the way) that reports positions in source lines.  Only shapes this
@@ -184,7 +187,7 @@ def _scan_routines(source: str, wanted: set[str]) -> dict[str, _RoutineShape]:
     """
     lines = source.split("\n")
     tokens = tokenize(source)[0][:-1]  # without the EOF token
-    shapes: dict[str, _RoutineShape] = {}
+    shapes: dict[str, list[_RoutineShape]] = {}
     shape: Optional[_RoutineShape] = None  # the wanted body being walked
     depth = 0
     i = 0
@@ -196,7 +199,7 @@ def _scan_routines(source: str, wanted: set[str]) -> dict[str, _RoutineShape]:
             depth -= 1
             if shape is not None and depth == 0:
                 shape.close_line = tok.line
-                shapes[shape.name] = shape
+                shapes.setdefault(shape.name, []).append(shape)
                 shape = None
         elif shape is None:
             if (
@@ -345,35 +348,34 @@ def emit_annotated_source(
         put(1, top)
 
     for routine, thads in asserts.items():
-        shape = shapes[routine]
-        entry = shape.brace_line + 1
         by_guard = _gather(thads, lambda t: t.dependent.discriminator_constraint)
-        for guard, group in by_guard.items():
-            checks = [_check(thad, fmt) for thad in group]
-            if guard is None:
-                put(entry, (shape.body_indent + c for c in checks))
-                continue
-            site = next(
-                (g for g in shape.guards if _guard_matches(g, guard, thad_set)),
-                None,
-            )
-            if site is not None:
-                put(site.brace_line + 1, (site.indent + c for c in checks))
-            else:
-                param, const = guard
-                block = [shape.body_indent + f"if ({param} == {const}) {{"]
-                block.extend(shape.body_indent + "    " + c for c in checks)
-                block.append(shape.body_indent + "}")
-                put(entry, block)
+        for shape in shapes[routine]:
+            entry = shape.brace_line + 1
+            for guard, group in by_guard.items():
+                checks = [_check(thad, fmt) for thad in group]
+                if guard is None:
+                    put(entry, (shape.body_indent + c for c in checks))
+                    continue
+                site = next((g for g in shape.guards
+                             if _guard_matches(g, guard, thad_set)), None)
+                if site is not None:
+                    put(site.brace_line + 1, (site.indent + c for c in checks))
+                else:
+                    param, const = guard
+                    block = [shape.body_indent + f"if ({param} == {const}) {{"]
+                    block.extend(shape.body_indent + "    " + c for c in checks)
+                    block.append(shape.body_indent + "}")
+                    put(entry, block)
 
     for routine, thads in updates.items():
-        shape = shapes[routine]
-        sites = shape.returns or [
-            _ReturnSite(shape.close_line, shape.body_indent, None)
-        ]
-        for site in sites:
-            put(site.line, (site.indent + text for thad in thads
-                            for text in _updates(thad, fmt, site.value_ident)))
+        for shape in shapes[routine]:
+            sites = shape.returns or [
+                _ReturnSite(shape.close_line, shape.body_indent, None)
+            ]
+            for site in sites:
+                put(site.line, (site.indent + text for thad in thads
+                                for text in _updates(thad, fmt,
+                                                     site.value_ident)))
 
     out: list[str] = []
     for lineno, text in enumerate(lines, start=1):

@@ -295,6 +295,25 @@ int ioctl(int fd, int request, ...) {
 }
 """
 
+# ``open`` defined in both arms of an ``#ifdef``: each definition is
+# instrumented.
+IFDEF_ARMS_SKELETON = """\
+#ifdef SPIDEV_SIM
+int open(const char *path, int oflag, ...) {
+    return 3;
+}
+#else
+int open(const char *path, int oflag, ...) {
+    int fd = sys_open(path, oflag);
+    return fd;
+}
+#endif
+
+ssize_t read(int fd, void *buf, size_t nbyte) {
+    return nbyte;
+}
+"""
+
 SKELETONS = {
     "open-ioctl": OPEN_IOCTL_SKELETON,
     "multi": MULTI_SKELETON,
@@ -310,6 +329,7 @@ SKELETONS = {
     "unterminated": UNTERMINATED_SKELETON,
     "mixed": MIXED_SKELETON,
     "nested-guard": NESTED_GUARD_SKELETON,
+    "ifdef-arms": IFDEF_ARMS_SKELETON,
 }
 
 
@@ -471,6 +491,15 @@ class TestInjection:
         out = emit_annotated_source(subset("d1"), TWO_RETURNS_SKELETON, "acsl")
         assert out.count("/*@ ghost state_d1 = 1; */") == 2
         assert_insertion_only(TWO_RETURNS_SKELETON, out)
+
+    def test_every_definition_of_a_routine_is_updated(self):
+        out = emit_annotated_source(subset("d1"), IFDEF_ARMS_SKELETON, "acsl")
+        lines = out.split("\n")
+        updates = [i for i, line in enumerate(lines)
+                   if line == "    /*@ ghost state_d1 = 1; */"]
+        assert [lines[i + 1] for i in updates] == ["    return 3;",
+                                                  "    return fd;"]
+        assert_insertion_only(IFDEF_ARMS_SKELETON, out)
 
     def test_routine_without_return_updates_at_end(self):
         out = emit_annotated_source(subset("d1"), NO_RETURN_SKELETON, "acsl")
