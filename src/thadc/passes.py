@@ -302,8 +302,10 @@ _FREE = "<free>"
 """An inherited name's value when no function up the call chain owns it:
 a platform constant, a ``#define`` or a global."""
 
-Context = tuple  # (function name, tuple of its parameters' values, then
-#                   its inherited names' values, in ``_Function`` order)
+Context = tuple
+"""A calling context: (function name, values), the values of the
+function's parameters, then those of its inherited names (see
+:class:`_Function`).  A value is None where it is unknown."""
 
 
 class _Function:
@@ -311,11 +313,12 @@ class _Function:
 
     ``owned`` are its own variables (see :func:`_owned_names`), the only
     keys of its environments.  ``inherited`` are the names that it or
-    one of its callees reads and that it does not own, sorted; a copy
-    reads the nearest caller's variable of such a name.  ``calls`` are
-    its calls of defined functions and ``sites`` its HAL calls with
-    their routines, each in node id order, the order the flat entry
-    keeps them in within every copy of the function."""
+    one of its callees reads, that it does not own and that some other
+    function owns, sorted; a copy reads the nearest caller's variable of
+    such a name.  A name that no function owns is free wherever it is
+    read.  ``calls`` are its calls of defined functions and ``sites``
+    its HAL calls with their routines, each in node id order, the order
+    the flat entry keeps them in within every copy of the function."""
 
     __slots__ = ("body", "owned", "inherited", "calls", "sites")
 
@@ -345,9 +348,10 @@ def _functions(model: ProgramModel, routines: dict[str, RoutineSpec]
     if model.entry_body.copies:
         lowered[model.entry] = model.entry_body.copies[0].function
     depths = _call_depths(lowered)
-    functions: dict[str, _Function] = {}
-    for name in sorted(lowered, key=depths.__getitem__):
-        fn = functions[name] = _Function(lowered[name])
+    functions = {name: _Function(lowered[name])
+                 for name in sorted(lowered, key=depths.__getitem__)}
+    owned = frozenset().union(*(fn.owned for fn in functions.values()))
+    for fn in functions.values():
         read: set[str] = set()
         for node in fn.body.cfg.nodes:
             if node.kind is NodeKind.ASSIGN:
@@ -360,7 +364,7 @@ def _functions(model: ProgramModel, routines: dict[str, RoutineSpec]
                     read.update(functions[node.callee].inherited)
                 elif node.callee in routines:
                     fn.sites.append((node, routines[node.callee]))
-        fn.inherited = tuple(sorted(read - fn.owned))
+        fn.inherited = tuple(sorted((read & owned) - fn.owned))
     return functions
 
 
@@ -441,7 +445,8 @@ class _Domain:
     def read(self, node: CfgNode, env: dict, value_of,
              free: Callable[[str], bool]) -> Optional[object]:
         """What the pass reads at a call of an undefined function;
-        ``free(name)`` says whether no function owns ``name``."""
+        ``free(name)`` says whether no function up the call chain owns
+        ``name``."""
         raise NotImplementedError
 
 
@@ -463,15 +468,18 @@ def _walk(fn: _Function, values: tuple, functions: dict[str, _Function],
     start = {p: v for p, v in zip(params, values) if v is not None}
     outer = dict(zip(fn.inherited, values[len(params):]))
     exit_id, ret = body.cfg.exit, return_var(body.name)
+    # Call id -> the callee's context.  A node's last transfer, like its
+    # last read, sees its final state.
+    calls: dict[int, Context] = {}
 
     def value_of(name: str, env: dict) -> Optional[object]:
         if name in owned:
             return env.get(name)
-        value = outer[name]
+        value = outer.get(name, _FREE)
         return domain.free(name) if value is _FREE else value
 
     def free(name: str) -> bool:
-        return name not in owned and outer[name] is _FREE
+        return name not in owned and outer.get(name, _FREE) is _FREE
 
     def context(node: CfgNode, env: dict) -> Context:
         callee = functions[node.callee]
@@ -489,13 +497,13 @@ def _walk(fn: _Function, values: tuple, functions: dict[str, _Function],
             var, new = node.var, domain.value(node.expr, env, value_of)
         elif node.kind is NodeKind.CALL:
             var = node.lhs
-            if node.callee in functions:
+            callee = functions.get(node.callee)
+            if callee is not None:
                 key = calls[node.id] = context(node, env)
                 found = summaries.get(key)
                 if found is None:
                     raise _Unsummarised(key)
-                callee_exit = functions[node.callee].body.cfg.exit
-                new = domain.up(found.get(callee_exit), node)
+                new = domain.up(found.get(callee.body.cfg.exit), node)
             else:
                 new = domain.result(node)
         else:
@@ -512,11 +520,10 @@ def _walk(fn: _Function, values: tuple, functions: dict[str, _Function],
     def read(node: CfgNode, env: dict) -> Optional[object]:
         if node.kind is NodeKind.CALL:
             if node.callee in functions:
-                return None
+                return None  # its callee's context is in ``calls``
             return domain.read(node, env, value_of, free)
         return env.get(ret) if node.id == exit_id else None
 
-    calls = {}
     found = must_forward(body.cfg, start, transfer, _meet, read)
     found.update(calls)
     return found
