@@ -18,7 +18,8 @@ from types import ModuleType
 from typing import Iterator, Optional, Union
 
 from thadc.cfg import (Cfg, CfgNode, FunctionBody, InlinedCopy, NodeKind,
-                       ProgramModel, build_model, hal_sites, must_forward)
+                       ProgramModel, build_model, hal_sites, must_forward,
+                       return_var)
 from thadc.diagnostics import Diagnostic
 from thadc.minic import (
     _UNTERMINATED,
@@ -680,6 +681,135 @@ def flat_preprocess(model: ProgramModel, spec_set: ThadSet,
                                 and token is None))
     return ProgramModel(flat.functions, flat.entry, flat.program, flat.path,
                         events, frozenset(r.name for r in spec_set.routines))
+
+
+# ---------------------------------------------------------------------------
+# The reference inliner (the reference for ``thadc.passes.inline_calls``)
+# ---------------------------------------------------------------------------
+
+class _Copy:
+    """One lowered body being copied into the entry: its row in the copy
+    table, its nodes still to copy, in id order, and the first and last
+    new node of each copied one (they differ where a call was expanded).
+    ``call`` is None for the entry itself; an inlined copy holds the
+    caller's copy, the call node's id, the new bind nodes and the new
+    tail node."""
+
+    __slots__ = ("body", "row", "call", "pending", "head", "tail")
+
+    def __init__(self, body: FunctionBody, row: int, call=None):
+        self.body, self.row, self.call = body, row, call
+        self.pending = iter(body.cfg.nodes)
+        self.head: dict[int, int] = {}
+        self.tail: dict[int, int] = {}
+
+
+def reference_splice_entry(model: ProgramModel) -> FunctionBody:
+    """The entry body of ``inline_calls(model)``, built by copying one
+    node at a time: a copy of the entry body with every call of a defined
+    function expanded in place, straight from the lowered bodies.  Keeps
+    its own stack of open copies."""
+    functions = model.functions
+    nodes: list[CfgNode] = []
+    succ: list[tuple[int, ...]] = []
+    copies = [InlinedCopy(model.entry_body, None, None)]
+    slots: dict[str, Var] = {}  # function -> the one read of its return slot
+
+    def add(kind: NodeKind, line: int, callee=None, args=(), lhs=None,
+            var=None, expr=None, labels=(), copy=0) -> int:
+        node_id = len(nodes)
+        nodes.append(CfgNode(node_id, kind, line, callee, args, lhs, var,
+                             expr, labels, copy))
+        succ.append(())
+        return node_id
+
+    def open_call(caller: _Copy, call: CfgNode) -> _Copy:
+        """Emit one call's parameter binds and tail; the callee's copy."""
+        callee = functions[call.callee]
+        row = len(copies)
+        binds = [add(NodeKind.ASSIGN, call.line, var=param, expr=arg,
+                     copy=row)
+                 for param, arg in zip(callee.params, call.args)]
+        if call.lhs is None:
+            tail = add(NodeKind.JOIN, call.line, copy=caller.row)
+        else:
+            slot = slots.get(callee.name)
+            if slot is None:
+                slot = slots[callee.name] = Var(
+                    return_var(callee.name),
+                    callee.cfg.nodes[callee.cfg.entry].line)
+            tail = add(NodeKind.ASSIGN, call.line, var=call.lhs, expr=slot,
+                       copy=caller.row)
+        copies.append(InlinedCopy(callee, caller.row, tail))
+        return _Copy(callee, row, (caller, call.id, binds, tail))
+
+    def close(copy: _Copy) -> None:
+        """Connect a finished copy's edges.  An inlined copy also chains
+        its call's binds into its first node and takes the call's place
+        in the caller."""
+        cfg, head = copy.body.cfg, copy.head
+        if copy.call:
+            caller, call_id, binds, tail = copy.call
+            head[cfg.exit] = tail
+            chain = (*binds, head[cfg.succ[cfg.entry][0]])
+            for a, b in zip(chain, chain[1:]):
+                succ[a] += (b,)
+            caller.head[call_id], caller.tail[call_id] = chain[0], tail
+        for cid, src in copy.tail.items():
+            succ[src] += tuple([head[dst] for dst in cfg.succ[cid]])
+
+    entry = _Copy(model.entry_body, 0)
+    stack = [entry]
+    while stack:
+        copy = stack[-1]
+        for node in copy.pending:
+            if node.kind is NodeKind.CALL and node.callee in functions:
+                stack.append(open_call(copy, node))
+                break
+            if copy is entry or node.kind not in (NodeKind.ENTRY,
+                                                  NodeKind.EXIT):
+                copy.head[node.id] = copy.tail[node.id] = add(
+                    node.kind, node.line, node.callee, node.args, node.lhs,
+                    node.var, node.expr, node.labels, copy.row)
+        else:
+            close(stack.pop())
+    body = model.entry_body
+    cfg = Cfg(nodes, succ, entry.head[body.cfg.entry],
+              entry.head[body.cfg.exit])
+    return FunctionBody(body.name, body.params, body.locals, cfg,
+                        tuple(copies))
+
+
+def assert_same_entry(body: FunctionBody, reference: FunctionBody) -> None:
+    """``body`` equals ``reference`` node for node: every ``CfgNode``
+    slot, with the lowered ``args``, ``expr``, ``var`` and ``lhs``
+    objects themselves; the successors, entry and exit; and every row of
+    the copy table.  A tail's read of its callee's return slot is equal
+    to the reference's, and all tails of one callee share one."""
+    cfg, ref = body.cfg, reference.cfg
+    assert (body.name, body.params, body.locals) == (
+        reference.name, reference.params, reference.locals)
+    assert (cfg.entry, cfg.exit) == (ref.entry, ref.exit)
+    assert len(cfg.nodes) == len(ref.nodes)
+    assert cfg.succ == ref.succ
+    tails = {row.tail for row in reference.copies[1:]}
+    slots: dict[str, Expr] = {}
+    for nid, (node, old) in enumerate(zip(cfg.nodes, ref.nodes)):
+        assert type(node) is CfgNode
+        assert (node.id, node.kind, node.line, node.callee, node.labels,
+                node.copy) == (nid, old.kind, old.line, old.callee,
+                               old.labels, old.copy), nid
+        assert node.args is old.args and node.var is old.var, nid
+        assert node.lhs is old.lhs, nid
+        if nid in tails and old.kind is NodeKind.ASSIGN:
+            assert node.expr == old.expr, nid
+            assert slots.setdefault(old.expr.name, node.expr) is node.expr
+        else:
+            assert node.expr is old.expr, nid
+    assert len(body.copies) == len(reference.copies)
+    for row, old in zip(body.copies, reference.copies):
+        assert row.function is old.function
+        assert (row.parent, row.tail) == (old.parent, old.tail)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (NESTED_LOOPS, AssignmentIndex, benchmark_generator,
-                     bound_spidev_set, dense_must_forward, every_key,
-                     flat_preprocess, must_values, parse_program, prepared,
-                     spidev_set)
+from helpers import (NESTED_LOOPS, AssignmentIndex, assert_same_entry,
+                     benchmark_generator, bound_spidev_set, dense_must_forward,
+                     every_key, flat_preprocess, must_values, parse_program,
+                     prepared, reference_splice_entry, spidev_set)
 from randprog import generate_program
 from thadc import checker, cli, passes
 from thadc.cfg import (
@@ -582,6 +582,28 @@ class TestInlinedCopies:
     """The flat entry shares its callees' expressions, and the copy
     table says which variable a name means."""
 
+    def test_entry_equals_the_reference_inliner(self):
+        golden = Path(__file__).resolve().parent / "golden"
+        sources = [path.read_text() for path in
+                   sorted(bundled_data_path("corpus").glob("*.c"))]
+        sources += [path.read_text()
+                    for path in sorted(golden.glob("*-reduced.c"))]
+        sources += [TWO_COPIES, CALLER_VARIABLE_LOOP, chain_source(12)]
+        sources += [generate_program(seed, helpers=True,
+                                     allow_loops=seed % 2 == 1)
+                    for seed in range(200)]
+        sources += [case.source for seed in (1, 101)
+                    for case in benchmark_generator().diamond_cases(seed)]
+        inlined = 0
+        for source in sources:
+            model = parse_program(source)
+            flat = passes.inline_calls(model)
+            if flat is not model:
+                assert_same_entry(flat.entry_body,
+                                  reference_splice_entry(model))
+                inlined += 1
+        assert inlined > 100, inlined
+
     def test_inlined_nodes_hold_their_callees_expressions(self):
         sources = [TWO_COPIES, CALLER_VARIABLE_LOOP, chain_source(5)] + [
             generate_program(seed, helpers=True, allow_loops=seed % 2 == 1)
@@ -646,6 +668,24 @@ class TestInlinedCopies:
             tracemalloc.stop()
         assert len(flat.entry_body.cfg.nodes) > 7000
         assert held < 1.7 * 2**20, held
+
+    def test_inlining_heap_peak_on_a_depth_8_diamond(self):
+        # Building the entry copied one node at a time peaked 9 KB above
+        # what it held, at 1.50 MB.  Templates that copied their callees'
+        # node lists instead of referring to them would keep a second
+        # flat entry's worth of records alive until the end.
+        gen = benchmark_generator()
+        source, _ = gen.diamond_program(random.Random(1), 8, 3)
+        model = parse_program(source)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            flat = passes.inline_calls(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(flat.entry_body.cfg.nodes) > 7000
+        assert peak < 1.8 * 2**20, peak
 
     def test_check_heap_peak_on_a_depth_8_diamond(self):
         # One whole check of the benchmark's bound spec, after a first

@@ -35,6 +35,7 @@ from thadc.passes import (
 
 from helpers import (
     SPIDEV_CONSTANTS,
+    assert_same_entry,
     check_cfg,
     check_well_formed,
     edges,
@@ -43,6 +44,7 @@ from helpers import (
     parse_program,
     plus_chain,
     prepared,
+    reference_splice_entry,
     spidev_set,
 )
 from randprog import generate_program
@@ -665,6 +667,19 @@ class TestInlining:
         # main's 5 nodes less the call of f1, one tail per inlined call,
         # and the open.
         assert len(flat.entry_body.cfg.nodes) == 4 + 1499 + 1
+
+    def test_long_chain_inlines_without_recursion(self):
+        # 1,499 nested calls are stamped from their templates on an
+        # explicit stack.
+        model = parse_program(chain_source(1500))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)  # the interpreter's default
+        try:
+            flat = inline_calls(model, 2000)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(flat.entry_body.copies) == 1500
+        assert_same_entry(flat.entry_body, reference_splice_entry(model))
 
     def test_long_chain_resolves_without_recursion(self):
         # The open is 1,499 calls down and its token is returned up, so
