@@ -16,9 +16,11 @@ the same few routines with the same few values at many sites.
     renamed.  Each new node records which inlined copy it belongs to,
     and a copy table gives each copy its function, its parent copy and
     its tail, the node that ends it (a call string, in the sense of
-    Sharir and Pnueli).  No other function is copied, and an entry that
-    calls no defined function is not copied at all.  Recursion and call
-    chains deeper than the limit are rejected first.
+    Sharir and Pnueli).  The copy is stamped from one template per
+    function, each laying out one copy of its function by position and
+    referring to its callees' templates.  No other function is copied,
+    and an entry that calls no defined function is not copied at all.
+    Recursion and call chains deeper than the limit are rejected first.
 
 ``resolve_discriminators``
     computes which integer constant each discriminator argument of the
@@ -169,95 +171,122 @@ def _owned_names(body: FunctionBody) -> Iterator[str]:
                            body.locals, filter(None, written))
 
 
-class _Copy:
-    """One lowered body being copied into the entry: its row in the copy
-    table, its nodes still to copy, in id order, and the first and last
-    new node of each copied one (they differ where a call was expanded).
-    ``call`` is None for the entry itself; an inlined copy holds the
-    caller's copy, the call node's id, the new bind nodes and the new
-    tail node."""
+class _Template:
+    """One lowered function as it is stamped into the inlined entry, with
+    its calls of defined functions expanded: the flat nodes of one copy
+    of it, by position from the copy's first node.
 
-    __slots__ = ("body", "row", "call", "pending", "head", "tail")
+    A callee's copy is its function's nodes in id order, ENTRY and EXIT
+    left out, with each call of a defined function replaced by the
+    call's parameter binds, its tail and a copy of the callee, in that
+    order; the root, the entry's own template, keeps ENTRY and EXIT.
+    ``single`` and ``nodes`` hold the function's own nodes and the
+    tails, those with one successor and the rest: the position, the
+    ``CfgNode`` fields from ``kind`` to ``labels``, and the successor's
+    position (for ``nodes``, a tuple of them).  An edge to EXIT lands on
+    position -1, the tail of the call the copy expands.  ``calls`` holds
+    for each call the position of the callee's first node, the callee's
+    template (a reference, not a copy), the callee copy's row counted
+    from this copy's, the tail's position, and the call's line and
+    (parameter, argument) pairs, one bind each.  ``size`` and ``copies``
+    count the flat nodes and copy-table rows of one whole copy; ``head``
+    is the position a callee's copy is entered at (the root's ENTRY) and
+    ``exit`` the one its exit edges land on."""
 
-    def __init__(self, body: FunctionBody, row: int, call=None):
-        self.body, self.row, self.call = body, row, call
-        self.pending = iter(body.cfg.nodes)
-        self.head: dict[int, int] = {}
-        self.tail: dict[int, int] = {}
+    __slots__ = ("body", "slot", "single", "nodes", "calls", "size",
+                 "copies", "head", "exit")
 
-
-def _splice_entry(model: ProgramModel) -> FunctionBody:
-    """A copy of the entry body with every call of a defined function
-    expanded in place, straight from the lowered bodies; see
-    :func:`inline_calls`.  Keeps its own stack of open copies."""
-    functions = model.functions
-    nodes: list[CfgNode] = []
-    succ: list[tuple[int, ...]] = []
-    copies = [InlinedCopy(model.entry_body, None, None)]
-    slots: dict[str, Var] = {}  # function -> the one read of its return slot
-
-    def add(kind: NodeKind, line: int, callee=None, args=(), lhs=None,
-            var=None, expr=None, labels=(), copy=0) -> int:
-        node_id = len(nodes)
-        nodes.append(CfgNode(node_id, kind, line, callee, args, lhs, var,
-                             expr, labels, copy))
-        succ.append(())
-        return node_id
-
-    def open_call(caller: _Copy, call: CfgNode) -> _Copy:
-        """Emit one call's parameter binds and tail; the callee's copy."""
-        callee = functions[call.callee]
-        row = len(copies)
-        binds = [add(NodeKind.ASSIGN, call.line, var=param, expr=arg,
-                     copy=row)
-                 for param, arg in zip(callee.params, call.args)]
-        if call.lhs is None:
-            tail = add(NodeKind.JOIN, call.line, copy=caller.row)
-        else:
-            slot = slots.get(callee.name)
-            if slot is None:
-                slot = slots[callee.name] = Var(
-                    return_var(callee.name),
-                    callee.cfg.nodes[callee.cfg.entry].line)
-            tail = add(NodeKind.ASSIGN, call.line, var=call.lhs, expr=slot,
-                       copy=caller.row)
-        copies.append(InlinedCopy(callee, caller.row, tail))
-        return _Copy(callee, row, (caller, call.id, binds, tail))
-
-    def close(copy: _Copy) -> None:
-        """Connect a finished copy's edges.  An inlined copy also chains
-        its call's binds into its first node and takes the call's place
-        in the caller."""
-        cfg, head = copy.body.cfg, copy.head
-        if copy.call:
-            caller, call_id, binds, tail = copy.call
-            head[cfg.exit] = tail
-            chain = (*binds, head[cfg.succ[cfg.entry][0]])
-            for a, b in zip(chain, chain[1:]):
-                succ[a] += (b,)
-            caller.head[call_id], caller.tail[call_id] = chain[0], tail
-        for cid, src in copy.tail.items():
-            succ[src] += tuple([head[dst] for dst in cfg.succ[cid]])
-
-    entry = _Copy(model.entry_body, 0)
-    stack = [entry]
-    while stack:
-        copy = stack[-1]
-        for node in copy.pending:
-            if node.kind is NodeKind.CALL and node.callee in functions:
-                stack.append(open_call(copy, node))
-                break
-            if copy is entry or node.kind not in (NodeKind.ENTRY,
-                                                  NodeKind.EXIT):
-                copy.head[node.id] = copy.tail[node.id] = add(
+    def __init__(self, body: FunctionBody, templates: dict[str, _Template],
+                 root: bool = False):
+        cfg = body.cfg
+        self.body = body
+        # The one read of the return slot that every tail assigns from.
+        self.slot = Var(return_var(body.name), cfg.nodes[cfg.entry].line)
+        self.calls: list[tuple] = []
+        head: dict[int, int] = {}  # lowered id -> the position it enters
+        placed: list[tuple] = []  # (lowered id, position, fields)
+        pos, copies = 0, 1
+        for node in cfg.nodes:
+            callee = templates.get(node.callee) \
+                if node.kind is NodeKind.CALL else None
+            if callee is not None:
+                binds = tuple(zip(callee.body.params, node.args))
+                tail = pos + len(binds)
+                start = tail + 1
+                head[node.id] = pos if binds else start + callee.head
+                if node.lhs is None:
+                    fields = (NodeKind.JOIN, node.line, None, (), None, None,
+                              None, ())
+                else:
+                    fields = (NodeKind.ASSIGN, node.line, None, (), None,
+                              node.lhs, callee.slot, ())
+                placed.append((node.id, tail, fields))
+                self.calls.append((start, callee, copies, tail, node.line,
+                                   binds))
+                pos = start + callee.size
+                copies += callee.copies
+            elif root or node.kind not in (NodeKind.ENTRY, NodeKind.EXIT):
+                head[node.id] = pos
+                placed.append((node.id, pos, (
                     node.kind, node.line, node.callee, node.args, node.lhs,
-                    node.var, node.expr, node.labels, copy.row)
-        else:
-            close(stack.pop())
-    body = model.entry_body
-    cfg = Cfg(nodes, succ, entry.head[body.cfg.entry],
-              entry.head[body.cfg.exit])
-    return FunctionBody(body.name, body.params, body.locals, cfg,
+                    node.var, node.expr, node.labels)))
+                pos += 1
+        head.setdefault(cfg.exit, -1)
+        self.head = head[cfg.entry] if root else head[cfg.succ[cfg.entry][0]]
+        self.exit = head[cfg.exit]
+        self.single, self.nodes = [], []
+        for nid, at, fields in placed:
+            targets = tuple([head[dst] for dst in cfg.succ[nid]])
+            if len(targets) == 1:
+                self.single.append((at, *fields, targets[0]))
+            else:
+                self.nodes.append((at, *fields, targets))
+        self.size, self.copies = pos, copies
+
+
+def _stamp(root: _Template) -> FunctionBody:
+    """The inlined entry body stamped from ``root``, the entry's template:
+    one ``CfgNode`` and one successor tuple per flat node.  Copies wait
+    on an explicit stack, and every node id and copy row is an item of
+    one shared list of ints."""
+    ids = list(range(root.size))
+    nodes: list = [None] * root.size
+    succ: list = [None] * root.size
+    copies: list = [None] * root.copies
+    copies[0] = InlinedCopy(root.body, None, None)
+    assign = NodeKind.ASSIGN
+    stack = [(root, 0, 0)]
+    while stack:
+        template, base, row = stack.pop()
+        copy = ids[row]
+        for (at, kind, line, callee, args, lhs, var, expr, labels,
+             to) in template.single:
+            i = base + at
+            nodes[i] = CfgNode(ids[i], kind, line, callee, args, lhs, var,
+                               expr, labels, copy)
+            succ[i] = (ids[base + to],)
+        for (at, kind, line, callee, args, lhs, var, expr, labels,
+             targets) in template.nodes:
+            i = base + at
+            nodes[i] = CfgNode(ids[i], kind, line, callee, args, lhs, var,
+                               expr, labels, copy)
+            succ[i] = tuple([ids[base + to] for to in targets])
+        for start, callee, offset, tail, line, binds in template.calls:
+            start += base
+            child = row + offset
+            copies[child] = InlinedCopy(callee.body, copy, ids[base + tail])
+            i = start - 1 - len(binds)
+            for param, arg in binds:
+                nodes[i] = CfgNode(ids[i], assign, line, None, (), None,
+                                   param, arg, (), ids[child])
+                succ[i] = (ids[i + 1],)
+                i += 1
+            if binds:  # the last bind enters the callee's copy
+                succ[i - 1] = (ids[start + callee.head],)
+            stack.append((callee, start, child))
+    body = root.body
+    return FunctionBody(body.name, body.params, body.locals,
+                        Cfg(nodes, succ, ids[root.head], ids[root.exit]),
                         tuple(copies))
 
 
@@ -278,6 +307,14 @@ def inline_calls(model: ProgramModel, depth_limit: int = 16) -> ProgramModel:
     the caller's; its tail takes the call's place in the caller's copy
     and reads the return slot of the copy that ends there.
 
+    The new body is stamped, not copied node by node: each defined
+    function the entry reaches gets one template, built callees first,
+    that lays out one copy of it by position with each nested call a
+    reference to its callee's template (see :class:`_Template`).  Each
+    flat node then costs one ``CfgNode`` and one successor tuple, and
+    the copies wait on an explicit stack, so a long call chain needs no
+    Python recursion.
+
     Raises :class:`RecursionDetected` when the call graph is cyclic and
     :class:`DepthLimitExceeded` when some call chain involves more than
     ``depth_limit`` functions, before anything is copied.  An entry that
@@ -290,7 +327,17 @@ def inline_calls(model: ProgramModel, depth_limit: int = 16) -> ProgramModel:
     if depths[model.entry] == 1:
         return model
     functions = dict(model.functions)
-    functions[model.entry] = _splice_entry(model)
+    reached, pending = set(), [model.entry]
+    while pending:
+        for node in functions[pending.pop()].cfg.call_nodes():
+            if node.callee in functions and node.callee not in reached:
+                reached.add(node.callee)
+                pending.append(node.callee)
+    templates: dict[str, _Template] = {}
+    for name in sorted(reached, key=depths.__getitem__):  # callees first
+        templates[name] = _Template(functions[name], templates)
+    functions[model.entry] = _stamp(
+        _Template(model.entry_body, templates, root=True))
     return ProgramModel(functions, model.entry, model.program, model.path)
 
 

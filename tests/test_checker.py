@@ -670,10 +670,11 @@ class TestInlinedCopies:
         assert held < 1.7 * 2**20, held
 
     def test_inlining_heap_peak_on_a_depth_8_diamond(self):
-        # Building the entry copied one node at a time peaked 9 KB above
-        # what it held, at 1.50 MB.  Templates that copied their callees'
-        # node lists instead of referring to them would keep a second
-        # flat entry's worth of records alive until the end.
+        # Copying the entry one node at a time peaked at 1.50 MB, 9 KB
+        # above what it held; stamping it from templates peaks at 1.60 MB,
+        # the list of shared ids included.  Templates that copied their
+        # callees' node lists instead of referring to them would hold a
+        # second set of the callees' records until the end.
         gen = benchmark_generator()
         source, _ = gen.diamond_program(random.Random(1), 8, 3)
         model = parse_program(source)
@@ -685,7 +686,7 @@ class TestInlinedCopies:
         finally:
             tracemalloc.stop()
         assert len(flat.entry_body.cfg.nodes) > 7000
-        assert peak < 1.8 * 2**20, peak
+        assert peak < 1.75 * 2**20, peak
 
     def test_check_heap_peak_on_a_depth_8_diamond(self):
         # One whole check of the benchmark's bound spec, after a first
