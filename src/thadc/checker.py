@@ -189,28 +189,37 @@ class _Row(NamedTuple):
 
 class _SiteTable(NamedTuple):
     """Every HAL site matched against both patterns of every dependency,
-    once per distinct event; everything the decision needs is read from
+    once per event object; everything the decision needs is read from
     here."""
 
-    by_event: dict[CallEvent, list[CfgNode]]  # HAL sites by their event
+    by_event: list[tuple[CallEvent, list[CfgNode]]]  # sites by event object
     bits: dict[MonitorKey, int]  # monitor key -> bit, in bit order
     gen: dict[int, int]  # site node id -> mask of the keys it completes
     rows: dict[str, _Row]  # dependency id -> its sites
 
 
 def _site_table(model: ProgramModel, thad_set: ThadSet) -> _SiteTable:
-    by_event: dict[CallEvent, list[CfgNode]] = {}
+    # Sites are grouped by their event object, in first-site order:
+    # ``preprocess`` shares one object among equal events, and equal
+    # objects in two groups change nothing but the work.
+    groups: dict[int, tuple[CallEvent, list[CfgNode]]] = {}
+    events = model.events
     for node in _hal_nodes(model, thad_set):
-        by_event.setdefault(model.events[node.id], []).append(node)
+        ev = events[node.id]
+        group = groups.get(id(ev))
+        if group is None:
+            group = groups[id(ev)] = ev, []
+        group[1].append(node)
+    by_event = list(groups.values())
     aliases = thad_set.aliases
     bits: dict[MonitorKey, int] = {}
-    event_gen = dict.fromkeys(by_event, 0)
+    event_gen = [0] * len(by_event)
     rows: dict[str, _Row] = {}
     for thad in thad_set.thads:
         has_dependency = via_alias = False
         dependent: list[CfgNode] = []
         possible: list[CfgNode] = []
-        for ev, nodes in by_event.items():
+        for g, (ev, nodes) in enumerate(by_event):
             if match_event(thad.dependency, ev, aliases):
                 has_dependency = True
                 via_alias = via_alias or _uses_alias(thad.dependency, ev,
@@ -220,7 +229,7 @@ def _site_table(model: ProgramModel, thad_set: ThadSet) -> _SiteTable:
                     token = dependency_token(thad, ev)
                 if thad.binding is None or token is not None:
                     bit = bits.setdefault((thad.id, token), len(bits))
-                    event_gen[ev] |= 1 << bit
+                    event_gen[g] |= 1 << bit
             if match_event(thad.dependent, ev, aliases):
                 via_alias = via_alias or _uses_alias(thad.dependent, ev,
                                                      aliases)
@@ -230,8 +239,8 @@ def _site_table(model: ProgramModel, thad_set: ThadSet) -> _SiteTable:
         dependent.sort(key=attrgetter("id"))
         possible.sort(key=attrgetter("id"))
         rows[thad.id] = _Row(has_dependency, via_alias, dependent, possible)
-    gen = {node.id: mask for ev, mask in event_gen.items() if mask
-           for node in by_event[ev]}
+    gen = {node.id: mask for (_, nodes), mask in zip(by_event, event_gen)
+           if mask for node in nodes}
     return _SiteTable(by_event, bits, gen, rows)
 
 
@@ -386,7 +395,7 @@ def _check_one(
 
     if thad.dependency.name == thad.dependent.name and not row.has_dependency:
         if any(_possibly_matches(thad.dependency, ev)
-               for ev in sites.by_event):
+               for ev, _ in sites.by_event):
             return ThadVerdict(
                 thad.id, Status.INCONCLUSIVE,
                 reason=f"unresolved discriminator: a call of "

@@ -857,15 +857,19 @@ def preprocess(model: ProgramModel, spec_set: ThadSet,
                       r.descriptor_param is not None)
              for r in spec_set.routines}
     events: dict[int, CallEvent] = {}
-    shared: dict[CallEvent, CallEvent] = {}  # each distinct event once
+    # Each distinct event is built once, looked up by its fields as a
+    # plain tuple: the flags follow from the routine and the two values.
+    shared: dict[tuple, CallEvent] = {}
     for node, _ in sites.sites:
         nid = node.id
         value, token = values.get(nid), tokens.get(nid)
-        has_discriminator, has_descriptor = roles[node.callee]
-        event = CallEvent(
-            node.callee, value, token, produced.get(nid),
-            discriminator_unknown=has_discriminator and value is None,
-            descriptor_unknown=has_descriptor and token is None)
-        events[nid] = shared.setdefault(event, event)
+        key = node.callee, value, token, produced.get(nid)
+        event = shared.get(key)
+        if event is None:
+            has_discriminator, has_descriptor = roles[node.callee]
+            event = shared[key] = CallEvent(
+                *key, discriminator_unknown=has_discriminator and value is None,
+                descriptor_unknown=has_descriptor and token is None)
+        events[nid] = event
     return ProgramModel(flat.functions, flat.entry, flat.program, flat.path,
                         events, frozenset(roles))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import random
 import tracemalloc
@@ -23,6 +24,7 @@ from thadc.cfg import (
     Cfg,
     CfgNode,
     NodeKind,
+    ProgramModel,
     build_model,
     hal_sites,
     must_forward,
@@ -716,6 +718,56 @@ class TestInlinedCopies:
         distinct = set(events.values())
         assert len(events) > 10 * len(distinct)
         assert len({id(e) for e in events.values()}) == len(distinct)
+
+    def test_equal_events_are_one_object_on_every_family(self):
+        gen = benchmark_generator()
+        sources = [path.read_text() for path in
+                   sorted(bundled_data_path("corpus").glob("*.c"))]
+        sources += [case.source for family in (gen.wide_cases,
+                                               gen.diamond_cases)
+                    for case in family(1)]
+        sources += [generate_program(seed, helpers=seed % 2 == 0,
+                                     allow_loops=seed % 3 == 0)
+                    for seed in range(60)]
+        for source in sources:
+            for thad_set in (SPIDEV, bound_spidev_set()):
+                events = prepared(source, thad_set).events.values()
+                assert len({id(e) for e in events}) == len(set(events))
+
+    def test_site_table_reads_equal_event_objects_alike(self):
+        # Every other site gets an equal event object of its own, so the
+        # table's groups split; nothing it decides may change.
+        unknown = """
+        int main(void) {
+            int fd = open("/dev/spidev0.0", 2);
+            int r = read(fd, 0, 1);
+            ioctl(fd, r, 0);
+            ioctl(fd, WR_MODE32, 0);
+            ioctl(fd, r, 0);
+            read(fd, 0, 1);
+            close(fd);
+            return 0;
+        }
+        """
+        source, _ = benchmark_generator().diamond_program(
+            random.Random(1), 4, 2)
+        for source, thad_set in ((unknown, SPIDEV),
+                                 (CALLER_VARIABLE_LOOP, SPIDEV),
+                                 (TWO_COPIES, bound_spidev_set()),
+                                 (source, bound_spidev_set())):
+            model = prepared(source, thad_set)
+            events = {nid: dataclasses.replace(ev) if i % 2 else ev
+                      for i, (nid, ev) in enumerate(model.events.items())}
+            split = ProgramModel(model.functions, model.entry, model.program,
+                                 model.path, events, model.resolved)
+            assert len({id(e) for e in events.values()}) > len(
+                set(events.values()))
+            one = checker._site_table(model, thad_set)
+            two = checker._site_table(split, thad_set)
+            assert len(two.by_event) > len(one.by_event)
+            assert two.gen == one.gen and two.rows == one.rows
+            assert list(two.bits) == list(one.bits)
+            assert check(split, thad_set) == check(model, thad_set)
 
 
 class TestDataflow:
