@@ -4,9 +4,10 @@ The checker wants a single flat CFG for the entry function and a table
 of ready-made :class:`~thadc.model.CallEvent` values, one per HAL call
 node of it.  :func:`preprocess` gets there in three passes and builds
 each event from what the last two return.  Sites with equal events share
-one event object, as in the hash-consing of Filliatre and Conchon
-("Type-safe modular hash-consing", ML Workshop 2006): a firmware calls
-the same few routines with the same few values at many sites.
+one event object, built once and looked up by its fields as a plain
+tuple, as in the hash-consing of Filliatre and Conchon ("Type-safe
+modular hash-consing", ML Workshop 2006): a firmware calls the same few
+routines with the same few values at many sites.
 
 ``inline_calls``
     builds a copy of the entry body with the bodies of defined functions
@@ -40,21 +41,26 @@ Neither resolution pass walks the flat entry.  Each runs
 :func:`~thadc.cfg.must_forward` over every lowered function once per
 calling context it is reached in, memoized on (function, context): the
 functional approach of Sharir and Pnueli ("Two approaches to
-interprocedural data flow analysis", 1981).  An environment holds only
-the function's own variables.  A context holds the values of its
-parameters and of its inherited names, the names it or its callees read
-but do not own; a copy reads such a name from the nearest caller that
-owns it, and a name no caller owns is free (a platform constant, a
-``#define`` or a global).  A call of a defined function evaluates the
-callee's context and takes the callee's exit value for its result.  A
-token is relative to the frame that holds it: so many callers up, then
-down a path of lowered calls to the minting ``open``.  It gains a level
-when it is passed down and is renamed when it is returned, as in the
-return-flow functions of IFDS (Reps, Horwitz and Sagiv, POPL 1995).
-Contexts wait on an explicit stack, so a long call chain needs no
-Python recursion.  The results reach the flat entry's sites through its
-copy table (see :class:`EntrySites`): the cost is paid per (function,
-context), not per inlined copy, apart from one lookup per site.
+interprocedural data flow analysis", 1981).  Each pass first slices
+every function: it keeps the names whose value can reach what the pass
+reads, closed backward over assignments and call arguments, and a write
+to any other name leaves the environment as it was.  An environment
+holds only the function's own variables of its slice.  A context holds
+the values of its parameters in the slice and of its inherited names,
+those in the slice that it does not own; a copy reads such a name from
+the nearest caller that owns it, and a name no caller owns is free (a
+platform constant, a ``#define`` or a global).  So a loop counter passed
+to a helper makes no context of its own unless it reaches a site.  A
+call of a defined function evaluates the callee's context and takes the
+callee's exit value for its result.  A token is relative to the frame
+that holds it: so many callers up, then down a path of lowered calls to
+the minting ``open``.  It gains a level when it is passed down and is
+renamed when it is returned, as in the return-flow functions of IFDS
+(Reps, Horwitz and Sagiv, POPL 1995).  Contexts wait on an explicit
+stack, so a long call chain needs no Python recursion.  The results
+reach the flat entry's sites through its copy table (see
+:class:`EntrySites`): the cost is paid per (function, context), not per
+inlined copy, apart from one lookup per site.
 
 Only the entry body is inlined and resolved: the checker, the path
 oracle and the report read nothing else.  No pass mutates the model it
@@ -69,7 +75,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .cfg import (
     Cfg,
@@ -351,27 +357,26 @@ a platform constant, a ``#define`` or a global."""
 
 Context = tuple
 """A calling context: (function name, values), the values of the
-function's parameters, then those of its inherited names (see
-:class:`_Function`).  A value is None where it is unknown."""
+function's relevant parameters, then those of its relevant inherited
+names (see :class:`_Slice`).  A value is None where it is unknown."""
 
 
 class _Function:
     """A lowered function as both resolution passes see it.
 
     ``owned`` are its own variables (see :func:`_owned_names`), the only
-    keys of its environments.  ``inherited`` are the names that it or
-    one of its callees reads, that it does not own and that some other
-    function owns, sorted; a copy reads the nearest caller's variable of
-    such a name.  A name that no function owns is free wherever it is
-    read.  ``calls`` are its calls of defined functions and ``sites``
-    its HAL calls with their routines, each in node id order, the order
-    the flat entry keeps them in within every copy of the function."""
+    keys of its environments.  ``writes`` gives each name it assigns the
+    expressions assigned to it.  ``calls`` are its calls of defined
+    functions and ``sites`` its HAL calls with their routines, each in
+    node id order, the order the flat entry keeps them in within every
+    copy of the function."""
 
-    __slots__ = ("body", "owned", "inherited", "calls", "sites")
+    __slots__ = ("body", "owned", "writes", "calls", "sites")
 
     def __init__(self, body: FunctionBody):
         self.body = body
         self.owned = frozenset(_owned_names(body))
+        self.writes: dict[str, list[Expr]] = {}
         self.calls: list[CfgNode] = []
         self.sites: list[tuple[CfgNode, RoutineSpec]] = []
 
@@ -397,21 +402,16 @@ def _functions(model: ProgramModel, routines: dict[str, RoutineSpec]
     depths = _call_depths(lowered)
     functions = {name: _Function(lowered[name])
                  for name in sorted(lowered, key=depths.__getitem__)}
-    owned = frozenset().union(*(fn.owned for fn in functions.values()))
     for fn in functions.values():
-        read: set[str] = set()
         for node in fn.body.cfg.nodes:
             if node.kind is NodeKind.ASSIGN:
-                _add_names(node.expr, read)
-            elif node.kind is NodeKind.CALL:
-                for arg in node.args:
-                    _add_names(arg, read)
-                if node.callee in lowered:
-                    fn.calls.append(node)
-                    read.update(functions[node.callee].inherited)
-                elif node.callee in routines:
-                    fn.sites.append((node, routines[node.callee]))
-        fn.inherited = tuple(sorted((read & owned) - fn.owned))
+                fn.writes.setdefault(node.var, []).append(node.expr)
+            elif node.kind is not NodeKind.CALL:
+                continue
+            elif node.callee in lowered:
+                fn.calls.append(node)
+            elif node.callee in routines:
+                fn.sites.append((node, routines[node.callee]))
     return functions
 
 
@@ -467,7 +467,10 @@ class _Unsummarised(Exception):
 class _Domain:
     """The values one resolution pass propagates, None for unknown.  A
     value passes unchanged between a caller and its callee unless a
-    subclass says otherwise."""
+    subclass says otherwise.  ``args`` gives each HAL site the argument
+    the pass reads there, where it has one."""
+
+    args: dict[CfgNode, Expr]
 
     def value(self, expr: Expr, env: dict, value_of) -> Optional[object]:
         """The value of ``expr``; ``value_of(name, env)`` gives a name's."""
@@ -496,25 +499,83 @@ class _Domain:
         ``name``."""
         raise NotImplementedError
 
+    def reads(self, expr: Expr, names: set[str]) -> None:
+        """Add the names whose values ``value`` reads in ``expr``."""
+        _add_names(expr, names)
+
+
+class _Slice(NamedTuple):
+    """What one pass tracks of one function: ``names``, those whose value
+    can reach what the pass reads (a HAL site's role argument, the
+    return slot, or a relevant parameter or inherited name of a callee),
+    closed backward over the function's assignments; ``params``, the
+    indices of the relevant parameters; and ``inherited``, the relevant
+    names it does not own and some other function owns, sorted.  A copy
+    reads such a name from the nearest caller that owns it; a name that
+    no function owns is free wherever it is read."""
+
+    names: set[str]
+    params: tuple[int, ...]
+    inherited: tuple[str, ...]
+
+
+def _slices(functions: dict[str, _Function], domain: _Domain
+            ) -> dict[str, _Slice]:
+    """Each function's relevance slice for ``domain``, callees first."""
+    owned = frozenset().union(*(fn.owned for fn in functions.values()))
+    reads, args = domain.reads, domain.args
+    slices: dict[str, _Slice] = {}
+    for name, fn in functions.items():
+        names = {return_var(name)}
+        for node, _ in fn.sites:
+            arg = args.get(node)
+            if arg is not None:
+                reads(arg, names)
+        for call in fn.calls:
+            callee = slices[call.callee]
+            for i in callee.params:
+                if i < len(call.args):
+                    reads(call.args[i], names)
+            names.update(callee.inherited)
+        writes = fn.writes
+        pending = [n for n in names if n in writes]
+        while pending:
+            for expr in writes[pending.pop()]:
+                read: set[str] = set()
+                reads(expr, read)
+                read -= names
+                names |= read
+                pending += [n for n in read if n in writes]
+        params = fn.body.params
+        slices[name] = _Slice(
+            names, tuple([i for i, p in enumerate(params) if p in names]),
+            tuple(sorted((names & owned) - fn.owned)))
+    return slices
+
 
 def _meet(env: dict, other: dict) -> dict:
     kept = {k: v for k, v in env.items() if other.get(k) == v}
     return env if len(kept) == len(env) else kept
 
 
-def _walk(fn: _Function, values: tuple, functions: dict[str, _Function],
-          domain: _Domain, summaries: dict[Context, dict]) -> dict:
-    """What ``fn`` reads in the calling context ``values`` (see
-    :data:`Context`), on :func:`~thadc.cfg.must_forward`: lowered node
-    id -> the site's value at each HAL site where it is known, the
+def _walk(name: str, values: tuple, functions: dict[str, _Function],
+          slices: dict[str, _Slice], domain: _Domain,
+          summaries: dict[Context, dict]) -> dict:
+    """What function ``name`` reads in the calling context ``values``
+    (see :data:`Context`), on :func:`~thadc.cfg.must_forward`: lowered
+    node id -> the site's value at each HAL site where it is known, the
     callee's context at each call of a defined function, and the return
-    slot's value at the exit.  Raises :class:`_Unsummarised` at the
-    first call whose callee context is not in ``summaries``."""
-    body = fn.body
-    params, owned = body.params, fn.owned
-    start = {p: v for p, v in zip(params, values) if v is not None}
-    outer = dict(zip(fn.inherited, values[len(params):]))
-    exit_id, ret = body.cfg.exit, return_var(body.name)
+    slot's value at the exit.  Only the names of its slice are tracked:
+    a write to any other name leaves the environment as it was.  Raises
+    :class:`_Unsummarised` at the first call whose callee context is not
+    in ``summaries``."""
+    fn, own = functions[name], slices[name]
+    body, owned, relevant = fn.body, fn.owned, own.names
+    params = body.params
+    start = {params[i]: v for i, v in zip(own.params, values)
+             if v is not None}
+    outer = dict(zip(own.inherited, values[len(own.params):]))
+    exit_id, ret = body.cfg.exit, return_var(name)
     # Call id -> the callee's context.  A node's last transfer, like its
     # last read, sees its final state.
     calls: dict[int, Context] = {}
@@ -529,11 +590,10 @@ def _walk(fn: _Function, values: tuple, functions: dict[str, _Function],
         return name not in owned and outer.get(name, _FREE) is _FREE
 
     def context(node: CfgNode, env: dict) -> Context:
-        callee = functions[node.callee]
-        n = len(callee.body.params)
-        passed = [domain.down(domain.value(arg, env, value_of))
-                  for arg in node.args[:n]]
-        passed += [None] * (n - len(passed))
+        callee, args = slices[node.callee], node.args
+        passed = [None if i >= len(args)
+                  else domain.down(domain.value(args[i], env, value_of))
+                  for i in callee.params]
         for name in callee.inherited:
             value = env.get(name) if name in owned else outer[name]
             passed.append(value if value is _FREE else domain.down(value))
@@ -541,7 +601,10 @@ def _walk(fn: _Function, values: tuple, functions: dict[str, _Function],
 
     def transfer(node: CfgNode, env: dict) -> dict:
         if node.kind is NodeKind.ASSIGN:
-            var, new = node.var, domain.value(node.expr, env, value_of)
+            var = node.var
+            if var not in relevant:
+                return env
+            new = domain.value(node.expr, env, value_of)
         elif node.kind is NodeKind.CALL:
             var = node.lhs
             callee = functions.get(node.callee)
@@ -550,12 +613,16 @@ def _walk(fn: _Function, values: tuple, functions: dict[str, _Function],
                 found = summaries.get(key)
                 if found is None:
                     raise _Unsummarised(key)
+                if var not in relevant:
+                    return env
                 new = domain.up(found.get(callee.body.cfg.exit), node)
+            elif var not in relevant:
+                return env
             else:
                 new = domain.result(node)
         else:
             return env
-        if var is None or env.get(var) == new:
+        if env.get(var) == new:
             return env
         env = dict(env)
         if new is None:
@@ -585,9 +652,10 @@ def _summaries(functions: dict[str, _Function], entry: str,
     Contexts wait on an explicit stack, not on Python's: a walk that
     meets a callee context with no summary yet stops, the callee is
     walked, and then the caller is walked again from its entry."""
-    fn = functions[entry]
-    root = entry, ((None,) * len(fn.body.params)
-                   + (_FREE,) * len(fn.inherited))
+    slices = _slices(functions, domain)
+    own = slices[entry]
+    root = entry, ((None,) * len(own.params)
+                   + (_FREE,) * len(own.inherited))
     summaries: dict[Context, dict] = {}
     stack = [root]
     while stack:
@@ -596,8 +664,8 @@ def _summaries(functions: dict[str, _Function], entry: str,
             stack.pop()
             continue
         try:
-            summaries[key] = _walk(functions[key[0]], key[1], functions,
-                                   domain, summaries)
+            summaries[key] = _walk(*key, functions, slices, domain,
+                                   summaries)
         except _Unsummarised as pending:
             stack.append(pending.context)
         else:
@@ -758,7 +826,7 @@ class _Tokens(_Domain):
         sites = list(_all_sites(functions))
         self.mints = {node for node, routine in sites
                       if routine.returns_descriptor}
-        self.uses = {node: arg.name for node, arg
+        self.args = {node: arg for node, arg
                      in _role_args(sites, ParamRole.DESCRIPTOR).items()
                      if isinstance(arg, Var)}
 
@@ -773,6 +841,10 @@ class _Tokens(_Domain):
     def value(self, expr, env, value_of):
         return value_of(expr.name, env) if isinstance(expr, Var) else None
 
+    def reads(self, expr, names):
+        if isinstance(expr, Var):
+            names.add(expr.name)
+
     def result(self, node):
         return (0, self.path(node.id, -1)) if node in self.mints else None
 
@@ -786,8 +858,8 @@ class _Tokens(_Domain):
         return (0, self.path(call.id, path)) if ups == 0 else (ups - 1, path)
 
     def read(self, node, env, value_of, free):
-        name = self.uses.get(node)
-        return None if name is None else value_of(name, env)
+        arg = self.args.get(node)
+        return None if arg is None else value_of(arg.name, env)
 
 
 def build_token_flow(model: ProgramModel, sites: EntrySites

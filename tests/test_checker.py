@@ -531,6 +531,72 @@ class TestMustValues:
                 assert (check(summarised, thad_set)
                         == check(reference, thad_set))
 
+    def test_slices_keep_what_reaches_a_read(self):
+        model = passes.inline_calls(parse_program(TWO_COPIES))
+        sites = passes.EntrySites(model, SPIDEV)
+        functions = sites.functions
+        constants = passes._slices(
+            functions, passes._Constants(model, SPIDEV, functions))
+        tokens = passes._slices(functions, passes._Tokens(functions))
+        # send(fd, req): req reaches the ioctl's request through r, fd its
+        # descriptor, and r is returned, which tokens follow too.
+        assert constants["send"] == ({"__ret_send", "r", "req"}, (1,), ())
+        assert tokens["send"] == ({"__ret_send", "r", "req", "fd"}, (0, 1),
+                                  ())
+        # Free names are kept too, but take no place in a context.
+        assert constants["main"] == ({"__ret_main", "a", "b", "WR_MODE32"},
+                                     (), ())
+        assert tokens["main"] == ({"__ret_main", "a", "fd", "WR_MODE32"},
+                                  (), ())
+
+    def test_a_loop_counter_argument_makes_one_context(self, monkeypatch):
+        # io-expander calls push_latch(fd, i) once per value of i; i
+        # reaches no discriminator or descriptor, so each pass walks
+        # push_latch once, and main twice (before and after its callee's
+        # summary).
+        source = (bundled_data_path("corpus") / "io-expander.c").read_text()
+        flat = passes.inline_calls(parse_program(source))
+        sites = passes.EntrySites(flat, SPIDEV)
+        latch = flat.functions["push_latch"].cfg
+        for run, needs in ((passes.resolve_discriminators, (SPIDEV,)),
+                           (passes.build_token_flow, ())):
+            walked = []
+            with monkeypatch.context() as patch:
+                patch.setattr(passes, "must_forward",
+                              lambda cfg, *rest: walked.append(cfg)
+                              or must_forward(cfg, *rest))
+                run(flat, *needs, sites)
+            assert walked.count(latch) == 1, run.__name__
+            assert len(walked) == 3, run.__name__
+
+    def test_a_write_outside_the_pass_slice_keeps_the_environment(
+            self, monkeypatch):
+        model = parse_program("""
+        int main(void) {
+            int fd = open("/dev/spidev0.0", 2);
+            int req = WR_MODE32;
+            int count = 3;
+            ioctl(fd, req, count);
+            close(fd);
+            return 0;
+        }
+        """)
+        kept = {}
+
+        def spy(cfg, start, transfer, meet, read):
+            def watched(node, env):
+                out = transfer(node, env)
+                if node.kind is NodeKind.ASSIGN:
+                    kept[node.var] = out is env
+                return out
+            return must_forward(cfg, start, watched, meet, read)
+
+        monkeypatch.setattr(passes, "must_forward", spy)
+        values = passes.resolve_discriminators(
+            model, SPIDEV, passes.EntrySites(model, SPIDEV))
+        assert kept == {"req": False, "count": True, "__ret_main": False}
+        assert sorted(values.values()) == ["WR_MODE32"]
+
     def test_must_forward_runs_per_context_not_per_copy(self, monkeypatch):
         # Depth 12 has four times the flat nodes of depth 10, and two
         # more functions with two token contexts each.
