@@ -186,10 +186,10 @@ class _Template:
     left out, with each call of a defined function replaced by the
     call's parameter binds, its tail and a copy of the callee, in that
     order; the root, the entry's own template, keeps ENTRY and EXIT.
-    ``single`` and ``nodes`` hold the function's own nodes and the
+    ``single`` and ``other`` hold the function's own nodes and the
     tails, those with one successor and the rest: the position, the
     ``CfgNode`` fields from ``kind`` to ``labels``, and the successor's
-    position (for ``nodes``, a tuple of them).  An edge to EXIT lands on
+    position (for ``other``, a tuple of them).  An edge to EXIT lands on
     position -1, the tail of the call the copy expands.  ``calls`` holds
     for each call the position of the callee's first node, the callee's
     template (a reference, not a copy), the callee copy's row counted
@@ -199,7 +199,7 @@ class _Template:
     is the position a callee's copy is entered at (the root's ENTRY) and
     ``exit`` the one its exit edges land on."""
 
-    __slots__ = ("body", "slot", "single", "nodes", "calls", "size",
+    __slots__ = ("body", "slot", "single", "other", "calls", "size",
                  "copies", "head", "exit")
 
     def __init__(self, body: FunctionBody, templates: dict[str, _Template],
@@ -240,13 +240,13 @@ class _Template:
         head.setdefault(cfg.exit, -1)
         self.head = head[cfg.entry] if root else head[cfg.succ[cfg.entry][0]]
         self.exit = head[cfg.exit]
-        self.single, self.nodes = [], []
+        self.single, self.other = [], []
         for nid, at, fields in placed:
             targets = tuple([head[dst] for dst in cfg.succ[nid]])
             if len(targets) == 1:
                 self.single.append((at, *fields, targets[0]))
             else:
-                self.nodes.append((at, *fields, targets))
+                self.other.append((at, *fields, targets))
         self.size, self.copies = pos, copies
 
 
@@ -272,7 +272,7 @@ def _stamp(root: _Template) -> FunctionBody:
                                expr, labels, copy)
             succ[i] = (ids[base + to],)
         for (at, kind, line, callee, args, lhs, var, expr, labels,
-             targets) in template.nodes:
+             targets) in template.other:
             i = base + at
             nodes[i] = CfgNode(ids[i], kind, line, callee, args, lhs, var,
                                expr, labels, copy)
@@ -314,12 +314,12 @@ def inline_calls(model: ProgramModel, depth_limit: int = 16) -> ProgramModel:
     and reads the return slot of the copy that ends there.
 
     The new body is stamped, not copied node by node: each defined
-    function the entry reaches gets one template, built callees first,
-    that lays out one copy of it by position with each nested call a
-    reference to its callee's template (see :class:`_Template`).  Each
-    flat node then costs one ``CfgNode`` and one successor tuple, and
-    the copies wait on an explicit stack, so a long call chain needs no
-    Python recursion.
+    function gets one template, built callees first, that lays out one
+    copy of it by position with each nested call a reference to its
+    callee's template (see :class:`_Template`).  Each flat node then
+    costs one ``CfgNode`` and one successor tuple, and the copies wait
+    on an explicit stack, so a long call chain needs no Python
+    recursion.
 
     Raises :class:`RecursionDetected` when the call graph is cyclic and
     :class:`DepthLimitExceeded` when some call chain involves more than
@@ -333,15 +333,10 @@ def inline_calls(model: ProgramModel, depth_limit: int = 16) -> ProgramModel:
     if depths[model.entry] == 1:
         return model
     functions = dict(model.functions)
-    reached, pending = set(), [model.entry]
-    while pending:
-        for node in functions[pending.pop()].cfg.call_nodes():
-            if node.callee in functions and node.callee not in reached:
-                reached.add(node.callee)
-                pending.append(node.callee)
     templates: dict[str, _Template] = {}
-    for name in sorted(reached, key=depths.__getitem__):  # callees first
-        templates[name] = _Template(functions[name], templates)
+    for name in sorted(functions, key=depths.__getitem__):  # callees first
+        if name != model.entry:  # no function the entry reaches calls it
+            templates[name] = _Template(functions[name], templates)
     functions[model.entry] = _stamp(
         _Template(model.entry_body, templates, root=True))
     return ProgramModel(functions, model.entry, model.program, model.path)
