@@ -722,27 +722,11 @@ class TestInlinedCopies:
         # With each inlined copy's names renamed, this flat entry held
         # 3.0 MB; sharing the callees' expressions brought it to 1.9 MB,
         # and keeping nodes and successors in lists indexed by id to
-        # 1.5 MB.
-        gen = benchmark_generator()
-        source, _ = gen.diamond_program(random.Random(1), 8, 3)
-        model = parse_program(source)
-        gc.collect()
-        tracemalloc.start()
-        try:
-            flat = passes.inline_calls(model)
-            gc.collect()
-            held = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert len(flat.entry_body.cfg.nodes) > 7000
-        assert held < 1.7 * 2**20, held
-
-    def test_inlining_heap_peak_on_a_depth_8_diamond(self):
-        # Copying the entry one node at a time peaked at 1.50 MB, 9 KB
-        # above what it held; stamping it from templates peaks at 1.60 MB,
-        # the list of shared ids included.  Templates that copied their
-        # callees' node lists instead of referring to them would hold a
-        # second set of the callees' records until the end.
+        # 1.5 MB.  Copying it one node at a time peaked 9 KB above that;
+        # stamping it from templates peaks at 1.60 MB, the list of shared
+        # ids included.  Templates that copied their callees' node lists
+        # instead of referring to them would hold a second set of the
+        # callees' records until the end.
         gen = benchmark_generator()
         source, _ = gen.diamond_program(random.Random(1), 8, 3)
         model = parse_program(source)
@@ -751,9 +735,12 @@ class TestInlinedCopies:
         try:
             flat = passes.inline_calls(model)
             peak = tracemalloc.get_traced_memory()[1]
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         assert len(flat.entry_body.cfg.nodes) > 7000
+        assert held < 1.7 * 2**20, held
         assert peak < 1.75 * 2**20, peak
 
     def test_check_heap_peak_on_a_depth_8_diamond(self):
@@ -784,9 +771,6 @@ class TestInlinedCopies:
         distinct = set(events.values())
         assert len(events) > 10 * len(distinct)
         assert len({id(e) for e in events.values()}) == len(distinct)
-
-    def test_equal_events_are_one_object_on_every_family(self):
-        gen = benchmark_generator()
         sources = [path.read_text() for path in
                    sorted(bundled_data_path("corpus").glob("*.c"))]
         sources += [case.source for family in (gen.wide_cases,
