@@ -655,11 +655,13 @@ class TestInlining:
             assert flat.functions[name] is model.functions[name]
 
     def test_long_chain_needs_no_recursion(self):
+        # 1,499 nested calls are stamped from their templates on an
+        # explicit stack.
+        model = parse_program(chain_source(1500))
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(1000)  # the interpreter's default
         try:
-            flat = inline_calls(parse_program(chain_source(1500)),
-                                depth_limit=2000)
+            flat = inline_calls(model, depth_limit=2000)
         finally:
             sys.setrecursionlimit(limit)
         calls = flat.entry_body.cfg.call_nodes()
@@ -667,17 +669,6 @@ class TestInlining:
         # main's 5 nodes less the call of f1, one tail per inlined call,
         # and the open.
         assert len(flat.entry_body.cfg.nodes) == 4 + 1499 + 1
-
-    def test_long_chain_inlines_without_recursion(self):
-        # 1,499 nested calls are stamped from their templates on an
-        # explicit stack.
-        model = parse_program(chain_source(1500))
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(1000)  # the interpreter's default
-        try:
-            flat = inline_calls(model, 2000)
-        finally:
-            sys.setrecursionlimit(limit)
         assert len(flat.entry_body.copies) == 1500
         assert_same_entry(flat.entry_body, reference_splice_entry(model))
 
