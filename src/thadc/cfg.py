@@ -265,7 +265,8 @@ class _FunctionLowering:
     # -- expression hoisting --------------------------------------------------
 
     def _hoist(self, expr: Expr) -> Expr:
-        """Pull nested calls out of ``expr`` into CALL nodes on temporaries."""
+        """Pull nested calls out of ``expr`` into CALL nodes on temporaries.
+        A subtree with no call in it comes back as the same record."""
         if isinstance(expr, CallExpr):
             args = tuple(self._hoist(a) for a in expr.args)
             temp = self._temp()
@@ -273,10 +274,15 @@ class _FunctionLowering:
                        args=args, lhs=temp)
             return Var(temp, expr.line)
         if isinstance(expr, Unary):
-            return Unary(expr.op, self._hoist(expr.operand), expr.line)
+            operand = self._hoist(expr.operand)
+            if operand is expr.operand:
+                return expr
+            return Unary(expr.op, operand, expr.line)
         if isinstance(expr, Binary):
             lhs = self._hoist(expr.lhs)
             rhs = self._hoist(expr.rhs)
+            if lhs is expr.lhs and rhs is expr.rhs:
+                return expr
             return Binary(expr.op, lhs, rhs, expr.line)
         return expr
 

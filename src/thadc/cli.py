@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import sys
@@ -134,22 +135,34 @@ def run_check(source: str, path: str, thad_set: ThadSet, *, spec_path: str,
     ``--unroll`` oracle block and ``timing`` the wall time.  The note is
     None unless the oracle was asked for and had to be skipped; then the
     report has no oracle block, and the note says why.  Parse and
-    preparation errors raise, as ``check`` exits 2 on them."""
-    started = time.perf_counter()
-    program = parse_source(source, path)
-    verdicts = check(_prepared(program, thad_set, inline_depth), thad_set)
-    oracle = note = None
-    if unroll is not None:
-        try:
-            oracle = _unroll_oracle(program, thad_set, verdicts, unroll,
-                                    inline_depth)
-        except (PathExplosion, UnrollTooDeep) as exc:
-            note = f"unroll oracle skipped: {exc}"
-    wall_ms = (int((time.perf_counter() - started) * 1000) if timing
-               else None)
-    report = build_report(verdicts, thad_set, spec_path=spec_path,
-                          program_path=path, wall_time_ms=wall_ms,
-                          oracle=oracle)
+    preparation errors raise, as ``check`` exits 2 on them.
+
+    The cyclic garbage collector is paused for the check and left as the
+    caller had it: the syntax tree, the graphs and the tables a check
+    builds form no reference cycles, so a collection inside it would
+    only rescan them, and reference counting frees them all when the
+    check returns."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        started = time.perf_counter()
+        program = parse_source(source, path)
+        verdicts = check(_prepared(program, thad_set, inline_depth), thad_set)
+        oracle = note = None
+        if unroll is not None:
+            try:
+                oracle = _unroll_oracle(program, thad_set, verdicts, unroll,
+                                        inline_depth)
+            except (PathExplosion, UnrollTooDeep) as exc:
+                note = f"unroll oracle skipped: {exc}"
+        wall_ms = (int((time.perf_counter() - started) * 1000) if timing
+                   else None)
+        report = build_report(verdicts, thad_set, spec_path=spec_path,
+                              program_path=path, wall_time_ms=wall_ms,
+                              oracle=oracle)
+    finally:
+        if enabled:
+            gc.enable()
     return report, note
 
 

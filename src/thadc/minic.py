@@ -31,7 +31,6 @@ escape (``'\\n'``, ``'\\x41'``, ``'\\101'``).  Nesting is capped at
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, TypeVar, Union
 
 from .diagnostics import Diagnostic, DiagnosticError
@@ -64,154 +63,232 @@ way to the deepest operand is one level; deeper programs get an
 # Syntax tree
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Num:
-    value: int
-    line: int = 0
+class _Record:
+    """Base of the syntax-tree records: plain ``__slots__`` records, like
+    :class:`thadc.cfg.CfgNode`, built once and never changed.  The slots
+    are the fields, in order.  ``repr`` is the one a dataclass would
+    give, ``Num(value=4, line=3)``; two records are equal when they are
+    of one class and their fields are equal, and equal records hash
+    alike."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}"
+                            for name in self.__slots__])
+        return f"{type(self).__name__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
 
-@dataclass(frozen=True)
-class Str:
-    value: str
-    line: int = 0
+class Num(_Record):
+    __slots__ = ("value", "line")
+
+    def __init__(self, value: int, line: int = 0):
+        self.value = value
+        self.line = line
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-    line: int = 0
+class Str(_Record):
+    __slots__ = ("value", "line")
+
+    def __init__(self, value: str, line: int = 0):
+        self.value = value
+        self.line = line
 
 
-@dataclass(frozen=True)
-class Unary:
-    op: str  # "-", "!", "~", "&"
-    operand: "Expr"
-    line: int = 0
+class Var(_Record):
+    __slots__ = ("name", "line")
+
+    def __init__(self, name: str, line: int = 0):
+        self.name = name
+        self.line = line
 
 
-@dataclass(frozen=True)
-class Binary:
-    op: str
-    lhs: "Expr"
-    rhs: "Expr"
-    line: int = 0
+class Unary(_Record):
+    __slots__ = ("op", "operand", "line")
+
+    def __init__(self, op: str, operand: Expr, line: int = 0):
+        self.op = op  # "-", "!", "~", "&"
+        self.operand = operand
+        self.line = line
 
 
-@dataclass(frozen=True)
-class CallExpr:
-    callee: str
-    args: tuple["Expr", ...]
-    line: int = 0
+class Binary(_Record):
+    __slots__ = ("op", "lhs", "rhs", "line")
+
+    def __init__(self, op: str, lhs: Expr, rhs: Expr, line: int = 0):
+        self.op = op
+        self.lhs = lhs
+        self.rhs = rhs
+        self.line = line
+
+
+class CallExpr(_Record):
+    __slots__ = ("callee", "args", "line")
+
+    def __init__(self, callee: str, args: tuple[Expr, ...], line: int = 0):
+        self.callee = callee
+        self.args = args
+        self.line = line
 
 
 Expr = Union[Num, Str, Var, Unary, Binary, CallExpr]
 
 
-@dataclass(frozen=True)
-class Declare:
-    type_text: str
-    name: str
-    init: Optional[Expr]
-    line: int = 0
+class Declare(_Record):
+    __slots__ = ("type_text", "name", "init", "line")
+
+    def __init__(self, type_text: str, name: str, init: Optional[Expr],
+                 line: int = 0):
+        self.type_text = type_text
+        self.name = name
+        self.init = init
+        self.line = line
 
 
-@dataclass(frozen=True)
-class Assign:
-    name: str
-    value: Expr
-    line: int = 0
+class Assign(_Record):
+    __slots__ = ("name", "value", "line")
+
+    def __init__(self, name: str, value: Expr, line: int = 0):
+        self.name = name
+        self.value = value
+        self.line = line
 
 
-@dataclass(frozen=True)
-class ExprStmt:
-    expr: Expr
-    line: int = 0
+class ExprStmt(_Record):
+    __slots__ = ("expr", "line")
+
+    def __init__(self, expr: Expr, line: int = 0):
+        self.expr = expr
+        self.line = line
 
 
-@dataclass(frozen=True)
-class Return:
-    value: Optional[Expr]
-    line: int = 0
+class Return(_Record):
+    __slots__ = ("value", "line")
+
+    def __init__(self, value: Optional[Expr], line: int = 0):
+        self.value = value
+        self.line = line
 
 
-@dataclass(frozen=True)
-class Block:
-    stmts: tuple["Stmt", ...]
-    line: int = 0
+class Block(_Record):
+    __slots__ = ("stmts", "line")
+
+    def __init__(self, stmts: tuple[Stmt, ...], line: int = 0):
+        self.stmts = stmts
+        self.line = line
 
 
-@dataclass(frozen=True)
-class If:
-    cond: Expr
-    then: Block
-    orelse: Optional[Block]
-    line: int = 0
+class If(_Record):
+    __slots__ = ("cond", "then", "orelse", "line")
+
+    def __init__(self, cond: Expr, then: Block, orelse: Optional[Block],
+                 line: int = 0):
+        self.cond = cond
+        self.then = then
+        self.orelse = orelse
+        self.line = line
 
 
-@dataclass(frozen=True)
-class While:
-    cond: Expr
-    body: Block
-    line: int = 0
+class While(_Record):
+    __slots__ = ("cond", "body", "line")
+
+    def __init__(self, cond: Expr, body: Block, line: int = 0):
+        self.cond = cond
+        self.body = body
+        self.line = line
 
 
-@dataclass(frozen=True)
-class For:
-    init: Optional["Stmt"]
-    cond: Optional[Expr]
-    step: Optional["Stmt"]
-    body: Block
-    line: int = 0
+class For(_Record):
+    __slots__ = ("init", "cond", "step", "body", "line")
+
+    def __init__(self, init: Optional[Stmt], cond: Optional[Expr],
+                 step: Optional[Stmt], body: Block, line: int = 0):
+        self.init = init
+        self.cond = cond
+        self.step = step
+        self.body = body
+        self.line = line
 
 
-@dataclass(frozen=True)
-class SwitchCase:
-    labels: tuple[Optional[Expr], ...]  # None = default
-    body: Block
-    line: int = 0
+class SwitchCase(_Record):
+    __slots__ = ("labels", "body", "line")
+
+    def __init__(self, labels: tuple[Optional[Expr], ...], body: Block,
+                 line: int = 0):
+        self.labels = labels  # None = default
+        self.body = body
+        self.line = line
 
 
-@dataclass(frozen=True)
-class Switch:
-    expr: Expr
-    cases: tuple[SwitchCase, ...]
-    line: int = 0
+class Switch(_Record):
+    __slots__ = ("expr", "cases", "line")
+
+    def __init__(self, expr: Expr, cases: tuple[SwitchCase, ...],
+                 line: int = 0):
+        self.expr = expr
+        self.cases = cases
+        self.line = line
 
 
 Stmt = Union[Declare, Assign, ExprStmt, Return, Block, If, While, For, Switch]
 
 
-@dataclass(frozen=True)
-class ParamDecl:
-    type_text: str
-    name: str
-    line: int = 0
+class ParamDecl(_Record):
+    __slots__ = ("type_text", "name", "line")
+
+    def __init__(self, type_text: str, name: str, line: int = 0):
+        self.type_text = type_text
+        self.name = name
+        self.line = line
 
 
-@dataclass(frozen=True)
-class FunctionDef:
-    name: str
-    params: tuple[ParamDecl, ...]
-    body: Block
-    return_type: str = "int"
-    varargs: bool = False
-    line: int = 0
+class FunctionDef(_Record):
+    __slots__ = ("name", "params", "body", "return_type", "varargs", "line")
+
+    def __init__(self, name: str, params: tuple[ParamDecl, ...], body: Block,
+                 return_type: str = "int", varargs: bool = False,
+                 line: int = 0):
+        self.name = name
+        self.params = params
+        self.body = body
+        self.return_type = return_type
+        self.varargs = varargs
+        self.line = line
 
 
-@dataclass(frozen=True)
-class GlobalDecl:
-    type_text: str
-    name: str
-    init: Optional[Expr]
-    line: int = 0
+class GlobalDecl(_Record):
+    __slots__ = ("type_text", "name", "init", "line")
+
+    def __init__(self, type_text: str, name: str, init: Optional[Expr],
+                 line: int = 0):
+        self.type_text = type_text
+        self.name = name
+        self.init = init
+        self.line = line
 
 
-@dataclass(frozen=True)
-class Program:
-    functions: tuple[FunctionDef, ...]
-    globals: tuple[GlobalDecl, ...] = ()
-    defines: dict[str, int] = field(default_factory=dict)
-    path: str = "<input>"
+class Program(_Record):
+    __slots__ = ("functions", "globals", "defines", "path")
+
+    def __init__(self, functions: tuple[FunctionDef, ...],
+                 globals: tuple[GlobalDecl, ...] = (),
+                 defines: Optional[dict[str, int]] = None,
+                 path: str = "<input>"):
+        self.functions = functions
+        self.globals = globals
+        self.defines = {} if defines is None else defines
+        self.path = path
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +506,7 @@ class _Parser:
         self.diags: list[Diagnostic] = []
         self.depth = 0   # nesting levels open around the current position
         self.height = 0  # height of the expression parsed last
+        self.defined: dict[str, int] = {}  # function name -> line defined
 
     # -- token helpers ------------------------------------------------------
 
@@ -573,8 +651,14 @@ class _Parser:
         if self.accept(";"):
             return None  # prototype only; externals need no body
         body = self.parse_block()
+        name = name_tok.text
+        if name in self.defined:
+            self.error(name_tok, f"redefinition of {name!r} (first defined "
+                                 f"on line {self.defined[name]})", "redefinition")
+        else:
+            self.defined[name] = name_tok.line
         return FunctionDef(
-            name_tok.text, tuple(params), body, return_type, varargs, name_tok.line
+            name, tuple(params), body, return_type, varargs, name_tok.line
         )
 
     def _skip_past(self, *stops: str) -> str:
@@ -809,7 +893,7 @@ class _Parser:
         precedence ``min_prec`` or higher.  Leaves the height of the
         returned tree in ``self.height``."""
         tokens = self.tokens
-        lhs = self._parse_unary()
+        lhs = self._parse_primary()
         height = self.height
         while True:
             op = tokens[self.pos]
@@ -823,22 +907,10 @@ class _Parser:
             self._check_depth(op, self.depth + height)
             lhs = Binary(op.text, lhs, rhs, op.line)
 
-    def _parse_unary(self) -> Expr:
-        tok = self.peek()
-        if tok.text in ("-", "!", "~", "&") and tok.kind == "PUNCT":
-            self.next()
-            operand = self._deeper(tok, self._parse_unary)
-            if tok.text == "&" and not isinstance(operand, Var):
-                raise _Reject(tok, "address-of applies to plain variables only",
-                              "unsupported-construct")
-            self.height += 1
-            return Unary(tok.text, operand, tok.line)
-        if tok.text == "*" and tok.kind == "PUNCT":
-            raise _Reject(tok, "pointer dereference is outside the accepted subset",
-                          "unsupported-construct")
-        return self._parse_primary()
-
     def _parse_primary(self) -> Expr:
+        """One operand: a prefix operator and its operand, a name, call,
+        literal, cast or parenthesized expression.  Leaves its height in
+        ``self.height``."""
         tok = self.next()
         self.height = 0
         kind = tok.kind
@@ -855,31 +927,51 @@ class _Parser:
             return Num(self.numbers[tok.text], tok.line)
         if kind == "STR":
             return Str(tok.text, tok.line)
-        if tok.text == "(":
+        text = tok.text
+        if kind == "PUNCT" and text in ("-", "!", "~", "&"):
+            operand = self._deeper(tok, self._parse_primary)
+            if text == "&" and not isinstance(operand, Var):
+                raise _Reject(tok, "address-of applies to plain variables only",
+                              "unsupported-construct")
+            self.height += 1
+            return Unary(text, operand, tok.line)
+        if text == "(":
             if self.at_type():
                 self.parse_type()  # a cast changes nothing the analyses see
                 self.expect(")")
-                inner = self._deeper(tok, self._parse_unary)
+                inner = self._deeper(tok, self._parse_primary)
             else:
                 inner = self._deeper(tok, self.parse_expr)
                 self.expect(")")
             self.height += 1
             return inner
-        raise _Reject(tok, f"cannot parse expression at {tok.text!r}")
+        if text == "*" and kind == "PUNCT":
+            raise _Reject(tok, "pointer dereference is outside the accepted subset",
+                          "unsupported-construct")
+        raise _Reject(tok, f"cannot parse expression at {text!r}")
 
     def _parse_call(self, name_tok: Token) -> CallExpr:
         self.expect("(")
+        args: tuple[Expr, ...] = ()
+        self.height = 0
+        if not self.at(")"):
+            args = self._deeper(name_tok, self._parse_args)
+        self.expect(")")
+        self.height += 1
+        return CallExpr(name_tok.text, args, name_tok.line)
+
+    def _parse_args(self) -> tuple[Expr, ...]:
+        """A call's arguments, all one nesting level below the call.
+        Leaves the height of the highest in ``self.height``."""
         args: list[Expr] = []
         height = 0
-        if not self.at(")"):
-            while True:
-                args.append(self._deeper(name_tok, self.parse_expr))
-                height = max(height, self.height)
-                if not self.accept(","):
-                    break
-        self.expect(")")
-        self.height = height + 1
-        return CallExpr(name_tok.text, tuple(args), name_tok.line)
+        while True:
+            args.append(self.parse_expr())
+            height = max(height, self.height)
+            if not self.accept(","):
+                break
+        self.height = height
+        return tuple(args)
 
 
 class _Reject(Exception):

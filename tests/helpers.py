@@ -374,6 +374,20 @@ def nested_parens(n: int) -> str:
             + ";\n    return x;\n}\n")
 
 
+def nested_calls(n: int) -> str:
+    """An initializer of ``n`` nested one-argument calls on line 2: n + 1
+    levels.  The k-th call's name is in column 2k + 11."""
+    return ("int main(void) {\n    int x = " + "f(" * n + "1" + ")" * n
+            + ";\n    return x;\n}\n")
+
+
+def nested_nots(n: int) -> str:
+    """An initializer under ``n`` prefix ``!`` operators on line 2: n + 1
+    levels.  The k-th ``!`` is in column k + 12."""
+    return ("int main(void) {\n    int x = " + "!" * n
+            + "1;\n    return x;\n}\n")
+
+
 def plus_chain(n: int) -> str:
     """An initializer adding ``n`` ones on line 2: n levels.  The k-th
     ``+`` is in column 2k + 12."""

@@ -764,6 +764,32 @@ class TestInlinedCopies:
         assert report == first
         assert peak < 2.9 * 2**20, peak
 
+    def test_a_large_check_leaves_no_more_cycles_than_a_small_one(self):
+        # run_check pauses the cyclic collector, which costs nothing only
+        # while a check builds no reference cycles.  A cycle per node or
+        # per call would leave thousands more unreachable objects after
+        # the diamond than after the corpus program, instead of slowly
+        # growing the RSS of a long-lived caller.
+        gen = benchmark_generator()
+        diamond, _ = gen.diamond_program(random.Random(1), 8, 3)
+        consts = bundled_data_path("spidev-linux.consts")
+        bound = load_spec(gen.BOUND_SPEC.read_text(), consts.read_text(),
+                          str(gen.BOUND_SPEC), str(consts))
+        corpus = (bundled_data_path("corpus")
+                  / "accelerometer-faulty.c").read_text()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            left = []
+            for source, spec in ((corpus, SPIDEV), (diamond, bound)):
+                gc.collect()
+                cli.run_check(source, "t.c", spec, spec_path="spec")
+                left.append(gc.collect())
+        finally:
+            if enabled:
+                gc.enable()
+        assert left[0] == left[1], left
+
     def test_equal_events_are_one_object(self):
         gen = benchmark_generator()
         source, _ = gen.diamond_program(random.Random(1), 6, 2)

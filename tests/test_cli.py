@@ -1,5 +1,6 @@
 """Command-line behavior: subcommands, exit codes, and output formats."""
 
+import gc
 import importlib
 import importlib.util
 import json
@@ -15,7 +16,7 @@ import pytest
 
 from thadc import cli
 from thadc.annotate import MODES
-from thadc.minic import MAX_NESTING
+from thadc.minic import MAX_NESTING, MiniCError
 from thadc.report import exit_code, render_json
 from thadc.specio import (bundled_data_path, bundled_spidev, parse_thad_spec,
                           serialize_spec)
@@ -193,6 +194,30 @@ class TestCheck:
         assert all(math.isfinite(value) for value in values.values()), values
         json.dumps(values, allow_nan=False)
         assert tracer.absent == set()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_run_check_pauses_the_collector_and_restores_it(
+            self, monkeypatch, enabled):
+        seen = []
+        original = cli.check
+
+        def recording(model, thad_set):
+            seen.append(gc.isenabled())
+            return original(model, thad_set)
+        monkeypatch.setattr(cli, "check", recording)
+        source = (CORPUS / "accelerometer-faulty.c").read_text()
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            cli.run_check(source, "a.c", bundled_spidev(), spec_path="s")
+            assert gc.isenabled() is enabled
+            with pytest.raises(MiniCError):
+                cli.run_check("int main(void) { goto out; }", "b.c",
+                              bundled_spidev(), spec_path="s")
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen == [False]
 
     def test_json_reports_timing_by_default(self, capsys):
         code, out, _ = run(
@@ -375,9 +400,11 @@ class TestBadInput:
         (nested_ifs(400), f"{MAX_NESTING + 3}:5"),
         (nested_parens(300), f"2:{MAX_NESTING + 12}"),
         (plus_chain(1500), f"2:{2 * MAX_NESTING + 12}"),
+        ("int main(void){ read(3, 0, 1); return 0; }\n"
+         "int main(void){ return 0; }\n", "2:5"),
     ], ids=["hex-without-digits", "octal-8", "two-char-literal",
             "unclosed-comment", "400-ifs", "300-parentheses",
-            "1500-term-sum"])
+            "1500-term-sum", "main-defined-twice"])
     def test_positioned_diagnostic(self, tmp_path, capsys, source, position):
         program = tmp_path / "bad.c"
         program.write_text(source)

@@ -19,8 +19,12 @@ from thadc.cfg import Cfg, CfgNode, FunctionBody, NodeKind
 from thadc.checker import PathExplosion, hal_traces
 from thadc.minic import (
     MAX_NESTING,
+    Binary,
     MiniCError,
+    Num,
+    Str,
     UnrollTooDeep,
+    Var,
     c_int_value,
     parse_source,
     unroll_loops,
@@ -39,7 +43,9 @@ from helpers import (
     check_cfg,
     check_well_formed,
     edges,
+    nested_calls,
     nested_ifs,
+    nested_nots,
     nested_parens,
     parse_program,
     plus_chain,
@@ -91,6 +97,28 @@ class TestParsing:
         with pytest.raises(MiniCError) as exc:
             parse_program("int helper(void) { return 0; }")
         assert exc.value.diagnostics[0].code == "missing-entry"
+
+    @pytest.mark.parametrize("source, expected", [
+        ("int main(void){ read(3, 0, 1); return 0; }\n"
+         "int main(void){ return 0; }\n",
+         (2, 5, "redefinition of 'main' (first defined on line 1)")),
+        ("int main(void){ return 0; }\n"
+         "int main(void){ read(3, 0, 1); return 0; }\n",
+         (2, 5, "redefinition of 'main' (first defined on line 1)")),
+        ("int f(int a){ return a; }\nint main(void){ return f(1); }\n"
+         "static int f(int a){ return 0; }\n",
+         (3, 12, "redefinition of 'f' (first defined on line 1)")),
+    ], ids=["violating-main-first", "violating-main-second", "helper"])
+    def test_a_second_definition_is_rejected(self, source, expected):
+        with pytest.raises(MiniCError) as exc:
+            parse_program(source)
+        assert [(d.line, d.column, d.message, d.code)
+                for d in exc.value.diagnostics] == [(*expected, "redefinition")]
+
+    def test_a_prototype_then_a_definition_is_accepted(self):
+        model = parse_program("int f(int a);\nint main(void){ return f(1); }\n"
+                              "int f(int a){ return a; }\n")
+        assert set(model.functions) == {"f", "main"}
 
     def test_switch_fallthrough_rejected(self):
         source = """
@@ -150,6 +178,43 @@ class TestParsing:
             "int main(void) { return 0; write(1, 0, 0); }"
         )
         assert model.entry_body.cfg.call_nodes() == []
+
+
+SMALL_MAIN = "int main(void) { int x = 1; read(x, 0, x + 1); return -x; }"
+
+
+class TestSyntaxRecords:
+    """Syntax-tree records are equal when they are of one class with equal
+    fields, hash alike when equal, and print as dataclasses would."""
+
+    @pytest.mark.parametrize("a, b, equal", [
+        (Num(1, 2), Num(1, 2), True),
+        (Binary("+", Var("x", 1), Num(1, 1), 1),
+         Binary("+", Var("x", 1), Num(1, 1), 1), True),
+        (parse_source(SMALL_MAIN).functions[0],
+         parse_source(SMALL_MAIN).functions[0], True),
+        (Num(1, 2), Num(1, 3), False),
+        (Num(1, 2), Str(1, 2), False),
+        (Var("x", 1), ("x", 1), False),
+    ], ids=["leaf", "tree", "function", "other-field", "other-class",
+            "tuple"])
+    def test_equality_and_hash(self, a, b, equal):
+        assert (a == b) is equal
+        assert (a != b) is not equal
+        if equal:
+            assert hash(a) == hash(b)
+
+    def test_records_have_no_instance_dict(self):
+        program = parse_source(SMALL_MAIN)
+        fn = program.functions[0]
+        for record in (program, fn, fn.body, *fn.body.stmts, Num(4, 3)):
+            assert not hasattr(record, "__dict__"), record
+
+    def test_repr_is_the_dataclass_repr(self):
+        assert repr(Num(4, 3)) == "Num(value=4, line=3)"
+        assert repr(Binary("-", Var("x"), Str("s", 2), 2)) == (
+            "Binary(op='-', lhs=Var(name='x', line=0), "
+            "rhs=Str(value='s', line=2), line=2)")
 
 
 def first_diagnostic(source: str):
@@ -323,7 +388,10 @@ class TestNestingLimit:
         (nested_ifs(400), MAX_NESTING + 3, 5),
         (nested_parens(300), 2, MAX_NESTING + 12),
         (plus_chain(1500), 2, 2 * MAX_NESTING + 12),
-    ], ids=["400-ifs", "300-parentheses", "1500-term-sum"])
+        (nested_calls(300), 2, 2 * MAX_NESTING + 11),
+        (nested_nots(300), 2, MAX_NESTING + 12),
+    ], ids=["400-ifs", "300-parentheses", "1500-term-sum", "300-calls",
+            "300-nots"])
     def test_too_deep_gives_one_positioned_diagnostic(self, source, line, col):
         with pytest.raises(MiniCError) as exc:
             parse_source(source)
@@ -335,7 +403,9 @@ class TestNestingLimit:
         (nested_ifs(MAX_NESTING - 2), nested_ifs(MAX_NESTING - 1)),
         (nested_parens(MAX_NESTING - 1), nested_parens(MAX_NESTING)),
         (plus_chain(MAX_NESTING), plus_chain(MAX_NESTING + 1)),
-    ], ids=["ifs", "parentheses", "sum"])
+        (nested_calls(MAX_NESTING - 1), nested_calls(MAX_NESTING)),
+        (nested_nots(MAX_NESTING - 1), nested_nots(MAX_NESTING)),
+    ], ids=["ifs", "parentheses", "sum", "calls", "nots"])
     def test_limit_is_exact(self, at_limit, over_limit):
         prepared(at_limit)
         assert first_diagnostic(over_limit)[2:] == (
