@@ -370,9 +370,14 @@ def _char_value(body: str) -> Optional[int]:
     return int(octal, 8) if octal else int(hexa, 16)
 
 
+# A comment that closes on a directive's line, or runs to its end
+_LINE_COMMENT_RE = re.compile(r"/\*.*?\*/|//.*")
+
+
 def _directive(body: str, line: int, col: int, defines: dict[str, int],
                diags: list[Diagnostic]) -> None:
-    parts = body.split()
+    """Read one directive line; its comments count as blanks, as in cpp."""
+    parts = _LINE_COMMENT_RE.sub(" ", body).split()
     if parts[0] == "#include" or parts[:2] == ["#", "include"]:
         return
     if parts[0] == "#define" and len(parts) == 3:
@@ -537,6 +542,15 @@ class _Parser:
             return tok
         raise _Reject(tok, f"expected {text!r}, found {tok.text!r}")
 
+    def _name(self, what: str) -> Token:
+        """The name at the cursor, consumed; anything else is rejected
+        and left for error recovery."""
+        tok = self.tokens[self.pos]
+        if tok.kind != "IDENT":
+            raise _Reject(tok, f"expected {what}, found {tok.text!r}")
+        self.pos += 1
+        return tok
+
     def error(self, tok: Token, message: str, code: str = "syntax") -> None:
         self.diags.append(Diagnostic(tok.line, tok.col, message, code))
 
@@ -616,9 +630,7 @@ class _Parser:
 
     def _top_level_item(self):
         type_text = self.parse_type()
-        name_tok = self.next()
-        if name_tok.kind != "IDENT":
-            raise _Reject(name_tok, f"expected a name, found {name_tok.text!r}")
+        name_tok = self._name("a name")
         if self.at("("):
             return self._function_rest(type_text, name_tok)
         init = None
@@ -641,9 +653,7 @@ class _Parser:
                     self.next()
                     break
                 ptype = self.parse_type()
-                ptok = self.next()
-                if ptok.kind != "IDENT":
-                    raise _Reject(ptok, f"expected a param name, found {ptok.text!r}")
+                ptok = self._name("a param name")
                 params.append(ParamDecl(ptype, ptok.text, ptok.line))
                 if not self.accept(","):
                     break
@@ -664,11 +674,15 @@ class _Parser:
     def _skip_past(self, *stops: str) -> str:
         """Skip to just past the first of ``stops`` outside braces, or
         past the brace that closes the braces skipped, and return the stop
-        skipped last ("" at the end of the file).  A string literal stops
-        nothing."""
+        skipped last.  Inside a function body a ``}`` that closes a block
+        around the skipped tokens is left in place; "" is returned there
+        and at the end of the file.  A string literal stops nothing."""
         depth = 0
         while self.tokens[self.pos].kind != "EOF":
-            tok = self.next()
+            tok = self.tokens[self.pos]
+            if tok.kind == "PUNCT" and tok.text == "}" and not depth and self.depth:
+                return ""
+            self.pos += 1
             if tok.kind == "STR":
                 continue
             if tok.text == "{":
@@ -754,9 +768,7 @@ class _Parser:
     def _parse_declare(self) -> Declare:
         start = self.peek()
         type_text = self.parse_type()
-        name_tok = self.next()
-        if name_tok.kind != "IDENT":
-            raise _Reject(name_tok, f"expected a name, found {name_tok.text!r}")
+        name_tok = self._name("a name")
         if self.at("["):
             raise _Reject(name_tok, "arrays are outside the accepted subset",
                           "unsupported-construct")
@@ -771,7 +783,10 @@ class _Parser:
 
     def _parse_simple_stmt(self, terminated: bool = True) -> Stmt:
         """Assignment, compound assignment, ++/--, or a bare call."""
-        tok = self.next()
+        tok = self.tokens[self.pos]
+        if tok.kind != "IDENT":  # a literal is no assignment target
+            raise _Reject(tok, f"cannot parse statement at {tok.text!r}")
+        self.pos += 1
         name, line = tok.text, tok.line
         op = self.peek().text if self.peek().kind == "PUNCT" else ""
         if op == "(":
@@ -911,24 +926,28 @@ class _Parser:
         """One operand: a prefix operator and its operand, a name, call,
         literal, cast or parenthesized expression.  Leaves its height in
         ``self.height``."""
-        tok = self.next()
+        tok = self.tokens[self.pos]
         self.height = 0
         kind = tok.kind
         if kind == "IDENT":
             if tok.text == "sizeof":
                 raise _Reject(tok, "sizeof is outside the accepted subset",
                               "unsupported-construct")
+            self.pos += 1
             after = self.tokens[self.pos]
             if after.text == "(" and after.kind == "PUNCT":
                 return self._parse_call(tok)
             return Var(tok.text, tok.line)
         if kind == "NUM":
+            self.pos += 1
             # None only for a literal the lexer has already reported
             return Num(self.numbers[tok.text], tok.line)
         if kind == "STR":
+            self.pos += 1
             return Str(tok.text, tok.line)
         text = tok.text
         if kind == "PUNCT" and text in ("-", "!", "~", "&"):
+            self.pos += 1
             operand = self._deeper(tok, self._parse_primary)
             if text == "&" and not isinstance(operand, Var):
                 raise _Reject(tok, "address-of applies to plain variables only",
@@ -936,6 +955,7 @@ class _Parser:
             self.height += 1
             return Unary(text, operand, tok.line)
         if text == "(":
+            self.pos += 1
             if self.at_type():
                 self.parse_type()  # a cast changes nothing the analyses see
                 self.expect(")")

@@ -255,6 +255,12 @@ class TestLexerDiagnostics:
         program = parse_source("\t#define N 3\nint main(void) { return N; }\n")
         assert program.defines == {"N": 3}
 
+    def test_a_comment_after_a_define_is_a_blank(self):
+        program = parse_source(
+            "#define K 5 // five\n#define L 6 /* six */\n"
+            "#define M/**/7\nint main(void) { return K + L + M; }\n")
+        assert program.defines == {"K": 5, "L": 6, "M": 7}
+
 
 class TestErrorRecovery:
     """One mistake gives one diagnostic: after a rejected statement or
@@ -293,6 +299,35 @@ class TestErrorRecovery:
         source = f"{declaration} int main(void){{return 0;}}"
         assert self.diagnostics(source) == [
             (1, 1, f"{keyword} is outside the accepted subset")]
+
+    @pytest.mark.parametrize("source, expected", [
+        ("int main(void) {\n    int x = ;\n}\nint f(void) { return 0; }\n",
+         (2, 13, "cannot parse expression at ';'")),
+        ("int main(void) {\n    if (c) { x = ; }\n}\nint f(void) { return 0; }\n",
+         (2, 18, "cannot parse expression at ';'")),
+        ("int main(void) {\n    x = }\nint f(void) { return 0; }\n",
+         (2, 9, "cannot parse expression at '}'")),
+        ("int main(void) {\n    if (c) x = }\nint f(void) { return 0; }\n",
+         (2, 16, "cannot parse expression at '}'")),
+        ("int ;\nint main(void) { return 0; }\n",
+         (1, 5, "expected a name, found ';'")),
+    ], ids=["semicolon", "semicolon-in-if", "brace", "brace-after-if",
+            "declaration"])
+    def test_a_rejected_stop_is_not_skipped(self, source, expected):
+        # the token an expression or declaration cannot start with stays
+        # in place, so recovery stops at it and not at the next one
+        assert self.diagnostics(source) == [expected]
+
+    def test_the_statement_after_a_rejected_one_is_kept(self):
+        source = "int main(void) {\n    int x = ;\n    return = 0;\n}\n"
+        assert self.diagnostics(source) == [
+            (2, 13, "cannot parse expression at ';'"),
+            (3, 12, "cannot parse expression at '='")]
+
+    def test_a_literal_is_no_assignment_target(self):
+        source = "int main(void) {\n    for (1 = 2; 0; ) { }\n}\n"
+        assert self.diagnostics(source)[0] == (
+            2, 10, "cannot parse statement at '1'")
 
     def test_a_declaration_after_a_skipped_body_is_kept(self):
         # no ";" after the body: the next declaration is not skipped, so
