@@ -869,6 +869,28 @@ _TOKEN_RE = re.compile(r"""
 """, re.MULTILINE | re.VERBOSE)
 
 
+# Blanks around directives, line ends, comments at the edges of a line
+# or of the file, and files with no token at all.
+EDGE_STRINGS = [
+    "",
+    " ",
+    "\n\n\t \n",
+    "   #define K 1\nint main(void) { return K; }\n",
+    "\t#define K 0x10\n",
+    " \t #include <x.h>\n#",
+    "int main(void) {\r\n    return 0;\r\n}\r\n",
+    "int x; // no newline at the end",
+    "//",
+    "/* a\nb */\n#define K 2\n",
+    "/* a\nb */ #define K 2\n",
+    "int x = 1; # 2\n",
+    "a\rb\r",
+    "int main(void) { return 0; }   \t  ",
+    'x = "a\\"b\n/* c */" + \'\\n\' /* d',
+    "x = '\\x41' + 08 + 0x; \"open",
+]
+
+
 def reference_tokenize(text: str
                        ) -> tuple[list[Token], dict[str, int], list[Diagnostic]]:
     """``thadc.minic.tokenize`` as it was before it matched one token per

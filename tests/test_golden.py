@@ -26,6 +26,14 @@ benchmark's ``wide`` and ``diamond`` cases for seeds 1 and 101, which
 ``perfbench/gen.py`` builds afresh, so a change of that generator changes
 those entries.
 
+``golden/diagnostics.sha256`` holds one SHA-256 per input of the
+``(line, column, message, code)`` list that ``parse_source`` raises, or
+of ``ok``.  The inputs are the programs below with one seeded mutation of
+one word or punctuation character each (deleted, duplicated, or preceded
+by a stray ``@``) and ``helpers.EDGE_STRINGS``, so every lexer and
+parser diagnostic, its position and the error recovery after it are
+pinned.
+
 The programs are the corpus, seeded ``randprog`` draws (single ``main``
 or with helper functions), and one reduced ``wide`` and ``diamond``
 program from the benchmark's generator, stored under ``golden/``.  The
@@ -43,6 +51,8 @@ import functools
 import hashlib
 import io
 import os
+import random
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -50,12 +60,12 @@ from unittest import mock
 from thadc import cli
 from thadc.cfg import build_model
 from thadc.checker import check
-from thadc.minic import parse_source
+from thadc.minic import MiniCError, parse_source
 from thadc.passes import preprocess
 from thadc.report import build_report, render_json, render_text
 from thadc.specio import bundled_data_path, bundled_spidev
 
-from helpers import benchmark_generator, bound_spidev_set, edges
+from helpers import EDGE_STRINGS, benchmark_generator, bound_spidev_set, edges
 from randprog import generate_program
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -64,6 +74,7 @@ CFG_FILE = GOLDEN / "entry_cfg.sha256"
 TEXT_FILE = GOLDEN / "text.sha256"
 UNROLL_FILE = GOLDEN / "unroll.sha256"
 AST_FILE = GOLDEN / "ast.sha256"
+DIAG_FILE = GOLDEN / "diagnostics.sha256"
 SETS = {"bundled": bundled_spidev(), "bound": bound_spidev_set()}
 
 # (name prefix, first seed, count, generate_program keyword arguments)
@@ -117,6 +128,40 @@ def syntax_trees() -> dict[str, str]:
             sources[f"seed{seed}-{case.name}"] = case.source
     return {name: repr(parse_source(source, name))
             for name, source in sources.items()}
+
+
+def mutants() -> dict[str, str]:
+    """``<program>.<mutation>`` -> :func:`programs` source with one word
+    or punctuation character, picked by a seeded draw, deleted,
+    duplicated, or preceded by a stray ``@``."""
+    out = {}
+    for name, source in programs().items():
+        words = list(re.finditer(r"\w+|[^\w\s]", source))
+        for mutation in ("delete", "duplicate", "stray"):
+            m = random.Random(f"{name}:{mutation}").choice(words)
+            before, word, after = (source[:m.start()], m.group(),
+                                   source[m.end():])
+            out[f"{name}.{mutation}"] = (
+                before + after if mutation == "delete"
+                else f"{before}{word} {word}{after}" if mutation == "duplicate"
+                else f"{before}@{word}{after}")
+    return out
+
+
+def diagnostic_lists() -> dict[str, str]:
+    """Input name -> the diagnostics ``parse_source`` raises on it, as
+    ``(line, column, message, code)`` tuples, or ``ok``."""
+    sources = mutants()
+    sources.update((f"edge-{i}", text) for i, text in enumerate(EDGE_STRINGS))
+    out = {}
+    for name, source in sources.items():
+        try:
+            parse_source(source, name)
+            out[name] = "ok"
+        except MiniCError as exc:
+            out[name] = repr([(d.line, d.column, d.message, d.code)
+                              for d in exc.diagnostics])
+    return out
 
 
 def entry_cfg_text(model) -> str:
@@ -238,6 +283,11 @@ def test_syntax_trees_match_golden():
     assert not different, f"{len(different)} syntax trees changed: {different[:10]}"
 
 
+def test_diagnostics_match_golden():
+    different = changed(diagnostic_lists(), read_digests(DIAG_FILE))
+    assert not different, f"{len(different)} diagnostic lists changed: {different[:10]}"
+
+
 def test_one_lowered_model_serves_both_specs():
     # No pass changes the model it is given, so one lowered model,
     # prepared for the bundled spec and then for the bound one, gives
@@ -260,16 +310,18 @@ def main() -> None:
     reports, texts, cfgs = outputs()
     runs = cli_outputs()
     trees = syntax_trees()
+    diagnostics = diagnostic_lists()
     write_digests(SHA_FILE, reports)
     write_digests(TEXT_FILE, texts)
     write_digests(UNROLL_FILE, runs)
     write_digests(CFG_FILE, cfgs)
     write_digests(AST_FILE, trees)
+    write_digests(DIAG_FILE, diagnostics)
     for name in FULL:
         (GOLDEN / f"{name}.json").write_text(reports[name])
     print(f"wrote {len(reports)} report, {len(texts)} text report, "
-          f"{len(runs)} CLI run, {len(cfgs)} entry CFG and {len(trees)} "
-          "syntax tree digests")
+          f"{len(runs)} CLI run, {len(cfgs)} entry CFG, {len(trees)} "
+          f"syntax tree and {len(diagnostics)} diagnostic list digests")
 
 
 if __name__ == "__main__":

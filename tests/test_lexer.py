@@ -18,32 +18,11 @@ from hypothesis import given, settings
 from thadc.minic import Token, tokenize
 from thadc.specio import bundled_data_path
 
-from helpers import benchmark_generator, reference_tokenize
+from helpers import EDGE_STRINGS, benchmark_generator, reference_tokenize
 from randprog import generate_program
 from strategies import c_ish_text
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-
-# Blanks around directives, line ends, comments at the edges of a line
-# or of the file, and files with no token at all.
-EDGE_STRINGS = [
-    "",
-    " ",
-    "\n\n\t \n",
-    "   #define K 1\nint main(void) { return K; }\n",
-    "\t#define K 0x10\n",
-    " \t #include <x.h>\n#",
-    "int main(void) {\r\n    return 0;\r\n}\r\n",
-    "int x; // no newline at the end",
-    "//",
-    "/* a\nb */\n#define K 2\n",
-    "/* a\nb */ #define K 2\n",
-    "int x = 1; # 2\n",
-    "a\rb\r",
-    "int main(void) { return 0; }   \t  ",
-    'x = "a\\"b\n/* c */" + \'\\n\' /* d',
-    "x = '\\x41' + 08 + 0x; \"open",
-]
 
 
 def fixed_sources() -> list[str]:
