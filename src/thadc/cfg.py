@@ -227,32 +227,32 @@ class ProgramModel:
 class _FunctionLowering:
     def __init__(self, fn: FunctionDef):
         self.fn = fn
-        self.nodes: list[CfgNode] = []
-        self.succ: list[tuple[int, ...]] = []
+        self.entry, self.exit = 0, 1
+        self.nodes = [CfgNode(0, NodeKind.ENTRY, fn.line),
+                      CfgNode(1, NodeKind.EXIT, fn.line)]
+        self.succ: list[tuple[int, ...]] = [(), ()]
         self.next_temp = 0
         self.locals: list[str] = []
-        self.entry = self._raw(NodeKind.ENTRY, fn.line)
-        self.exit = self._raw(NodeKind.EXIT, fn.line)
         # dangling (node, edge label) pairs awaiting their successor
         self.frontier: list[tuple[int, Optional[str]]] = [(self.entry, None)]
 
     # -- graph primitives ---------------------------------------------------
 
-    def _raw(self, kind: NodeKind, line: int, **fields) -> int:
-        node_id = len(self.nodes)
-        self.nodes.append(CfgNode(node_id, kind, line, **fields))
-        self.succ.append(())
-        return node_id
-
-    def _connect(self, src: int, label: Optional[str], dst: int) -> None:
-        self.succ[src] += (dst,)
-        if label is not None:  # only a branch's edges are labeled
-            self.nodes[src].labels += (label,)
-
-    def _emit(self, kind: NodeKind, line: int, **fields) -> int:
-        node_id = self._raw(kind, line, **fields)
+    def _connect(self, dst: int) -> None:
+        """Point every edge of the frontier at ``dst``."""
         for src, label in self.frontier:
-            self._connect(src, label, node_id)
+            self.succ[src] += (dst,)
+            if label is not None:  # only a branch's edges are labeled
+                self.nodes[src].labels += (label,)
+
+    def _emit(self, kind: NodeKind, line: int, callee: Optional[str] = None,
+              args: tuple[Expr, ...] = (), lhs: Optional[str] = None,
+              var: Optional[str] = None, expr: Optional[Expr] = None) -> int:
+        node_id = len(self.nodes)
+        self.nodes.append(CfgNode(node_id, kind, line, callee, args, lhs, var,
+                                  expr))
+        self.succ.append(())
+        self._connect(node_id)
         self.frontier = [(node_id, None)]
         return node_id
 
@@ -267,18 +267,20 @@ class _FunctionLowering:
     def _hoist(self, expr: Expr) -> Expr:
         """Pull nested calls out of ``expr`` into CALL nodes on temporaries.
         A subtree with no call in it comes back as the same record."""
-        if isinstance(expr, CallExpr):
-            args = tuple(self._hoist(a) for a in expr.args)
+        cls = type(expr)
+        if cls is Var or cls is Num:
+            return expr
+        if cls is CallExpr:
+            args = tuple([self._hoist(a) for a in expr.args])
             temp = self._temp()
-            self._emit(NodeKind.CALL, expr.line, callee=expr.callee,
-                       args=args, lhs=temp)
+            self._emit(NodeKind.CALL, expr.line, expr.callee, args, temp)
             return Var(temp, expr.line)
-        if isinstance(expr, Unary):
+        if cls is Unary:
             operand = self._hoist(expr.operand)
             if operand is expr.operand:
                 return expr
             return Unary(expr.op, operand, expr.line)
-        if isinstance(expr, Binary):
+        if cls is Binary:
             lhs = self._hoist(expr.lhs)
             rhs = self._hoist(expr.rhs)
             if lhs is expr.lhs and rhs is expr.rhs:
@@ -288,10 +290,9 @@ class _FunctionLowering:
 
     def _call_or_assign(self, target: Optional[str], value: Expr, line: int) -> None:
         """Lower ``target = value`` with the top-level call kept in place."""
-        if isinstance(value, CallExpr):
-            args = tuple(self._hoist(a) for a in value.args)
-            self._emit(NodeKind.CALL, value.line, callee=value.callee,
-                       args=args, lhs=target)
+        if type(value) is CallExpr:
+            args = tuple([self._hoist(a) for a in value.args])
+            self._emit(NodeKind.CALL, value.line, value.callee, args, target)
         elif target is not None:
             self._emit(NodeKind.ASSIGN, line, var=target, expr=self._hoist(value))
         else:
@@ -302,30 +303,33 @@ class _FunctionLowering:
     def lower(self, stmt: Stmt) -> None:
         if not self.frontier:
             return  # unreachable (after return); drop
-        if isinstance(stmt, Block):
+        cls = type(stmt)  # the parser's records are never subclassed
+        if cls is If:
+            self._lower_if(stmt)
+        elif cls is ExprStmt:
+            self._call_or_assign(None, stmt.expr, stmt.line)
+        elif cls is Block:
             for s in stmt.stmts:
                 self.lower(s)
-        elif isinstance(stmt, Declare):
+        elif cls is Declare:
             self.locals.append(stmt.name)
             if stmt.init is not None:
                 self._call_or_assign(stmt.name, stmt.init, stmt.line)
-        elif isinstance(stmt, Assign):
+        elif cls is Assign:
             self._call_or_assign(stmt.name, stmt.value, stmt.line)
-        elif isinstance(stmt, ExprStmt):
-            self._call_or_assign(None, stmt.expr, stmt.line)
-        elif isinstance(stmt, Return):
+        elif cls is Return:
             if stmt.value is not None:
                 self._call_or_assign(return_var(self.fn.name), stmt.value, stmt.line)
-            for src, label in self.frontier:
-                self._connect(src, label, self.exit)
+            self._connect(self.exit)
             self.frontier = []
-        elif isinstance(stmt, If):
-            self._lower_if(stmt)
-        elif isinstance(stmt, While):
-            self._lower_while(stmt)
-        elif isinstance(stmt, For):
-            self._lower_for(stmt)
-        elif isinstance(stmt, Switch):
+        elif cls is While:
+            self._lower_loop(stmt.line, stmt.cond, stmt.body, None)
+        elif cls is For:
+            if stmt.init is not None:
+                self.lower(stmt.init)
+            cond = stmt.cond if stmt.cond is not None else Num(1, stmt.line)
+            self._lower_loop(stmt.line, cond, stmt.body, stmt.step)
+        elif cls is Switch:
             self._lower_switch(stmt)
         else:  # pragma: no cover - parser emits no other statement kinds
             raise AssertionError(f"unexpected statement {stmt!r}")
@@ -341,28 +345,16 @@ class _FunctionLowering:
             self.lower(stmt.orelse)
         self.frontier = after + self.frontier
 
-    def _lower_while(self, stmt: While) -> None:
-        header = self._emit(NodeKind.JOIN, stmt.line)
-        cond = self._hoist(stmt.cond)  # re-evaluated every iteration
-        branch = self._emit(NodeKind.BRANCH, stmt.line, expr=cond)
+    def _lower_loop(self, line: int, cond: Expr, body: Block,
+                    step: Optional[Stmt]) -> None:
+        header = self._emit(NodeKind.JOIN, line)
+        # the condition's calls are hoisted inside, so they run every iteration
+        branch = self._emit(NodeKind.BRANCH, line, expr=self._hoist(cond))
         self.frontier = [(branch, "then")]
-        self.lower(stmt.body)
-        for src, label in self.frontier:
-            self._connect(src, label, header)
-        self.frontier = [(branch, "else")]
-
-    def _lower_for(self, stmt: For) -> None:
-        if stmt.init is not None:
-            self.lower(stmt.init)
-        header = self._emit(NodeKind.JOIN, stmt.line)
-        cond = self._hoist(stmt.cond if stmt.cond is not None else Num(1, stmt.line))
-        branch = self._emit(NodeKind.BRANCH, stmt.line, expr=cond)
-        self.frontier = [(branch, "then")]
-        self.lower(stmt.body)
-        if stmt.step is not None:
-            self.lower(stmt.step)
-        for src, label in self.frontier:
-            self._connect(src, label, header)
+        self.lower(body)
+        if step is not None:
+            self.lower(step)
+        self._connect(header)
         self.frontier = [(branch, "else")]
 
     def _lower_switch(self, stmt: Switch) -> None:
@@ -371,14 +363,10 @@ class _FunctionLowering:
         after: list[tuple[int, Optional[str]]] = []
         has_default = False
         for case in stmt.cases:
-            starts = []
-            for label in case.labels:
-                if label is None:
-                    has_default = True
-                    starts.append((branch, "default"))
-                else:
-                    starts.append((branch, f"case {_label_text(label)}"))
-            self.frontier = starts
+            has_default = has_default or None in case.labels
+            self.frontier = [(branch, "default" if label is None
+                              else f"case {_label_text(label)}")
+                             for label in case.labels]
             self.lower(case.body)
             after.extend(self.frontier)
         if not has_default:
@@ -388,8 +376,7 @@ class _FunctionLowering:
     # -- assembly ---------------------------------------------------------------
 
     def finish(self) -> FunctionBody:
-        for src, label in self.frontier:
-            self._connect(src, label, self.exit)
+        self._connect(self.exit)
         self.frontier = []
         cfg = Cfg(self.nodes, self.succ, self.entry, self.exit)
         params = tuple(p.name for p in self.fn.params)

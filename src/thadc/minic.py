@@ -94,24 +94,21 @@ class Num(_Record):
     __slots__ = ("value", "line")
 
     def __init__(self, value: int, line: int = 0):
-        self.value = value
-        self.line = line
+        self.value, self.line = value, line
 
 
 class Str(_Record):
     __slots__ = ("value", "line")
 
     def __init__(self, value: str, line: int = 0):
-        self.value = value
-        self.line = line
+        self.value, self.line = value, line
 
 
 class Var(_Record):
     __slots__ = ("name", "line")
 
     def __init__(self, name: str, line: int = 0):
-        self.name = name
-        self.line = line
+        self.name, self.line = name, line
 
 
 class Unary(_Record):
@@ -127,19 +124,14 @@ class Binary(_Record):
     __slots__ = ("op", "lhs", "rhs", "line")
 
     def __init__(self, op: str, lhs: Expr, rhs: Expr, line: int = 0):
-        self.op = op
-        self.lhs = lhs
-        self.rhs = rhs
-        self.line = line
+        self.op, self.lhs, self.rhs, self.line = op, lhs, rhs, line
 
 
 class CallExpr(_Record):
     __slots__ = ("callee", "args", "line")
 
     def __init__(self, callee: str, args: tuple[Expr, ...], line: int = 0):
-        self.callee = callee
-        self.args = args
-        self.line = line
+        self.callee, self.args, self.line = callee, args, line
 
 
 Expr = Union[Num, Str, Var, Unary, Binary, CallExpr]
@@ -160,33 +152,28 @@ class Assign(_Record):
     __slots__ = ("name", "value", "line")
 
     def __init__(self, name: str, value: Expr, line: int = 0):
-        self.name = name
-        self.value = value
-        self.line = line
+        self.name, self.value, self.line = name, value, line
 
 
 class ExprStmt(_Record):
     __slots__ = ("expr", "line")
 
     def __init__(self, expr: Expr, line: int = 0):
-        self.expr = expr
-        self.line = line
+        self.expr, self.line = expr, line
 
 
 class Return(_Record):
     __slots__ = ("value", "line")
 
     def __init__(self, value: Optional[Expr], line: int = 0):
-        self.value = value
-        self.line = line
+        self.value, self.line = value, line
 
 
 class Block(_Record):
     __slots__ = ("stmts", "line")
 
     def __init__(self, stmts: tuple[Stmt, ...], line: int = 0):
-        self.stmts = stmts
-        self.line = line
+        self.stmts, self.line = stmts, line
 
 
 class If(_Record):
@@ -194,19 +181,14 @@ class If(_Record):
 
     def __init__(self, cond: Expr, then: Block, orelse: Optional[Block],
                  line: int = 0):
-        self.cond = cond
-        self.then = then
-        self.orelse = orelse
-        self.line = line
+        self.cond, self.then, self.orelse, self.line = cond, then, orelse, line
 
 
 class While(_Record):
     __slots__ = ("cond", "body", "line")
 
     def __init__(self, cond: Expr, body: Block, line: int = 0):
-        self.cond = cond
-        self.body = body
-        self.line = line
+        self.cond, self.body, self.line = cond, body, line
 
 
 class For(_Record):
@@ -236,9 +218,7 @@ class Switch(_Record):
 
     def __init__(self, expr: Expr, cases: tuple[SwitchCase, ...],
                  line: int = 0):
-        self.expr = expr
-        self.cases = cases
-        self.line = line
+        self.expr, self.cases, self.line = expr, cases, line
 
 
 Stmt = Union[Declare, Assign, ExprStmt, Return, Block, If, While, For, Switch]
@@ -248,9 +228,7 @@ class ParamDecl(_Record):
     __slots__ = ("type_text", "name", "line")
 
     def __init__(self, type_text: str, name: str, line: int = 0):
-        self.type_text = type_text
-        self.name = name
-        self.line = line
+        self.type_text, self.name, self.line = type_text, name, line
 
 
 class FunctionDef(_Record):
@@ -285,8 +263,7 @@ class Program(_Record):
                  globals: tuple[GlobalDecl, ...] = (),
                  defines: Optional[dict[str, int]] = None,
                  path: str = "<input>"):
-        self.functions = functions
-        self.globals = globals
+        self.functions, self.globals = functions, globals
         self.defines = {} if defines is None else defines
         self.path = path
 
@@ -306,35 +283,47 @@ _TYPE_WORDS = {
     "void", "char", "short", "int", "long", "unsigned", "signed",
     "float", "double", "bool", "size_t", "ssize_t",
     "int8_t", "int16_t", "int32_t", "int64_t",
-    "uint8_t", "uint16_t", "uint32_t", "uint64_t",
+    "uint8_t", "uint16_t", "uint32_t", "uint64_t", "const",
 }
 
-# One match per token, newline or directive.  A directive is a ``#``
-# preceded only by blanks on its line.  Any other match first skips the
-# blanks and the ``//`` comment before its token; NUM leaves the integer
-# suffix out of its group, PUNCT leaves a ``/*`` to COMMENT, and OPEN is
-# the start of a comment or literal the alternatives above could not
-# close.  BAD takes any other character, and END the end of the text.
+# One match per token, newline or comment; its one group is the spelling.
+# Blanks and ``//`` comments are the prefix of the match after them.  A
+# newline takes along a directive on the line it starts (the text is lexed
+# with a newline in front, so the first line has one too); any other ``#``
+# is a bad character.  A literal or comment without its closing quote or
+# ``*/`` runs to the end of its line (a character) or of the text.  After
+# the prefix one branch always matches, so the engine never backtracks and
+# the scan is linear in the text, with no atomic groups or possessive
+# quantifiers (Python has them only from 3.11 on).
 _TOKEN_RE = re.compile(r"""
-    (?P<DIRECTIVE>^[ \t]*\#[^\n]*)
-  | [ \t\r]*(?://[^\n]*)?
-    (?:(?P<IDENT>[^\W\d]\w*)
-     | (?P<PUNCT>\.\.\.|[-+*/%|&^=!<>]=|&&|\|\||<<|>>|\+\+|--|->
-                |[-+*%<>=!&|^~(){}\[\];,.?:]|/(?!\*))
-     | (?P<NEWLINE>\n)
-     | (?P<NUM>0[xX][0-9a-fA-F]*|[0-9]+)[uUlL]*
-     | (?P<STR>"(?:\\[\s\S]|[^"\\])*")
-     | (?P<COMMENT>/\*[\s\S]*?\*/)
-     | (?P<CHAR>'(?:\\[^\n]|[^'\\\n])*')
-     | (?P<OPEN>/\*|["'])
-     | (?P<BAD>.)
-     | (?P<END>\Z))
-""", re.MULTILINE | re.VERBOSE)
+    [ \t\r]*(?://[^\n]*)?
+    ( [^\W\d]\w*
+    | \.\.\.|[-+*/%|&^=!<>]=|&&|\|\||<<|>>|\+\+|--|->
+      |[-+*%<>=!&|^~(){}\[\];,.?:]|/(?!\*)
+    | \n(?:[ \t]*\#[^\n]*)?
+    | (?:0[xX][0-9a-fA-F]*|[0-9]+)[uUlL]*
+    | "(?:\\[\s\S]|[^"\\])*"?
+    | /\*(?:[\s\S]*?\*/|[\s\S]*)
+    | '(?:\\[^\n]|[^'\\\n])*'?
+    | .
+    | \Z)
+""", re.VERBOSE)
+
+# First characters: of punctuation, of the spellings the lexer takes as
+# they come, and of the spellings that are no name (EOF's is empty).
+_PUNCT_START = frozenset(".-+*/%|&^=!<>~(){}[];,?:")
+_DIGITS = frozenset("0123456789")
+_PLAIN = (frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+          | _PUNCT_START - {"/"})
+_NOT_NAME = _PUNCT_START | _DIGITS | {'"', "'", ""}
+_NAME_START = re.compile(r"[^\W\d]").match
 
 _INT_RE = re.compile(r"(0[xX][0-9a-fA-F]+|0[0-7]*|[1-9][0-9]*)[uUlL]*")
 
 _UNTERMINATED = {"/*": "comment", '"': "string literal",
                  "'": "character literal"}
+# The comment and literal branches of _TOKEN_RE when they close
+_CLOSED_RE = re.compile(r"""/\*[\s\S]*\*/|"(?:\\[\s\S]|[^"\\])*"|'(?:\\[^\n]|[^'\\\n])*'""")
 
 
 def c_int_value(text: str) -> Optional[int]:
@@ -392,92 +381,122 @@ def _directive(body: str, line: int, col: int, defines: dict[str, int],
     diags.append(Diagnostic(line, col, message, "unsupported-construct"))
 
 
-def tokenize(text: str) -> tuple[list[Token], dict[str, int], list[Diagnostic]]:
-    """Split MiniC source into tokens, ``#define`` values and diagnostics
-    (see :func:`_lex`)."""
-    return _lex(text)[:3]
+def _kind_and_text(spelling: str, numbers: dict[str, Optional[int]]
+                   ) -> tuple[str, str]:
+    """:class:`Token` kind and text of a spelling: a string's text is
+    its contents, an integer's its digits, a valid character literal's
+    its code."""
+    first = spelling[:1]
+    if first == '"':
+        return "STR", spelling[1:-1]
+    if first == "'" and numbers[spelling] is not None:
+        return "NUM", str(numbers[spelling])
+    if first in _DIGITS or first == "'":
+        return "NUM", spelling.rstrip("uUlL")
+    return ("PUNCT" if first in _PUNCT_START else "IDENT" if first
+            else "EOF"), spelling
 
 
-def _lex(text: str) -> tuple[list[Token], dict[str, int], list[Diagnostic],
-                             dict[str, Optional[int]]]:
-    """Split MiniC source into tokens, ``#define`` values and diagnostics,
-    plus the value of each integer token's text (None where it is not a
-    valid literal), computed once per spelling for the parser.
+def _lex(text: str) -> tuple[list[str], list[int], dict[str, int],
+                             dict[str, Optional[int]], list[Diagnostic],
+                             list[tuple[int, str, int, str]]]:
+    """Split MiniC source into two parallel lists, each token's spelling
+    and its line, ending with EOF's; plus the ``#define`` values, the value
+    of each integer and character literal's spelling (None if invalid), the
+    directives' diagnostics, and the other problems as (index of the token
+    that is or follows one, spelling, line, message) for :func:`_place`.
 
-    The token list ends with an EOF token.  A malformed literal still
-    yields its token, so one mistake gives one diagnostic; an unterminated
-    comment, string or character literal ends the scan.
-
-    Each regex match is one token, one newline or one directive: blanks
-    and ``//`` comments are skipped as the prefix of the match that
-    follows them, so the loop below sees no match it drops.  The prefix,
-    ``[ \t\r]*(?://[^\n]*)?``, has no nested quantifier, and after it
-    one alternative always matches (``BAD`` takes any character but a
-    newline, ``NEWLINE`` a newline and ``END`` the end of the text), so the
-    engine never backtracks into it: the scan takes time linear in the
-    text.  The pattern uses neither atomic groups nor possessive
-    quantifiers, which Python has only from 3.11 on.
-    """
-    tokens: list[Token] = []
-    append = tokens.append
-    # new(Token, fields) is Token(*fields) without the Python-level
-    # __new__ a NamedTuple gets, about 10 ms of 75 on the 15 seed-53
-    # ``wide`` programs.  It holds because a NamedTuple cannot override
-    # __new__ and every field is given here.
-    new = tuple.__new__
+    The spelling alone gives a token's kind: literals keep their quotes,
+    integers their suffix, and EOF's is empty.  One ``findall`` scans the
+    text; the loop counts newlines and takes a spelling as it comes if it
+    starts with one of :data:`_PLAIN` or is a valid literal met before.  A
+    malformed literal still yields its token, so one mistake gives one
+    problem; an unterminated comment, string or character literal ends the
+    scan."""
+    spell: list[str] = []
+    lines: list[int] = []
+    add_spelling, add_line = spell.append, lines.append
     defines: dict[str, int] = {}
-    diags: list[Diagnostic] = []
     numbers: dict[str, Optional[int]] = {}
-    line, line_start = 1, 0
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "IDENT" or kind == "PUNCT":
-            start = m.start(kind)
-            append(new(Token, (kind, m[kind], line, start - line_start + 1)))
+    diags: list[Diagnostic] = []
+    problems: list[tuple[int, str, int, str]] = []
+    line = 0
+    found = _TOKEN_RE.findall("\n" + text)
+    while not found[-1]:  # the empty matches at the end
+        found.pop()
+    for s in found:
+        if s == "\n":
+            line += 1
             continue
-        if kind == "NEWLINE":
-            line, line_start = line + 1, m.end()
-            continue
-        if kind == "END":
-            break
-        value = m[kind]
-        start = m.start(kind)
-        col = start - line_start + 1
-        if kind == "NUM":
-            if value not in numbers:
-                numbers[value] = c_int_value(value)
-            if numbers[value] is None:
-                diags.append(Diagnostic(line, col,
-                                        f"invalid integer literal {value!r}"))
-            append(new(Token, (kind, value, line, col)))
-        elif kind == "STR" or kind == "COMMENT":
-            if kind == "STR":
-                append(new(Token, (kind, value[1:-1], line, col)))
-            newlines = value.count("\n")
-            if newlines:
-                line += newlines
-                line_start = start + value.rindex("\n") + 1
-        elif kind == "CHAR":
-            code = _char_value(value[1:-1])
-            if code is None:
-                diags.append(Diagnostic(
-                    line, col,
-                    f"character literal {value} must hold exactly one character"))
-            spelling = value if code is None else str(code)
-            numbers.setdefault(spelling, code)
-            append(new(Token, ("NUM", spelling, line, col)))
-        elif kind == "DIRECTIVE":
-            hash_col = col + len(value) - len(value.lstrip(" \t"))
-            _directive(value, line, hash_col, defines, diags)
-        elif kind == "OPEN":
-            diags.append(Diagnostic(line, col,
-                                    f"unterminated {_UNTERMINATED[value]}"))
-            break
-        else:
-            diags.append(Diagnostic(line, col, f"unexpected character {value!r}"))
-    append(new(Token, ("EOF", "", text.count("\n") + 1,
-                       len(text) - text.rfind("\n"))))
-    return tokens, defines, diags, numbers
+        if s[0] not in _PLAIN and numbers.get(s) is None:
+            first = s[0]
+            if first == "\n":
+                line += 1
+                _directive(s[1:], line, s.index("#"), defines, diags)
+                continue
+            if first in _DIGITS:
+                numbers[s] = c_int_value(s)
+                if numbers[s] is None:
+                    problems.append((len(spell), s, line, "invalid integer "
+                                     f"literal {s.rstrip('uUlL')!r}"))
+            elif first == "'" or first == '"' or s[:2] == "/*":
+                if not _CLOSED_RE.fullmatch(s):
+                    opener = s[:2] if first == "/" else first
+                    problems.append((len(spell), s, line,
+                                     f"unterminated {_UNTERMINATED[opener]}"))
+                    break
+                if first == "'":
+                    numbers[s] = _char_value(s[1:-1])
+                    if numbers[s] is None:
+                        problems.append((len(spell), s, line, f"character "
+                                         f"literal {s} must hold exactly one character"))
+                else:  # a string or comment, either may span lines
+                    if first == '"':
+                        add_spelling(s)
+                        add_line(line)
+                    line += s.count("\n")
+                    continue
+            elif first != "/" and not _NAME_START(first):
+                problems.append((len(spell), s, line, f"unexpected character {s!r}"))
+                continue
+        add_spelling(s)
+        add_line(line)
+    add_spelling("")
+    add_line(text.count("\n") + 1)
+    return spell, lines, defines, numbers, diags, problems
+
+
+def _place(text: str, spell: list[str], diags: list[Diagnostic],
+           problems: list[tuple[int, str, int, str]]
+           ) -> tuple[list[Diagnostic], list[int]]:
+    """The lexer's ``diags`` and ``problems`` placed and in order, and each
+    token's column, from one ``finditer`` pass of :data:`_TOKEN_RE`.  A
+    match is the next token if it has its spelling (no match the lexer
+    drops has a token's), and a problem is at the first match with its
+    spelling after the tokens before it (one spelling, one verdict)."""
+    cols: list[int] = []
+    where: list[int] = []  # the column of each problem placed so far
+    line_start = 0
+    for m in _TOKEN_RE.finditer("\n" + text):
+        s, col = m[1], m.start(1) - line_start + 1
+        if len(where) < len(problems) and problems[len(where)][:2] == (len(cols), s):
+            where.append(col)
+        if len(cols) < len(spell) and s == spell[len(cols)]:
+            cols.append(col)
+        if "\n" in s:
+            line_start = m.start(1) + s.rindex("\n") + 1
+    diags = diags + [Diagnostic(line, col, message)
+                     for (_, _, line, message), col in zip(problems, where)]
+    return sorted(diags, key=lambda d: (d.line, d.column)), cols
+
+
+def tokenize(text: str) -> tuple[list[Token], dict[str, int], list[Diagnostic]]:
+    """Split MiniC source into tokens, ending with EOF's, ``#define``
+    values and diagnostics (see :func:`_lex`)."""
+    spell, lines, defines, numbers, diags, problems = _lex(text)
+    diags, cols = _place(text, spell, diags, problems)
+    return ([Token(*_kind_and_text(s, numbers), line, col)
+             for s, line, col in zip(spell, lines, cols)], defines, diags)
 
 
 # ---------------------------------------------------------------------------
@@ -491,79 +510,77 @@ _PRECEDENCE = {
     "+": 9, "-": 9, "*": 10, "/": 10, "%": 10,
 }
 
+# What follows the name that starts a simple statement
+_SIMPLE_OPS = ("(", "++", "--", "=", "+=", "-=", "*=", "/=", "%=", "|=", "&=", "^=")
+
 _T = TypeVar("_T")
 
 
 class _Parser:
-    """Recursive descent over a token list that ends in EOF.
+    """Recursive descent over the spellings and lines :func:`_lex` gives.
 
-    The parser keeps its own copy of the list with one more EOF token at
-    the end, so ``peek(1)`` on the last token needs no bound check; the
-    cursor never moves past the first EOF.
+    A token is its index in those lists.  The parser keeps its own copy
+    of each with one more EOF at the end, so looking one token past the
+    last needs no bound check; the cursor never moves past the first EOF.
+    A quoted string can never be spelled like punctuation or a name, so
+    comparing spellings is enough to recognize either.
     """
 
-    def __init__(self, tokens: list[Token], defines: dict[str, int],
-                 numbers: dict[str, Optional[int]]):
-        self.tokens = [*tokens, tokens[-1]]
+    def __init__(self, spell: list[str], lines: list[int],
+                 defines: dict[str, int], numbers: dict[str, Optional[int]]):
+        self.spell = [*spell, ""]
+        self.lines = [*lines, lines[-1]]
         self.pos = 0
         self.defines = defines
         self.numbers = numbers
-        self.diags: list[Diagnostic] = []
+        self.problems: list[tuple[int, str, str]] = []  # (token, message, code)
         self.depth = 0   # nesting levels open around the current position
         self.height = 0  # height of the expression parsed last
         self.defined: dict[str, int] = {}  # function name -> line defined
 
     # -- token helpers ------------------------------------------------------
 
-    def peek(self, offset: int = 0) -> Token:
-        return self.tokens[self.pos + offset]
+    def text(self, pos: int) -> str:
+        return _kind_and_text(self.spell[pos], self.numbers)[1]
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
+    def at(self, spelling: str) -> bool:
+        return self.spell[self.pos] == spelling
 
-    def at(self, text: str) -> bool:
-        tok = self.tokens[self.pos]
-        return tok.text == text and tok.kind in ("PUNCT", "IDENT")
-
-    def accept(self, text: str) -> bool:
-        tok = self.tokens[self.pos]
-        if tok.text == text and tok.kind in ("PUNCT", "IDENT"):
+    def accept(self, spelling: str) -> bool:
+        if self.spell[self.pos] == spelling:
             self.pos += 1
             return True
         return False
 
-    def expect(self, text: str) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.text == text and tok.kind in ("PUNCT", "IDENT"):
-            self.pos += 1
-            return tok
-        raise _Reject(tok, f"expected {text!r}, found {tok.text!r}")
+    def expect(self, spelling: str) -> int:
+        pos = self.pos
+        if self.spell[pos] == spelling:
+            self.pos = pos + 1
+            return pos
+        raise _Reject(pos, f"expected {spelling!r}, found {self.text(pos)!r}")
 
-    def _name(self, what: str) -> Token:
+    def _name(self, what: str) -> int:
         """The name at the cursor, consumed; anything else is rejected
         and left for error recovery."""
-        tok = self.tokens[self.pos]
-        if tok.kind != "IDENT":
-            raise _Reject(tok, f"expected {what}, found {tok.text!r}")
-        self.pos += 1
-        return tok
+        pos = self.pos
+        if self.spell[pos][:1] in _NOT_NAME:
+            raise _Reject(pos, f"expected {what}, found {self.text(pos)!r}")
+        self.pos = pos + 1
+        return pos
 
-    def error(self, tok: Token, message: str, code: str = "syntax") -> None:
-        self.diags.append(Diagnostic(tok.line, tok.col, message, code))
+    def error(self, pos: int, message: str, code: str = "syntax") -> None:
+        self.problems.append((pos, message, code))
 
-    def _check_depth(self, tok: Token, levels: int) -> None:
+    def _check_depth(self, pos: int, levels: int) -> None:
         if levels > MAX_NESTING:
-            raise _Reject(tok, f"nesting deeper than {MAX_NESTING} levels is "
+            raise _Reject(pos, f"nesting deeper than {MAX_NESTING} levels is "
                                "outside the accepted subset",
                           "unsupported-construct")
 
-    def _deeper(self, tok: Token, parse: Callable[[], _T]) -> _T:
+    def _deeper(self, pos: int, parse: Callable[[], _T]) -> _T:
         """Run ``parse`` one nesting level further down."""
         depth = self.depth
-        self._check_depth(tok, depth + 1)
+        self._check_depth(pos, depth + 1)
         self.depth = depth + 1
         try:
             return parse()
@@ -572,19 +589,16 @@ class _Parser:
 
     # -- types --------------------------------------------------------------
 
-    def at_type(self) -> bool:
-        tok = self.peek()
-        return tok.kind == "IDENT" and (tok.text in _TYPE_WORDS or tok.text == "const")
-
     def parse_type(self) -> str:
+        spell = self.spell
         words = []
-        while self.at_type():
-            words.append(self.next().text)
+        while spell[self.pos] in _TYPE_WORDS:
+            words.append(spell[self.pos])
+            self.pos += 1
         while self.accept("*"):
             words.append("*")
-        # "const char *path" style post-star const
-        while self.at("const"):
-            words.append(self.next().text)
+        while self.accept("const"):  # "const char *const path"
+            words.append("const")
             while self.accept("*"):
                 words.append("*")
         return " ".join(words)
@@ -594,30 +608,27 @@ class _Parser:
     def parse_program(self, path: str) -> Program:
         functions: list[FunctionDef] = []
         globals_: list[GlobalDecl] = []
-        while self.peek().kind != "EOF":
-            tok = self.peek()
-            if tok.kind == "IDENT" and tok.text in ("struct", "typedef", "enum", "union"):
-                self.error(
-                    tok, f"{tok.text} is outside the accepted subset",
-                    "unsupported-construct",
-                )
+        spell = self.spell
+        while spell[self.pos]:
+            pos = self.pos
+            if spell[pos] in ("struct", "typedef", "enum", "union"):
+                self.error(pos, f"{spell[pos]} is outside the accepted subset",
+                           "unsupported-construct")
                 if (self._skip_past(";", "}") == "}" and not self.accept(";")
-                        and not self.at_type()):
+                        and spell[self.pos] not in _TYPE_WORDS):
                     # the declarators of "struct s { ... } v, *w;"
                     self._skip_past(";")
                 continue
-            while self.peek().kind == "IDENT" and self.peek().text in (
-                "extern", "static", "inline",
-            ):
-                self.next()
-            if not self.at_type():
-                self.error(tok, f"expected a declaration, found {tok.text!r}")
+            while spell[self.pos] in ("extern", "static", "inline"):
+                self.pos += 1
+            if spell[self.pos] not in _TYPE_WORDS:
+                self.error(pos, f"expected a declaration, found {self.text(pos)!r}")
                 self._skip_past(";", "}")
                 continue
             try:
                 item = self._top_level_item()
             except _Reject as r:
-                self.error(r.token, r.message)
+                self.error(r.pos, r.message)
                 self._skip_past(";", "}")
                 continue
             if isinstance(item, FunctionDef):
@@ -630,185 +641,170 @@ class _Parser:
 
     def _top_level_item(self):
         type_text = self.parse_type()
-        name_tok = self._name("a name")
+        name = self._name("a name")
         if self.at("("):
-            return self._function_rest(type_text, name_tok)
+            return self._function_rest(type_text, name)
         init = None
         if self.accept("="):
             init = self.parse_expr()
         self.expect(";")
-        return GlobalDecl(type_text, name_tok.text, init, name_tok.line)
+        return GlobalDecl(type_text, self.spell[name], init, self.lines[name])
 
-    def _function_rest(self, return_type: str, name_tok: Token):
+    def _function_rest(self, return_type: str, name_pos: int):
         self.expect("(")
         params: list[ParamDecl] = []
         varargs = False
         if not self.at(")"):
             while True:
-                if self.at("..."):
-                    self.next()
+                if self.accept("..."):
                     varargs = True
                     break
-                if self.at("void") and self.peek(1).text == ")":
-                    self.next()
+                if self.at("void") and self.spell[self.pos + 1] == ")":
+                    self.pos += 1
                     break
                 ptype = self.parse_type()
-                ptok = self._name("a param name")
-                params.append(ParamDecl(ptype, ptok.text, ptok.line))
+                param = self._name("a param name")
+                params.append(ParamDecl(ptype, self.spell[param], self.lines[param]))
                 if not self.accept(","):
                     break
         self.expect(")")
         if self.accept(";"):
             return None  # prototype only; externals need no body
         body = self.parse_block()
-        name = name_tok.text
+        name, line = self.spell[name_pos], self.lines[name_pos]
         if name in self.defined:
-            self.error(name_tok, f"redefinition of {name!r} (first defined "
+            self.error(name_pos, f"redefinition of {name!r} (first defined "
                                  f"on line {self.defined[name]})", "redefinition")
         else:
-            self.defined[name] = name_tok.line
-        return FunctionDef(
-            name, tuple(params), body, return_type, varargs, name_tok.line
-        )
+            self.defined[name] = line
+        return FunctionDef(name, tuple(params), body, return_type, varargs, line)
 
     def _skip_past(self, *stops: str) -> str:
         """Skip to just past the first of ``stops`` outside braces, or
         past the brace that closes the braces skipped, and return the stop
         skipped last.  Inside a function body a ``}`` that closes a block
         around the skipped tokens is left in place; "" is returned there
-        and at the end of the file.  A string literal stops nothing."""
+        and at the end of the file."""
+        spell = self.spell
         depth = 0
-        while self.tokens[self.pos].kind != "EOF":
-            tok = self.tokens[self.pos]
-            if tok.kind == "PUNCT" and tok.text == "}" and not depth and self.depth:
+        while spell[self.pos]:
+            s = spell[self.pos]
+            if s == "}" and not depth and self.depth:
                 return ""
             self.pos += 1
-            if tok.kind == "STR":
-                continue
-            if tok.text == "{":
+            if s == "{":
                 depth += 1
-            elif tok.text == "}":
+            elif s == "}":
                 depth -= 1
                 if depth <= 0 and "}" in stops:
                     return "}"
-            elif tok.text in stops and depth == 0:
-                return tok.text
+            elif s in stops and depth == 0:
+                return s
         return ""
 
     # -- statements ----------------------------------------------------------
 
     def parse_block(self) -> Block:
-        open_tok = self.expect("{")
+        line = self.lines[self.expect("{")]
         stmts: list[Stmt] = []
-        tokens = self.tokens
-        while True:
-            tok = tokens[self.pos]
-            if tok.text == "}" and tok.kind == "PUNCT" or tok.kind == "EOF":
-                break
+        spell = self.spell
+        while spell[self.pos] not in ("}", ""):
             stmt = self.parse_stmt()
             if stmt is not None:
                 stmts.append(stmt)
         self.expect("}")
-        return Block(tuple(stmts), open_tok.line)
+        return Block(tuple(stmts), line)
 
     def parse_stmt(self) -> Optional[Stmt]:
-        tok = self.tokens[self.pos]
+        pos = self.pos
         depth = self.depth
         try:
-            self._check_depth(tok, depth + 1)
+            self._check_depth(pos, depth + 1)
             self.depth = depth + 1
-            return self._stmt_inner(tok)
+            return self._stmt_inner(pos)
         except _Reject as r:
-            self.error(r.token, r.message, r.code)
+            self.error(r.pos, r.message, r.code)
             self._skip_past(";", "}")
             return None
         finally:
             self.depth = depth
 
-    def _stmt_inner(self, tok: Token) -> Optional[Stmt]:
-        if tok.text == "{":
+    def _stmt_inner(self, pos: int) -> Optional[Stmt]:
+        s = self.spell[pos]
+        if s == "{":
             return self.parse_block()
-        if self.accept(";"):
+        if s == ";":
+            self.pos = pos + 1
             return None
-        if tok.kind == "IDENT":
-            if tok.text == "goto":
-                raise _Reject(tok, "goto is outside the accepted subset",
-                              "unsupported-construct")
-            if tok.text == "continue":
-                raise _Reject(tok, "continue is outside the accepted subset",
-                              "unsupported-construct")
-            if tok.text == "break":
-                raise _Reject(tok, "break outside switch is outside the accepted "
-                                   "subset", "unsupported-construct")
-            if tok.text == "if":
+        if s[:1] not in _NOT_NAME:
+            if s == "if":
                 return self._parse_if()
-            if tok.text == "while":
+            if s in _TYPE_WORDS:
+                return self._parse_declare()
+            if s in _UNSUPPORTED_STATEMENTS:
+                raise _Reject(pos, _UNSUPPORTED_STATEMENTS[s],
+                              "unsupported-construct")
+            if s == "while":
                 return self._parse_while()
-            if tok.text == "for":
+            if s == "for":
                 return self._parse_for()
-            if tok.text == "switch":
+            if s == "switch":
                 return self._parse_switch()
-            if tok.text == "return":
-                self.next()
+            if s == "return":
+                self.pos = pos + 1
                 value = None if self.at(";") else self.parse_expr()
                 self.expect(";")
-                return Return(value, tok.line)
-            if self.at_type():
-                return self._parse_declare()
+                return Return(value, self.lines[pos])
             # label?  `name:` is goto territory
-            if self.peek(1).text == ":":
-                raise _Reject(tok, "labels are outside the accepted subset",
+            if self.spell[pos + 1] == ":":
+                raise _Reject(pos, "labels are outside the accepted subset",
                               "unsupported-construct")
             return self._parse_simple_stmt()
-        if tok.text == "*":
-            raise _Reject(tok, "pointer-dereference writes are outside the "
+        if s == "*":
+            raise _Reject(pos, "pointer-dereference writes are outside the "
                                "accepted subset", "unsupported-construct")
-        raise _Reject(tok, f"cannot parse statement at {tok.text!r}")
+        raise _Reject(pos, f"cannot parse statement at {self.text(pos)!r}")
 
     def _parse_declare(self) -> Declare:
-        start = self.peek()
+        line = self.lines[self.pos]
         type_text = self.parse_type()
-        name_tok = self._name("a name")
+        name = self._name("a name")
         if self.at("["):
-            raise _Reject(name_tok, "arrays are outside the accepted subset",
+            raise _Reject(name, "arrays are outside the accepted subset",
                           "unsupported-construct")
         if self.at(","):
-            raise _Reject(self.peek(), "one declarator per statement",
+            raise _Reject(self.pos, "one declarator per statement",
                           "unsupported-construct")
         init = None
         if self.accept("="):
             init = self.parse_expr()
         self.expect(";")
-        return Declare(type_text, name_tok.text, init, start.line)
+        return Declare(type_text, self.spell[name], init, line)
 
     def _parse_simple_stmt(self, terminated: bool = True) -> Stmt:
         """Assignment, compound assignment, ++/--, or a bare call."""
-        tok = self.tokens[self.pos]
-        if tok.kind != "IDENT":  # a literal is no assignment target
-            raise _Reject(tok, f"cannot parse statement at {tok.text!r}")
-        self.pos += 1
-        name, line = tok.text, tok.line
-        op = self.peek().text if self.peek().kind == "PUNCT" else ""
+        pos = self.pos
+        name, op, line = self.spell[pos], self.spell[pos + 1], self.lines[pos]
+        if name[:1] in _NOT_NAME or op not in _SIMPLE_OPS:  # a literal is no target
+            raise _Reject(pos, f"cannot parse statement at {self.text(pos)!r}")
+        self.pos = pos + 2
         if op == "(":
-            stmt: Stmt = ExprStmt(self._parse_call(tok), line)
+            self.pos = pos + 1
+            stmt: Stmt = ExprStmt(self._parse_call(pos), line)
         elif op in ("++", "--"):
-            self.next()
             delta = Num(1 if op == "++" else -1, line)
             stmt = Assign(name, Binary("+", Var(name, line), delta, line), line)
-        elif op in ("=", "+=", "-=", "*=", "/=", "%=", "|=", "&=", "^="):
-            self.next()
+        else:
             value = self.parse_expr()
             if op != "=":
                 value = Binary(op[0], Var(name, line), value, line)
             stmt = Assign(name, value, line)
-        else:
-            raise _Reject(tok, f"cannot parse statement at {name!r}")
         if terminated:
             self.expect(";")
         return stmt
 
     def _parse_if(self) -> If:
-        tok = self.next()
+        line = self.lines[self.expect("if")]
         self.expect("(")
         cond = self.parse_expr()
         self.expect(")")
@@ -816,53 +812,52 @@ class _Parser:
         orelse = None
         if self.accept("else"):
             if self.at("if"):
-                nested = self._deeper(self.peek(), self._parse_if)
+                nested = self._deeper(self.pos, self._parse_if)
                 orelse = Block((nested,), nested.line)
             else:
                 orelse = self._branch_body()
-        return If(cond, then, orelse, tok.line)
+        return If(cond, then, orelse, line)
 
     def _branch_body(self) -> Block:
         if self.at("{"):
             return self.parse_block()
-        tok = self.peek()
+        line = self.lines[self.pos]
         stmt = self.parse_stmt()
-        return Block(() if stmt is None else (stmt,), tok.line)
+        return Block(() if stmt is None else (stmt,), line)
 
     def _parse_while(self) -> While:
-        tok = self.next()
+        line = self.lines[self.expect("while")]
         self.expect("(")
         cond = self.parse_expr()
         self.expect(")")
-        return While(cond, self._branch_body(), tok.line)
+        return While(cond, self._branch_body(), line)
 
     def _parse_for(self) -> For:
-        tok = self.next()
+        line = self.lines[self.expect("for")]
         self.expect("(")
         init: Optional[Stmt] = None
-        if not self.at(";"):
-            if self.at_type():
+        if not self.accept(";"):
+            if self.spell[self.pos] in _TYPE_WORDS:
                 init = self._parse_declare()
             else:
                 init = self._parse_simple_stmt()
-        else:
-            self.next()
         cond = None if self.at(";") else self.parse_expr()
         self.expect(";")
         step = None if self.at(")") else self._parse_simple_stmt(terminated=False)
         self.expect(")")
-        return For(init, cond, step, self._branch_body(), tok.line)
+        return For(init, cond, step, self._branch_body(), line)
 
     def _parse_switch(self) -> Switch:
-        tok = self.next()
+        line = self.lines[self.expect("switch")]
         self.expect("(")
         expr = self.parse_expr()
         self.expect(")")
         self.expect("{")
         cases: list[SwitchCase] = []
-        while not self.at("}") and self.peek().kind != "EOF":
+        spell = self.spell
+        while spell[self.pos] not in ("}", ""):
             labels: list[Optional[Expr]] = []
-            label_tok = self.peek()
+            label_pos = self.pos
             while True:
                 if self.accept("case"):
                     labels.append(self.parse_expr())
@@ -873,12 +868,10 @@ class _Parser:
                 else:
                     break
             if not labels:
-                raise _Reject(self.peek(), "expected a case label")
+                raise _Reject(self.pos, "expected a case label")
             stmts: list[Stmt] = []
             closed = False
-            while not self.at("}") and self.peek().kind != "EOF":
-                if self.at("case") or self.at("default"):
-                    break
+            while spell[self.pos] not in ("}", "", "case", "default"):
                 if self.accept("break"):
                     self.expect(";")
                     closed = True
@@ -891,15 +884,16 @@ class _Parser:
                         break
             if not closed and not self.at("}"):
                 raise _Reject(
-                    label_tok,
+                    label_pos,
                     "switch fallthrough is outside the accepted subset "
                     "(end the case with break or return)",
                     "unsupported-construct",
                 )
-            cases.append(SwitchCase(tuple(labels), Block(tuple(stmts), label_tok.line),
-                                    label_tok.line))
+            label_line = self.lines[label_pos]
+            cases.append(SwitchCase(tuple(labels), Block(tuple(stmts), label_line),
+                                    label_line))
         self.expect("}")
-        return Switch(expr, tuple(cases), tok.line)
+        return Switch(expr, tuple(cases), line)
 
     # -- expressions ---------------------------------------------------------
 
@@ -907,78 +901,78 @@ class _Parser:
         """Precedence climbing: operands joined by binary operators of
         precedence ``min_prec`` or higher.  Leaves the height of the
         returned tree in ``self.height``."""
-        tokens = self.tokens
+        spell = self.spell
         lhs = self._parse_primary()
         height = self.height
         while True:
-            op = tokens[self.pos]
-            prec = _PRECEDENCE.get(op.text, 0) if op.kind == "PUNCT" else 0
+            pos = self.pos
+            prec = _PRECEDENCE.get(spell[pos], 0)
             if prec < min_prec:
                 self.height = height
                 return lhs
-            self.pos += 1
+            self.pos = pos + 1
             rhs = self.parse_expr(prec + 1)
             height = max(height, self.height) + 1
-            self._check_depth(op, self.depth + height)
-            lhs = Binary(op.text, lhs, rhs, op.line)
+            self._check_depth(pos, self.depth + height)
+            lhs = Binary(spell[pos], lhs, rhs, self.lines[pos])
 
     def _parse_primary(self) -> Expr:
         """One operand: a prefix operator and its operand, a name, call,
         literal, cast or parenthesized expression.  Leaves its height in
-        ``self.height``."""
-        tok = self.tokens[self.pos]
+        ``self.height``.  A token no operand starts with is rejected and
+        left for error recovery."""
+        pos = self.pos
+        s = self.spell[pos]
         self.height = 0
-        kind = tok.kind
-        if kind == "IDENT":
-            if tok.text == "sizeof":
-                raise _Reject(tok, "sizeof is outside the accepted subset",
+        first = s[:1]
+        if first not in _NOT_NAME:
+            if s == "sizeof":
+                raise _Reject(pos, "sizeof is outside the accepted subset",
                               "unsupported-construct")
-            self.pos += 1
-            after = self.tokens[self.pos]
-            if after.text == "(" and after.kind == "PUNCT":
-                return self._parse_call(tok)
-            return Var(tok.text, tok.line)
-        if kind == "NUM":
-            self.pos += 1
+            self.pos = pos + 1
+            if self.spell[pos + 1] == "(":
+                return self._parse_call(pos)
+            return Var(s, self.lines[pos])
+        if s in self.numbers:
+            self.pos = pos + 1
             # None only for a literal the lexer has already reported
-            return Num(self.numbers[tok.text], tok.line)
-        if kind == "STR":
-            self.pos += 1
-            return Str(tok.text, tok.line)
-        text = tok.text
-        if kind == "PUNCT" and text in ("-", "!", "~", "&"):
-            self.pos += 1
-            operand = self._deeper(tok, self._parse_primary)
-            if text == "&" and not isinstance(operand, Var):
-                raise _Reject(tok, "address-of applies to plain variables only",
+            return Num(self.numbers[s], self.lines[pos])
+        if first == '"':
+            self.pos = pos + 1
+            return Str(s[1:-1], self.lines[pos])
+        if s in ("-", "!", "~", "&"):
+            self.pos = pos + 1
+            operand = self._deeper(pos, self._parse_primary)
+            if s == "&" and not isinstance(operand, Var):
+                raise _Reject(pos, "address-of applies to plain variables only",
                               "unsupported-construct")
             self.height += 1
-            return Unary(text, operand, tok.line)
-        if text == "(":
-            self.pos += 1
-            if self.at_type():
+            return Unary(s, operand, self.lines[pos])
+        if s == "(":
+            self.pos = pos + 1
+            if self.spell[pos + 1] in _TYPE_WORDS:
                 self.parse_type()  # a cast changes nothing the analyses see
                 self.expect(")")
-                inner = self._deeper(tok, self._parse_primary)
+                inner = self._deeper(pos, self._parse_primary)
             else:
-                inner = self._deeper(tok, self.parse_expr)
+                inner = self._deeper(pos, self.parse_expr)
                 self.expect(")")
             self.height += 1
             return inner
-        if text == "*" and kind == "PUNCT":
-            raise _Reject(tok, "pointer dereference is outside the accepted subset",
+        if s == "*":
+            raise _Reject(pos, "pointer dereference is outside the accepted subset",
                           "unsupported-construct")
-        raise _Reject(tok, f"cannot parse expression at {text!r}")
+        raise _Reject(pos, f"cannot parse expression at {self.text(pos)!r}")
 
-    def _parse_call(self, name_tok: Token) -> CallExpr:
+    def _parse_call(self, name_pos: int) -> CallExpr:
         self.expect("(")
         args: tuple[Expr, ...] = ()
         self.height = 0
         if not self.at(")"):
-            args = self._deeper(name_tok, self._parse_args)
+            args = self._deeper(name_pos, self._parse_args)
         self.expect(")")
         self.height += 1
-        return CallExpr(name_tok.text, args, name_tok.line)
+        return CallExpr(self.spell[name_pos], args, self.lines[name_pos])
 
     def _parse_args(self) -> tuple[Expr, ...]:
         """A call's arguments, all one nesting level below the call.
@@ -994,9 +988,16 @@ class _Parser:
         return tuple(args)
 
 
+_UNSUPPORTED_STATEMENTS = {
+    "goto": "goto is outside the accepted subset",
+    "continue": "continue is outside the accepted subset",
+    "break": "break outside switch is outside the accepted subset",
+}
+
+
 class _Reject(Exception):
-    def __init__(self, token: Token, message: str, code: str = "syntax"):
-        self.token = token
+    def __init__(self, pos: int, message: str, code: str = "syntax"):
+        self.pos = pos  # index of the token rejected
         self.message = message
         self.code = code
         super().__init__(message)
@@ -1004,12 +1005,16 @@ class _Reject(Exception):
 
 def parse_source(text: str, path: str = "<input>") -> Program:
     """Parse MiniC source into a syntax tree, or raise :class:`MiniCError`."""
-    tokens, defines, lex_diags, numbers = _lex(text)
-    parser = _Parser(tokens, defines, numbers)
+    spell, lines, defines, numbers, diags, problems = _lex(text)
+    parser = _Parser(spell, lines, defines, numbers)
     program = parser.parse_program(path)
-    diags = sorted(lex_diags + parser.diags, key=lambda d: (d.line, d.column))
-    if diags:
-        raise MiniCError(diags, path)
+    if diags or problems or parser.problems:
+        diags, cols = _place(text, spell, diags, problems)
+        last = len(spell) - 1  # EOF
+        diags += [Diagnostic(lines[min(pos, last)], cols[min(pos, last)],
+                             message, code)
+                  for pos, message, code in parser.problems]
+        raise MiniCError(sorted(diags, key=lambda d: (d.line, d.column)), path)
     return program
 
 
@@ -1088,27 +1093,15 @@ def unroll_loops(program: Program, k: int) -> Program:
         if isinstance(s, If):
             return If(s.cond, block(s.then),
                       block(s.orelse) if s.orelse else None, s.line)
-        if isinstance(s, While):
-            body = block(s.body)
-            out: Optional[If] = None
-            for _ in range(k):
-                inner = body.stmts + ((out,) if out else ())
-                out = If(s.cond, Block(inner, s.line), None, s.line)
-            assert out is not None
-            return out
-        if isinstance(s, For):
-            body = block(s.body)
+        if isinstance(s, (While, For)):
             cond = s.cond if s.cond is not None else Num(1, s.line)
-            out = None
-            for _ in range(k):
-                inner = body.stmts
-                if s.step is not None:
-                    inner = inner + (s.step,)
-                if out is not None:
-                    inner = inner + (out,)
-                out = If(cond, Block(inner, s.line), None, s.line)
-            assert out is not None
-            if s.init is not None:
+            body = block(s.body).stmts
+            if isinstance(s, For) and s.step is not None:
+                body += (s.step,)
+            out = If(cond, Block(body, s.line), None, s.line)
+            for _ in range(k - 1):
+                out = If(cond, Block(body + (out,), s.line), None, s.line)
+            if isinstance(s, For) and s.init is not None:
                 return Block((s.init, out), s.line)
             return out
         if isinstance(s, Switch):

@@ -1,10 +1,13 @@
 """The lexer against its reference, and its running time on inputs that
 make a backtracking pattern slow.
 
-``thadc.minic.tokenize`` reads one regex match per token.
-``helpers.reference_tokenize`` is the lexer it replaced, one match per
-token kind, blank runs included; both must give the same tokens,
-``#define`` values and diagnostics on every input.
+``thadc.minic._lex`` scans a file with one ``findall`` and gives each
+token's spelling and line; columns are found only when a diagnostic or
+``tokenize`` needs them, by one ``finditer`` pass of the same pattern.
+``tokenize`` builds ``Token`` records from both.
+``helpers.reference_tokenize`` is an older lexer, one match per token
+kind, blank runs included; both must give the same tokens, ``#define``
+values and diagnostics on every input.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from thadc.minic import Token, tokenize
+from thadc.minic import MiniCError, Token, parse_source, tokenize
 from thadc.specio import bundled_data_path
 
 from helpers import EDGE_STRINGS, benchmark_generator, reference_tokenize
@@ -66,19 +69,34 @@ class TestAgainstTheReference:
         assert_same_as_reference(text)
 
 
-class TestLinearTime:
-    """Inputs on which a pattern that backtracks over blanks or comments
-    would take quadratic time; each takes a few hundredths of a second."""
+SLOW_FOR_BACKTRACKING = pytest.mark.parametrize("text", [
+    "int x;" + " \t" * 100_000,
+    "int x;\n" + "// " * 50_000,
+    "\n" * 50_000,
+    '"' + "a" * 100_000,
+    "/* " * 50_000,
+], ids=["trailing-blanks", "comment-markers", "blank-lines",
+        "unterminated-string", "comment-openers"])
 
-    @pytest.mark.parametrize("text", [
-        "int x;" + " \t" * 100_000,
-        "int x;\n" + "// " * 50_000,
-        "\n" * 50_000,
-        '"' + "a" * 100_000,
-    ], ids=["trailing-blanks", "comment-markers", "blank-lines",
-            "unterminated-string"])
+
+class TestLinearTime:
+    """Inputs on which a pattern that backtracks over blanks or comments,
+    or a scan that goes on after an unterminated comment, would take
+    quadratic time; each takes a few hundredths of a second, through
+    ``tokenize`` and through ``parse_source``."""
+
+    @SLOW_FOR_BACKTRACKING
     def test_one_second_at_most(self, text):
         start = time.perf_counter()
         tokenize(text)
         assert time.perf_counter() - start < 1.0
         assert_same_as_reference(text)
+
+    @SLOW_FOR_BACKTRACKING
+    def test_parsing_takes_one_second_at_most(self, text):
+        start = time.perf_counter()
+        try:
+            parse_source(text)
+        except MiniCError:
+            pass
+        assert time.perf_counter() - start < 1.0
