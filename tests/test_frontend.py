@@ -278,6 +278,19 @@ class TestErrorRecovery:
         assert self.diagnostics(source) == [
             (1, 22, "sizeof is outside the accepted subset")]
 
+    @pytest.mark.parametrize("source, expected", [
+        ('int main(void) {\n    "{";\n    return 0;\n}\n',
+         (2, 5, "cannot parse statement at '{'")),
+        ('int main(void) {\n    "*" = 1;\n    return 0;\n}\n',
+         (2, 5, "cannot parse statement at '*'")),
+        ('int main(void) {\n    x ":";\n    return 0;\n}\n',
+         (2, 5, "cannot parse statement at 'x'")),
+        ('int f(void ")") { return 0; }\n',
+         (1, 12, "expected a param name, found ')'")),
+    ], ids=["brace", "star", "colon", "paren"])
+    def test_a_string_literal_is_no_punctuation(self, source, expected):
+        assert self.diagnostics(source) == [expected]
+
     @pytest.mark.parametrize("declaration", [
         "struct s { int y; };", "union u { int a; char b; };",
         "enum e { A, B };", "typedef int t;",
