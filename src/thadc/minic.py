@@ -292,9 +292,10 @@ _TYPE_WORDS = {
 # with a newline in front, so the first line has one too); any other ``#``
 # is a bad character.  A literal or comment without its closing quote or
 # ``*/`` runs to the end of its line (a character) or of the text.  After
-# the prefix one branch always matches, so the engine never backtracks and
-# the scan is linear in the text, with no atomic groups or possessive
-# quantifiers (Python has them only from 3.11 on).
+# the prefix some branch always matches, so the engine never backtracks
+# into it, and a branch that scans to the end of the text keeps what it
+# scanned: the scan is linear in the text, with no atomic groups or
+# possessive quantifiers (Python has them only from 3.11 on).
 _TOKEN_RE = re.compile(r"""
     [ \t\r]*(?://[^\n]*)?
     ( [^\W\d]\w*
@@ -397,14 +398,18 @@ def _kind_and_text(spelling: str, numbers: dict[str, Optional[int]]
             else "EOF"), spelling
 
 
+# A lexical problem without its column: (index of the token that is or
+# follows it, spelling, line, message)
+_Problem = tuple[int, str, int, str]
+
+
 def _lex(text: str) -> tuple[list[str], list[int], dict[str, int],
                              dict[str, Optional[int]], list[Diagnostic],
-                             list[tuple[int, str, int, str]]]:
+                             list[_Problem]]:
     """Split MiniC source into two parallel lists, each token's spelling
     and its line, ending with EOF's; plus the ``#define`` values, the value
     of each integer and character literal's spelling (None if invalid), the
-    directives' diagnostics, and the other problems as (index of the token
-    that is or follows one, spelling, line, message) for :func:`_place`.
+    directives' diagnostics, and the other problems for :func:`_place`.
 
     The spelling alone gives a token's kind: literals keep their quotes,
     integers their suffix, and EOF's is empty.  One ``findall`` scans the
@@ -412,14 +417,15 @@ def _lex(text: str) -> tuple[list[str], list[int], dict[str, int],
     starts with one of :data:`_PLAIN` or is a valid literal met before.  A
     malformed literal still yields its token, so one mistake gives one
     problem; an unterminated comment, string or character literal ends the
-    scan."""
+    scan.  Columns are not counted: :func:`_place` finds them when a
+    diagnostic or :func:`tokenize` needs them."""
     spell: list[str] = []
     lines: list[int] = []
     add_spelling, add_line = spell.append, lines.append
     defines: dict[str, int] = {}
     numbers: dict[str, Optional[int]] = {}
     diags: list[Diagnostic] = []
-    problems: list[tuple[int, str, int, str]] = []
+    problems: list[_Problem] = []
     line = 0
     found = _TOKEN_RE.findall("\n" + text)
     while not found[-1]:  # the empty matches at the end
@@ -467,26 +473,27 @@ def _lex(text: str) -> tuple[list[str], list[int], dict[str, int],
 
 
 def _place(text: str, spell: list[str], diags: list[Diagnostic],
-           problems: list[tuple[int, str, int, str]]
-           ) -> tuple[list[Diagnostic], list[int]]:
+           problems: list[_Problem]) -> tuple[list[Diagnostic], list[int]]:
     """The lexer's ``diags`` and ``problems`` placed and in order, and each
     token's column, from one ``finditer`` pass of :data:`_TOKEN_RE`.  A
     match is the next token if it has its spelling (no match the lexer
     drops has a token's), and a problem is at the first match with its
     spelling after the tokens before it (one spelling, one verdict)."""
     cols: list[int] = []
-    where: list[int] = []  # the column of each problem placed so far
+    diags = [*diags]
+    todo = problems[::-1]  # the next problem to place last
     line_start = 0
     for m in _TOKEN_RE.finditer("\n" + text):
         s, col = m[1], m.start(1) - line_start + 1
-        if len(where) < len(problems) and problems[len(where)][:2] == (len(cols), s):
-            where.append(col)
-        if len(cols) < len(spell) and s == spell[len(cols)]:
+        if todo and todo[-1][:2] == (len(cols), s):
+            _, _, line, message = todo.pop()
+            diags.append(Diagnostic(line, col, message))
+        if s == spell[len(cols)]:
             cols.append(col)
+            if not s:  # EOF
+                break
         if "\n" in s:
             line_start = m.start(1) + s.rindex("\n") + 1
-    diags = diags + [Diagnostic(line, col, message)
-                     for (_, _, line, message), col in zip(problems, where)]
     return sorted(diags, key=lambda d: (d.line, d.column)), cols
 
 
@@ -689,7 +696,7 @@ class _Parser:
         depth = 0
         while spell[self.pos]:
             s = spell[self.pos]
-            if s == "}" and not depth and self.depth:
+            if s == "}" and not depth and self.depth:  # depth > 0 in a body
                 return ""
             self.pos += 1
             if s == "{":
@@ -858,15 +865,11 @@ class _Parser:
         while spell[self.pos] not in ("}", ""):
             labels: list[Optional[Expr]] = []
             label_pos = self.pos
-            while True:
-                if self.accept("case"):
-                    labels.append(self.parse_expr())
-                    self.expect(":")
-                elif self.accept("default"):
-                    labels.append(None)
-                    self.expect(":")
-                else:
-                    break
+            while spell[self.pos] in ("case", "default"):
+                self.pos += 1
+                labels.append(None if spell[self.pos - 1] == "default"
+                              else self.parse_expr())
+                self.expect(":")
             if not labels:
                 raise _Reject(self.pos, "expected a case label")
             stmts: list[Stmt] = []
@@ -1010,9 +1013,7 @@ def parse_source(text: str, path: str = "<input>") -> Program:
     program = parser.parse_program(path)
     if diags or problems or parser.problems:
         diags, cols = _place(text, spell, diags, problems)
-        last = len(spell) - 1  # EOF
-        diags += [Diagnostic(lines[min(pos, last)], cols[min(pos, last)],
-                             message, code)
+        diags += [Diagnostic(lines[pos], cols[pos], message, code)
                   for pos, message, code in parser.problems]
         raise MiniCError(sorted(diags, key=lambda d: (d.line, d.column)), path)
     return program
@@ -1053,20 +1054,10 @@ def _unrolled_height(node, k: int) -> int:
     elif isinstance(node, Switch):
         children = (node.expr, *(x for c in node.cases
                                  for x in c.labels + c.body.stmts))
-    elif isinstance(node, Block):
-        children = node.stmts
-    elif isinstance(node, CallExpr):
-        children = node.args
-    elif isinstance(node, Unary):
-        children = (node.operand,)
-    elif isinstance(node, Binary):
-        children = (node.lhs, node.rhs)
-    elif isinstance(node, Declare):
-        children = (node.init,)
-    elif isinstance(node, (Assign, Return)):
-        children = (node.value,)
-    else:  # ExprStmt
-        children = (node.expr,)
+    else:  # the records among its fields, alone or in a tuple
+        children = tuple(x for f in node._fields()
+                         for x in (f if type(f) is tuple else (f,))
+                         if isinstance(x, _Record))
     return 1 + most(*children)
 
 
